@@ -254,8 +254,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--feature", choices=FEATURE_NAMES,
                            help="feature scheme (defaults to the strategy's own)")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--threads", type=int, default=None,
-                       help="worker threads (default: all cores; 1 = sequential)")
+        p.add_argument("--threads", type=int, default=1,
+                       help="worker threads (default: 1, sequential)")
         p.add_argument("--out", help="output path (eval: path prefix)")
         p.add_argument("--normalize-vectors", choices=("on", "off"), default="on",
                        help="unit-normalize word vectors before modeling")
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_shared(p_train)
     p_train.add_argument("--class-dim", type=int, default=150,
                          help="class subspace dimension cap (msm/tfmsm)")
-    p_train.add_argument("--query-dim", type=int, default=None,
+    p_train.add_argument("--query-dim", type=int, default=10,
                          help="query subspace dimension cap (msm/tfmsm)")
     p_train.add_argument("--angle-count", type=int, default=None,
                          help="canonical angles used (default: all available)")

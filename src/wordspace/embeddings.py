@@ -19,6 +19,7 @@ case folding happens here.  Tables are immutable after construction
 and safe for concurrent reads.
 """
 
+import logging
 import re
 
 import numpy as np
@@ -29,6 +30,8 @@ from .errors import (
     FormatError,
     TruncationError,
 )
+
+log = logging.getLogger(__name__)
 
 _ROMAN_WORD = re.compile(r"[A-Za-z0-9_\-'.]+\Z")
 
@@ -136,6 +139,8 @@ def load_binary(source) -> EmbeddingTable:
     words = []
     vectors = np.empty((count, dim), dtype=np.float64)
     seen = set()
+    replaced = set()  # raw bytes of the words that decode with U+FFFD
+    dropped = 0
     pos = newline + 1
     record_bytes = 4 * dim
     for i in range(count):
@@ -152,19 +157,32 @@ def load_binary(source) -> EmbeddingTable:
         if raw_word == b"":
             raise FormatError(f"empty word in binary embedding record {i + 1}")
         word = raw_word.decode("utf-8", errors="replace")
-        if word in seen:
+        # Decoding is one-to-one except where invalid bytes became U+FFFD,
+        # so only such words can repeat without repeating their bytes.
+        fresh = word not in seen
+        if "\ufffd" in word:
+            if raw_word in replaced:
+                raise DuplicateWordError(word)
+            replaced.add(raw_word)
+        elif not fresh:
             raise DuplicateWordError(word)
-        seen.add(word)
         pos = sep + 1
         if pos + record_bytes > len(buf):
             raise TruncationError(
                 f"binary embedding stream ended inside the vector of {word!r}",
                 start,
             )
-        vectors[i] = np.frombuffer(buf, dtype="<f4", count=dim, offset=pos)
+        if fresh:
+            seen.add(word)
+            vectors[len(words)] = np.frombuffer(buf, dtype="<f4", count=dim, offset=pos)
+            words.append(word)
+        else:
+            dropped += 1
         pos += record_bytes
-        words.append(word)
-    return EmbeddingTable(words, vectors)
+    if dropped:
+        log.warning("dropped %d binary embedding words whose invalid UTF-8 bytes "
+                    "decode to an earlier word", dropped)
+    return EmbeddingTable(words, vectors[:len(words)])
 
 
 def load_text(source) -> EmbeddingTable:

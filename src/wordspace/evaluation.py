@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy import stats
+from scipy import special
 
 from . import bayes, classifiers, lsa, svm
 from .corpus import Corpus
@@ -484,5 +484,5 @@ def paired_ttest(acc_a, acc_b) -> TTestResult:
     if sd == 0.0:
         raise DegenerateTestError("zero variance of per-fold differences")
     t = float(np.mean(diff) / (sd / math.sqrt(diff.size)))
-    p = 2.0 * float(stats.t.sf(abs(t), diff.size - 1))
+    p = 2.0 * float(special.stdtr(diff.size - 1, -abs(t)))
     return TTestResult(t, min(p, 1.0))

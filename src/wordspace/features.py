@@ -9,6 +9,7 @@ for validation/test featurization.
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,6 +37,11 @@ class FeatureSpec:
     def width(self):
         return self.embed_dim if self.name == "w2v" else len(self.terms)
 
+    @cached_property
+    def index(self):
+        """Term -> column map of the bag-of-words vocabulary."""
+        return {t: j for j, t in enumerate(self.terms)}
+
 
 def fit_feature_spec(name: str, train: Corpus, table=None, normalize=True) -> FeatureSpec:
     """Learn the featurization recipe (vocabulary, IDF table) from ``train``."""
@@ -56,7 +62,8 @@ def fit_feature_spec(name: str, train: Corpus, table=None, normalize=True) -> Fe
     return FeatureSpec(name, terms=vocab.terms, idf_log=idf_log, normalize=normalize)
 
 
-def _bow_row(spec: FeatureSpec, tokens, index):
+def _bow_row(spec: FeatureSpec, tokens):
+    index = spec.index
     counts = {}
     for t in tokens:
         j = index.get(t)
@@ -101,10 +108,9 @@ def feature_matrix(spec: FeatureSpec, docs, table=None):
                 out[i] = block.mean(axis=1)
         return out
 
-    index = {t: j for j, t in enumerate(spec.terms)}
     data, indices, indptr = [], [], [0]
     for doc in docs:
-        cols, vals = _bow_row(spec, doc.tokens, index)
+        cols, vals = _bow_row(spec, doc.tokens)
         indices.extend(cols)
         data.extend(vals)
         indptr.append(len(indices))

@@ -1,38 +1,16 @@
-"""Loop-bound numeric kernels with a numba fast lane.
+"""Numeric kernels for the two loop-bound steps.
 
-Two inner loops in this package are genuinely Python-loop-bound rather
-than BLAS/LAPACK-bound: the per-sample hinge-loss subgradient updates
-of the linear SVM and the dense sweep over (class-dim, query-dim)
-hyperparameter grids.  Both are provided in two interchangeable
-implementations:
-
-* a numba ``@njit`` lane (default when numba is importable), and
-* a pure-numpy/Python fallback lane.
-
-Set ``WORDSPACE_NUMBA=0`` in the environment to force the fallback
-lane.  ``benchmarks/bench_kernels.py`` times one lane against the
-other.  The lanes perform the same arithmetic and agree within
-floating-point roundoff.
+The per-sample hinge-loss subgradient updates of the one-vs-rest linear
+SVM and the sweep over (class-dim, query-dim) hyperparameter grids are
+the package's only steps that are not a single BLAS/LAPACK call.  The
+grid sweep is one array expression; the hinge SGD is one Python pass
+over the samples that updates every class at once.
 """
-
-import os
 
 import numpy as np
 
-_flag = os.environ.get("WORDSPACE_NUMBA", "1").strip().lower()
-_DISABLED = _flag in ("0", "off", "false", "no")
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-USING_NUMBA = HAVE_NUMBA and not _DISABLED
-
-
-def grid_mean_sq_cosines_numpy(sq_gram, class_dims, query_dims):
+def grid_mean_sq_cosines(sq_gram, class_dims, query_dims):
     """Mean squared canonical cosine at every grid point.
 
     Parameters
@@ -53,47 +31,29 @@ def grid_mean_sq_cosines_numpy(sq_gram, class_dims, query_dims):
     so each entry is the subspace similarity with every available angle.
     """
     prefix = np.cumsum(np.cumsum(sq_gram, axis=1), axis=0)
-    out = np.empty((len(class_dims), len(query_dims)), dtype=np.float64)
-    for i, mc in enumerate(class_dims):
-        for j, mq in enumerate(query_dims):
-            t = mc if mc < mq else mq
-            out[i, j] = min(prefix[mc - 1, mq - 1] / t, 1.0)
-    return out
+    mc = np.asarray(class_dims, dtype=np.int64)
+    mq = np.asarray(query_dims, dtype=np.int64)
+    return np.minimum(prefix[np.ix_(mc - 1, mq - 1)] / np.minimum.outer(mc, mq), 1.0)
 
 
-def _grid_mean_sq_cosines_loops(sq_gram, class_dims, query_dims):
-    mc_max, mq_max = sq_gram.shape
-    prefix = np.empty((mc_max, mq_max), dtype=np.float64)
-    for r in range(mc_max):
-        acc = 0.0
-        for c in range(mq_max):
-            acc += sq_gram[r, c]
-            prefix[r, c] = acc if r == 0 else prefix[r - 1, c] + acc
-    out = np.empty((len(class_dims), len(query_dims)), dtype=np.float64)
-    for i in range(len(class_dims)):
-        for j in range(len(query_dims)):
-            mc = class_dims[i]
-            mq = query_dims[j]
-            t = mc if mc < mq else mq
-            s = prefix[mc - 1, mq - 1] / t
-            out[i, j] = 1.0 if s > 1.0 else s
-    return out
-
-
-def hinge_sgd_numpy(data, indices, indptr, labels, lam, epochs, order, n_features):
-    """Pegasos-style subgradient descent for one binary hinge problem.
+def hinge_sgd(data, indices, indptr, labels, lam, epochs, order, n_features):
+    """Pegasos subgradient descent for all one-vs-rest hinge problems at once.
 
     CSR arrays describe the sample matrix (one row per sample, bias
     column NOT included; the bias is an implicit all-ones feature).
-    ``labels`` is +-1 per sample, ``order`` is an (epochs, n_samples)
-    array of visiting orders, and the learning rate at global step t is
-    1 / (lam * (t + 1)).  Returns the augmented weight vector of length
-    ``n_features + 1`` whose last entry is the bias weight.
+    ``labels`` is an (n_samples, n_classes) matrix of +-1, ``order`` is
+    an (epochs, n_samples) array of visiting orders, and the learning
+    rate at global step t is 1 / (lam * (t + 1)).  Returns the augmented
+    (n_features + 1, n_classes) weight matrix whose last row holds the
+    bias weights.
 
-    The shrinking factor (1 - lr*lam) is carried as a running scale so
-    each update touches only the sample's nonzeros.
+    The classes share the visiting order, so the step size and the
+    shrinking factor (1 - lr*lam) are the same for every class; the
+    factor is carried as one running scale, and each update touches
+    only the sample's nonzeros of the classes whose margin it violates.
     """
-    u = np.zeros(n_features + 1, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.float64)
+    u = np.zeros((n_features + 1, labels.shape[1]), dtype=np.float64)
     scale = 1.0
     step = 0
     for e in range(epochs):
@@ -103,56 +63,15 @@ def hinge_sgd_numpy(data, indices, indptr, labels, lam, epochs, order, n_feature
             lo, hi = indptr[i], indptr[i + 1]
             cols = indices[lo:hi]
             vals = data[lo:hi]
-            score = scale * (np.dot(u[cols], vals) + u[n_features])
+            score = scale * (vals @ u[cols] + u[n_features])
             y = labels[i]
             scale *= 1.0 - lr * lam
-            if y * score < 1.0:
-                g = lr * y / scale
-                u[cols] += g * vals
+            hit = y * score < 1.0
+            if hit.any():
+                g = np.where(hit, lr * y / scale, 0.0)
+                u[cols] += np.outer(vals, g)
                 u[n_features] += g
             if scale < 1e-100:
                 u *= scale
                 scale = 1.0
     return u * scale
-
-
-def _hinge_sgd_loops(data, indices, indptr, labels, lam, epochs, order, n_features):
-    u = np.zeros(n_features + 1, dtype=np.float64)
-    scale = 1.0
-    step = 0
-    for e in range(epochs):
-        for k in range(order.shape[1]):
-            i = order[e, k]
-            step += 1
-            lr = 1.0 / (lam * (step + 1))
-            lo = indptr[i]
-            hi = indptr[i + 1]
-            acc = 0.0
-            for z in range(lo, hi):
-                acc += u[indices[z]] * data[z]
-            score = scale * (acc + u[n_features])
-            y = labels[i]
-            scale *= 1.0 - lr * lam
-            if y * score < 1.0:
-                g = lr * y / scale
-                for z in range(lo, hi):
-                    u[indices[z]] += g * data[z]
-                u[n_features] += g
-            if scale < 1e-100:
-                for z in range(n_features + 1):
-                    u[z] *= scale
-                scale = 1.0
-    return u * scale
-
-
-if USING_NUMBA:
-    grid_mean_sq_cosines = njit(cache=True)(_grid_mean_sq_cosines_loops)
-    hinge_sgd = njit(cache=True)(_hinge_sgd_loops)
-else:
-    grid_mean_sq_cosines = grid_mean_sq_cosines_numpy
-    hinge_sgd = hinge_sgd_numpy
-
-
-def active_lane() -> str:
-    """Which kernel lane is in use ("numba" or "numpy")."""
-    return "numba" if USING_NUMBA else "numpy"

@@ -5,7 +5,8 @@ Each class gets a binary hinge-loss problem minimizing
     reg * ||w||^2 / 2  +  mean_i max(0, 1 - y_i (w . x_i - b))
 
 by stochastic subgradient descent with the 1/(reg * t) step schedule,
-a fixed epoch budget and a seeded sample order.  The bias is learned
+a fixed epoch budget and a seeded sample order shared by all classes,
+so one pass trains every class.  The bias is learned
 as an augmented always-one feature, so it is (weakly) regularized
 together with ``w``.  Prediction is the argmax of ``w_c . x - b_c``.
 """
@@ -59,19 +60,12 @@ def fit_linear_svm(feats, labels, classes, spec: FeatureSpec, *,
     n, d = csr.shape
     rng = np.random.default_rng(seed)
     order = np.stack([rng.permutation(n) for _ in range(epochs)]).astype(np.int64)
-    labels = np.asarray(labels, dtype=object)
-
-    weights = np.empty((len(classes), d), dtype=np.float64)
-    offsets = np.empty(len(classes), dtype=np.float64)
-    indices = csr.indices.astype(np.int64)
-    indptr = csr.indptr.astype(np.int64)
-    for j, c in enumerate(classes):
-        y = np.where(labels == c, 1.0, -1.0)
-        w_aug = hinge_sgd(csr.data, indices, indptr, y, float(reg),
-                          int(epochs), order, d)
-        weights[j] = w_aug[:d]
-        offsets[j] = -w_aug[d]
-    return LinearSvmModel(classes, weights, offsets, spec,
+    y = np.where(np.asarray(labels, dtype=object)[:, None]
+                 == np.asarray(classes, dtype=object)[None, :], 1.0, -1.0)
+    w_aug = hinge_sgd(csr.data, csr.indices.astype(np.int64),
+                      csr.indptr.astype(np.int64), y, float(reg), int(epochs),
+                      order, d)
+    return LinearSvmModel(classes, np.ascontiguousarray(w_aug[:d].T), -w_aug[d], spec,
                           reg=reg, epochs=epochs, seed=seed)
 
 

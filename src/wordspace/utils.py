@@ -1,14 +1,6 @@
 """Small shared helpers."""
 
-import os
 from concurrent.futures import ThreadPoolExecutor
-
-
-def resolve_threads(threads):
-    """Normalize a thread-count option (None means all cores)."""
-    if threads is None:
-        return os.cpu_count() or 1
-    return max(1, int(threads))
 
 
 def parallel_map(fn, items, threads):
@@ -19,7 +11,7 @@ def parallel_map(fn, items, threads):
     that dominate the per-item cost).
     """
     items = list(items)
-    threads = resolve_threads(threads)
+    threads = max(1, int(threads))
     if threads == 1 or len(items) <= 1:
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -243,8 +243,7 @@ def test_criterion_5_corpus_reproduction():
     plan = make_folds(corpus, seed=42)
     reports = {}
     for strategy, target in TABLE_TARGETS.items():
-        report = run_experiment(corpus, strategy, plan, table=table,
-                                threads=None)
+        report = run_experiment(corpus, strategy, plan, table=table)
         reports[strategy] = report
         mean_pct = report.mean_accuracy * 100.0
         assert abs(mean_pct - target) <= ACCURACY_BAND, (

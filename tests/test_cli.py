@@ -6,7 +6,8 @@ import pytest
 
 from helpers import orthogonal_table, synth_corpus
 from wordspace.cli import main
-from wordspace.embeddings import EmbeddingTable, save_text
+from wordspace.embeddings import EmbeddingTable, load_text, save_text
+from wordspace.model_io import load_model
 
 
 def write_corpus(path, corpus):
@@ -119,6 +120,36 @@ class TestTrainAndClassify:
         assert code == 0
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == workspace["n_docs"]
+
+    def test_default_query_dim_keeps_long_documents_apart(self, tmp_path, capsys):
+        # four classes on mutually orthogonal 5-d blocks of a 20-d space;
+        # the query has 23 distinct words spanning all 20 dimensions, so a
+        # query subspace of its full rank would score every class 1.0
+        rng = np.random.default_rng(5)
+        blocks = np.linalg.qr(rng.standard_normal((20, 20)))[0].reshape(20, 4, 5)
+        words, rows, lines = [], [], []
+        for c in range(4):
+            names = [f"c{c}w{k}" for k in range(8)]
+            words += names
+            rows += [blocks[:, c] @ rng.standard_normal(5) for _ in names]
+            lines += [f"c{c} " + " ".join(rng.choice(names, size=4)) for _ in range(5)]
+        save_text(EmbeddingTable(words, np.array(rows)), tmp_path / "vecs.txt")
+        (tmp_path / "train.txt").write_text("\n".join(lines) + "\n")
+        query = [f"c0w{k}" for k in range(8)] * 2
+        query += [f"c{c}w{k}" for c in (1, 2, 3) for k in range(5)]
+        (tmp_path / "query.txt").write_text("c0 " + " ".join(query) + "\n")
+        model_path = str(tmp_path / "tfmsm.npz")
+        common = ["--embeddings", str(tmp_path / "vecs.txt")]
+        assert main(["train", "--strategy", "tfmsm", "--corpus",
+                     str(tmp_path / "train.txt"), "--out", model_path] + common) == 0
+        capsys.readouterr()
+        assert main(["classify", "--model", model_path, "--corpus",
+                     str(tmp_path / "query.txt")] + common) == 0
+        assert capsys.readouterr().out.split("\t")[1] == "c0"
+        model = load_model(model_path)
+        scores = model.predict(query, load_text(tmp_path / "vecs.txt")).scores
+        assert model.query_dim == 10
+        assert scores.max() - np.sort(scores)[-2] > 0.1
 
 
 class TestErrorPaths:
@@ -245,3 +276,11 @@ class TestConsoleEntry:
         )
         assert result.returncode == 0, result.stderr
         assert "strategy=sa" in result.stdout
+
+    def test_import_leaves_scipy_stats_unloaded(self):
+        result = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, wordspace; print('scipy.stats' in sys.modules)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert result.stdout.strip() == "False"

@@ -24,7 +24,7 @@ def pack_binary(entries, dim, header_count=None, trailing_newline=True):
     count = len(entries) if header_count is None else header_count
     out = f"{count} {dim}\n".encode()
     for word, vec in entries:
-        out += word.encode() + b" "
+        out += (word if isinstance(word, bytes) else word.encode()) + b" "
         out += struct.pack(f"<{len(vec)}f", *vec)
         if trailing_newline:
             out += b"\n"
@@ -74,6 +74,22 @@ class TestLoadBinary:
         raw = pack_binary([("dup", [1.0]), ("dup", [2.0])], 1)
         with pytest.raises(DuplicateWordError, match="dup"):
             load_binary(io.BytesIO(raw))
+
+    def test_invalid_utf8_collision_keeps_first(self, caplog):
+        # both words decode to "caf\ufffd"; the first one wins
+        raw = pack_binary([(b"caf\xe9", [1.0]), (b"caf\xff", [2.0])], 1)
+        with caplog.at_level("WARNING", logger="wordspace.embeddings"):
+            table = load_binary(io.BytesIO(raw))
+        assert len(table) == 1
+        assert table.vector("caf\ufffd")[0] == 1.0
+        warnings = [r for r in caplog.records if r.levelname == "WARNING"]
+        assert len(warnings) == 1 and "dropped 1 " in warnings[0].getMessage()
+
+    def test_identical_invalid_utf8_words_still_duplicate(self):
+        for word in (b"caf\xe9", "caf\ufffd".encode()):
+            raw = pack_binary([(word, [1.0]), (b"x", [0.0]), (word, [2.0])], 1)
+            with pytest.raises(DuplicateWordError):
+                load_binary(io.BytesIO(raw))
 
     def test_float32_values_widened_exactly(self):
         value = 0.1  # not representable; parsed value must equal the f32
