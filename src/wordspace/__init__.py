@@ -14,17 +14,7 @@ from .classifiers import (
     train_sa,
     train_tfmsm,
 )
-from .corpus import (
-    BowVector,
-    Corpus,
-    Document,
-    Vocabulary,
-    bow,
-    class_word_multiset,
-    idf,
-    parse_corpus,
-    tf,
-)
+from .corpus import Corpus, Document, Vocabulary, parse_corpus
 from .embeddings import (
     EmbeddingTable,
     filter_roman,
@@ -53,11 +43,11 @@ from .subspace import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BowVector", "Corpus", "Document", "EmbeddingTable", "EvalReport",
-    "FoldPlan", "Prediction", "Subspace", "Vocabulary", "bow",
-    "canonical_cosines", "class_word_multiset", "filter_roman", "idf",
-    "load_binary", "load_text", "lookup_all", "make_folds", "paired_ttest",
-    "parse_corpus", "predict_subspace", "run_experiment", "save_text",
-    "select_hyperparams", "similarity", "spectrum_report", "tf", "train_msm",
-    "train_sa", "train_tfmsm", "weighted_word_subspace", "word_subspace",
+    "Corpus", "Document", "EmbeddingTable", "EvalReport", "FoldPlan",
+    "Prediction", "Subspace", "Vocabulary", "canonical_cosines",
+    "filter_roman", "load_binary", "load_text", "lookup_all", "make_folds",
+    "paired_ttest", "parse_corpus", "predict_subspace", "run_experiment",
+    "save_text", "select_hyperparams", "similarity", "spectrum_report",
+    "train_msm", "train_sa", "train_tfmsm", "weighted_word_subspace",
+    "word_subspace",
 ]

@@ -61,6 +61,16 @@ class NaiveBayesModel:
                 scores = scores + n * self.log_prob[j]
         return make_prediction(self.classes, scores)
 
+    def container(self):
+        return {}, {"terms": self.terms, "log_prior": self.log_prior,
+                    "log_prob": self.log_prob, "log_not_prob": self.log_not_prob}
+
+    @classmethod
+    def from_container(cls, hyper, arrays):
+        log_not_prob = arrays["log_not_prob"]
+        return cls(arrays["strategy"], arrays["classes"], arrays["terms"], arrays["log_prior"],
+                   arrays["log_prob"], log_not_prob, log_not_prob.sum(axis=0))
+
     def class_posteriors(self, tokens) -> np.ndarray:
         """Normalized class posteriors for a document (sums to 1)."""
         scores = self.predict(tokens).scores

@@ -31,8 +31,6 @@ from .subspace import (
 
 log = logging.getLogger(__name__)
 
-STRATEGIES = ("msm", "tfmsm", "sa", "mvb", "mnb", "lsa", "svm")
-
 # Natural feature scheme per strategy; lsa and svm accept any.
 DEFAULT_FEATURES = {
     "msm": "w2v",
@@ -93,6 +91,39 @@ class SubspaceModel:
     @property
     def weighted(self):
         return self.strategy == "tfmsm"
+
+    def container(self):
+        """Hyperparameters and per-class arrays for the model container."""
+        hyper = {
+            "class_dim": self.class_dim,
+            "query_dim": self.query_dim,
+            "angle_count": self.angle_count,
+            "normalize": self.normalize,
+            "embed_dim": self.embed_dim,
+        }
+        arrays = {}
+        for i, label in enumerate(self.classes):
+            sub = self.subspaces[label]
+            arrays[f"class_{i}_basis"] = sub.basis
+            arrays[f"class_{i}_spectrum"] = sub.spectrum
+            arrays[f"class_{i}_count"] = sub.source_word_count
+        return hyper, arrays
+
+    @classmethod
+    def from_container(cls, hyper, arrays):
+        classes = arrays["classes"]
+        subspaces = {
+            label: Subspace(arrays[f"class_{i}_basis"], arrays[f"class_{i}_spectrum"],
+                            int(arrays[f"class_{i}_count"]))
+            for i, label in enumerate(classes)
+        }
+        counts = {label: sub.source_word_count for label, sub in subspaces.items()}
+        return cls(
+            arrays["strategy"], classes, subspaces, counts,
+            class_dim=hyper["class_dim"], query_dim=hyper["query_dim"],
+            angle_count=hyper["angle_count"], normalize=hyper["normalize"],
+            embed_dim=hyper["embed_dim"],
+        )
 
     def predict(self, tokens, table: EmbeddingTable, query_dim=None,
                 angle_count=None) -> Prediction:
@@ -186,6 +217,15 @@ class SimilarityAverageModel:
         self.counts = np.asarray(counts, dtype=np.int64)
         self.embed_dim = embed_dim
         self.normalize = normalize  # kept for the model container; SA always normalizes
+
+    def container(self):
+        return ({"normalize": self.normalize, "embed_dim": self.embed_dim},
+                {"sums": self.sums, "counts": self.counts})
+
+    @classmethod
+    def from_container(cls, hyper, arrays):
+        return cls(arrays["classes"], arrays["sums"], arrays["counts"],
+                   embed_dim=hyper["embed_dim"], normalize=hyper["normalize"])
 
     def predict(self, tokens, table: EmbeddingTable, **_ignored) -> Prediction:
         matrix, _, _ = lookup_all(table, tokens)

@@ -12,7 +12,7 @@ import logging
 import sys
 from pathlib import Path
 
-from . import classifiers, bayes, svm, lsa, model_io
+from . import model_io, svm
 from .corpus import parse_corpus
 from .embeddings import load_binary, load_text
 from .errors import (
@@ -24,14 +24,14 @@ from .errors import (
     NumericalError,
 )
 from .evaluation import (
-    DEFAULT_GRIDS,
     DEFAULT_SEED,
+    STRATEGIES,
     make_folds,
     paired_ttest,
     run_experiment,
     spectrum_report,
 )
-from .features import FEATURE_NAMES, fit_feature_spec
+from .features import FEATURE_NAMES
 from .utils import parallel_map
 
 UNCLASSIFIABLE = "__UNCLASSIFIABLE__"
@@ -42,6 +42,8 @@ log = logging.getLogger("wordspace")
 def _existing_path(value):
     if not Path(value).exists():
         raise ConfigError(f"path does not exist: {value}")
+    if Path(value).is_dir():
+        raise ConfigError(f"path is a directory: {value}")
     return value
 
 
@@ -56,12 +58,6 @@ def _load_embeddings(args):
     table = load_binary(path) if fmt == "bin" else load_text(path)
     log.info("loaded %d vectors of dimension %d", len(table), table.dimension)
     return table
-
-
-def _needs_table(strategy, feature):
-    if strategy in ("msm", "tfmsm", "sa"):
-        return True
-    return feature == "w2v"
 
 
 def _int_list(text):
@@ -85,53 +81,24 @@ def _grid_overrides(args):
     return grids or None
 
 
-def _resolve_feature(strategy, feature):
-    return feature or classifiers.DEFAULT_FEATURES[strategy]
-
-
 def cmd_train(args) -> int:
     _existing_path(args.corpus)
     if args.out is None:
         raise ConfigError("train requires --out for the model file")
     corpus = parse_corpus(args.corpus)
-    feature = _resolve_feature(args.strategy, args.feature)
-    table = _load_embeddings(args) if _needs_table(args.strategy, feature) else None
-    normalize = args.normalize_vectors == "on"
-
-    strategy = args.strategy
-    if strategy == "msm":
-        model = classifiers.train_msm(corpus, table, args.class_dim, normalize)
-        model.query_dim = args.query_dim
-        model.angle_count = args.angle_count
-    elif strategy == "tfmsm":
-        model = classifiers.train_tfmsm(corpus, table, args.class_dim, normalize)
-        model.query_dim = args.query_dim
-        model.angle_count = args.angle_count
-    elif strategy == "sa":
-        model = classifiers.train_sa(corpus, table, normalize)
-    elif strategy == "mvb":
-        model = bayes.train_mvb(corpus)
-    elif strategy == "mnb":
-        model = bayes.train_mnb(corpus)
-    elif strategy == "lsa":
-        spec = fit_feature_spec(feature, corpus, table, normalize)
-        model = lsa.train_lsa(corpus, spec, args.rank, table)
-    else:
-        spec = fit_feature_spec(feature, corpus, table, normalize)
-        model = svm.train_svm(corpus, spec, table, reg=args.reg,
-                              epochs=args.epochs, seed=args.seed)
+    strategy = STRATEGIES[args.strategy]
+    feature = strategy.resolve_feature(args.feature)
+    table = _load_embeddings(args) if feature == "w2v" else None
+    hyper = {"class_dim": args.class_dim, "query_dim": args.query_dim,
+             "angle_count": args.angle_count, "rank": args.rank, "reg": args.reg,
+             "epochs": args.epochs, "seed": args.seed}
+    model = strategy.fit(corpus, table, feature, args.normalize_vectors == "on", hyper)
 
     model_io.save_model(model, args.out)
-    print(f"strategy={strategy} classes={len(corpus.classes)} "
+    print(f"strategy={strategy.name} classes={len(corpus.classes)} "
           f"documents={len(corpus)} model={args.out}")
-    if strategy in ("msm", "tfmsm"):
-        for label in model.classes:
-            sub = model.subspaces[label]
-            print(f"class {label}: words={model.word_counts[label]} "
-                  f"dim={sub.dimension}")
-    else:
-        for label in corpus.classes:
-            print(f"class {label}: documents={len(corpus.indices_of(label))}")
+    for label in corpus.classes:
+        print(f"class {label}: {strategy.summary(model, corpus, label)}")
     return 0
 
 
@@ -172,24 +139,22 @@ def cmd_eval(args) -> int:
     if not strategies or strategies == [None]:
         raise ConfigError("eval requires --strategy or --strategies")
     for s in strategies:
-        if s not in classifiers.STRATEGIES:
+        if s not in STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}")
     if args.ttest and len(strategies) < 2:
         raise ConfigError("--ttest needs at least two strategies")
 
     corpus = parse_corpus(args.corpus)
     plan = make_folds(corpus, args.seed)
-    needs = [s for s in strategies
-             if _needs_table(s, _resolve_feature(s, args.feature))]
-    table = _load_embeddings(args) if needs else None
+    features = {s: STRATEGIES[s].resolve_feature(args.feature) for s in strategies}
+    table = _load_embeddings(args) if "w2v" in features.values() else None
     grids = _grid_overrides(args)
     normalize = args.normalize_vectors == "on"
 
     reports = {}
     for strategy in strategies:
-        feature = _resolve_feature(strategy, args.feature)
         report = run_experiment(
-            corpus, strategy, plan, table=table, feature=feature, grids=grids,
+            corpus, strategy, plan, table=table, feature=features[strategy], grids=grids,
             normalize=normalize, seed=args.seed, threads=args.threads,
         )
         reports[strategy] = report
@@ -250,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--corpus", required=True,
                        help="corpus file: one 'label tokens...' document per line")
         if with_strategy:
-            p.add_argument("--strategy", choices=classifiers.STRATEGIES)
+            p.add_argument("--strategy", choices=tuple(STRATEGIES))
             p.add_argument("--feature", choices=FEATURE_NAMES,
                            help="feature scheme (defaults to the strategy's own)")
         p.add_argument("--seed", type=int, default=DEFAULT_SEED)

@@ -1,4 +1,4 @@
-"""Labeled document collections and bag-of-words featurization.
+"""Labeled document collections.
 
 Corpus file format: UTF-8 text, one document per line, the first
 whitespace-delimited field is the class label and the remaining
@@ -7,22 +7,11 @@ package is whitespace splitting only; no stemming or typo handling.
 """
 
 import logging
-import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from .errors import (
-    DataError,
-    EmptyCorpusError,
-    FormatError,
-    UndefinedIdfError,
-    UnknownClassError,
-)
+from .errors import DataError, EmptyCorpusError, FormatError, UnknownClassError
 
 log = logging.getLogger(__name__)
-
-BOW_SCHEMES = ("binary", "tf", "tfidf")
 
 
 @dataclass(frozen=True)
@@ -118,28 +107,6 @@ class Vocabulary:
         return cls(seen)
 
 
-@dataclass(frozen=True)
-class BowVector:
-    """Sparse term-weight vector; no explicit zeros are stored."""
-
-    indices: np.ndarray
-    weights: np.ndarray
-    scheme: str
-
-    def __post_init__(self):
-        if self.scheme not in BOW_SCHEMES:
-            raise DataError(f"unknown weighting scheme {self.scheme!r}")
-        if np.any(self.weights == 0.0) or np.any(self.weights < 0.0):
-            raise DataError("term weights must be positive (no explicit zeros)")
-        if self.scheme == "binary" and np.any(self.weights != 1.0):
-            raise DataError("binary weights must all equal 1")
-        if self.scheme == "tf" and np.any(self.weights != np.rint(self.weights)):
-            raise DataError("tf weights must be positive integers")
-
-    def as_dict(self):
-        return dict(zip(self.indices.tolist(), self.weights.tolist()))
-
-
 def parse_corpus(source) -> Corpus:
     """Parse a corpus stream (path, file object, or iterable of lines).
 
@@ -147,16 +114,19 @@ def parse_corpus(source) -> Corpus:
     accepted as an empty document (logged as a warning).  A non-empty
     line containing only whitespace has no label and is a format error.
     """
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        lines = data.splitlines()
-    elif isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    else:
-        lines = [ln.rstrip("\n") for ln in source]
+    try:
+        if hasattr(source, "read"):
+            data = source.read()
+            if isinstance(data, bytes):
+                data = data.decode("utf-8")
+            lines = data.splitlines()
+        elif isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+            with open(source, "r", encoding="utf-8") as fh:
+                lines = fh.read().splitlines()
+        else:
+            lines = [ln.rstrip("\n") for ln in source]
+    except UnicodeDecodeError as err:
+        raise FormatError(f"corpus is not valid UTF-8: {err}") from None
 
     documents = []
     for lineno, line in enumerate(lines, start=1):
@@ -172,72 +142,3 @@ def parse_corpus(source) -> Corpus:
     if not documents:
         raise EmptyCorpusError("empty corpus")
     return Corpus(documents)
-
-
-def tf(word: str, doc: Document) -> int:
-    """Number of times ``word`` occurs in ``doc``."""
-    return doc.tokens.count(word)
-
-
-def idf(word: str, corpus: Corpus) -> float:
-    """Raw inverse document frequency |D| / |D^w|.
-
-    Raises ``UndefinedIdfError`` when no document contains the word.
-    """
-    d_w = corpus.document_frequencies().get(word, 0)
-    if d_w == 0:
-        raise UndefinedIdfError(f"term {word!r} occurs in no document")
-    return len(corpus) / d_w
-
-
-def bow(doc: Document, vocab: Vocabulary, scheme: str, corpus: Corpus = None) -> BowVector:
-    """Bag-of-words vector of ``doc`` over ``vocab``.
-
-    ``binary`` stores 1 for each present term, ``tf`` stores occurrence
-    counts, ``tfidf`` stores count * log10(|D| / |D^w|) using the
-    document frequencies of ``corpus`` (pass the *training* corpus so
-    evaluation featurization reuses training statistics).  Terms not in
-    ``vocab`` are dropped; a tfidf weight that is exactly zero (term in
-    every document) is dropped as well.
-    """
-    if scheme not in BOW_SCHEMES:
-        raise DataError(f"unknown weighting scheme {scheme!r}")
-    if scheme == "tfidf" and corpus is None:
-        raise DataError("tfidf weighting requires corpus statistics")
-
-    counts = {}
-    for t in doc.tokens:
-        j = vocab.index.get(t)
-        if j is not None:
-            counts[j] = counts.get(j, 0) + 1
-
-    indices = []
-    weights = []
-    for j, n in counts.items():
-        if scheme == "binary":
-            w = 1.0
-        elif scheme == "tf":
-            w = float(n)
-        else:
-            w = n * math.log10(idf(vocab.terms[j], corpus))
-        if w != 0.0:
-            indices.append(j)
-            weights.append(w)
-    return BowVector(
-        np.asarray(indices, dtype=np.int64),
-        np.asarray(weights, dtype=np.float64),
-        scheme,
-    )
-
-
-def class_word_multiset(corpus: Corpus, label: str):
-    """Union of all token occurrences of a class.
-
-    Returns ``(words, counts)`` where ``words`` lists distinct words in
-    first-occurrence order and ``counts`` the total occurrences of each.
-    """
-    counts = {}
-    for doc in corpus.documents_of(label):
-        for t in doc.tokens:
-            counts[t] = counts.get(t, 0) + 1
-    return list(counts), np.asarray(list(counts.values()), dtype=np.int64)

@@ -187,14 +187,17 @@ def load_binary(source) -> EmbeddingTable:
 
 def load_text(source) -> EmbeddingTable:
     """Parse the text embedding format (optional header, UTF-8)."""
-    if hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        raw_lines = data.splitlines()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            raw_lines = fh.read().splitlines()
+    try:
+        if hasattr(source, "read"):
+            data = source.read()
+            if isinstance(data, bytes):
+                data = data.decode("utf-8")
+            raw_lines = data.splitlines()
+        else:
+            with open(source, "r", encoding="utf-8") as fh:
+                raw_lines = fh.read().splitlines()
+    except UnicodeDecodeError as err:
+        raise FormatError(f"text embedding stream is not valid UTF-8: {err}") from None
 
     words = []
     rows = []

@@ -51,10 +51,6 @@ class UnknownClassError(DataError):
     """A class label that is not part of the corpus was requested."""
 
 
-class UndefinedIdfError(DataError):
-    """IDF requested for a term with zero document frequency."""
-
-
 class TrainingDataError(DataError):
     """Training cannot proceed (e.g. a class has no usable words)."""
 

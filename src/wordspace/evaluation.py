@@ -6,9 +6,14 @@ fold by validation accuracy, scores the test split with the selected
 model, and aggregates mean/std accuracy.  Documents that cannot be
 classified (empty or fully out-of-vocabulary) count as errors and are
 reported separately.
+
+`STRATEGIES` is the one table of what each strategy name means: how to
+fit it, how to select its hyperparameters on a fold, its default grid,
+which features it accepts, and which model class reads its container.
 """
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,21 +38,6 @@ from .utils import parallel_map
 
 DEFAULT_SEED = 42
 FOLD_COUNT = 10
-
-# Dimension grids bracket the selections reported for the reference
-# corpus; entries are capped by the available rank per fold.
-DEFAULT_GRIDS = {
-    "msm": {"class_dim": (50, 100, 150, 175, 200),
-            "query_dim": (1, 5, 10, 25, 50, 100, 200)},
-    "tfmsm": {"class_dim": (50, 100, 150, 175, 200),
-              "query_dim": (1, 5, 10, 25, 50, 100, 200)},
-    "lsa": {"rank": (10, 30, 50, 90, 130, 200)},
-    "svm": {"reg": (1e-2, 1e-3, 1e-4, 1e-5)},
-    "sa": {},
-    "mvb": {},
-    "mnb": {},
-}
-
 
 @dataclass(frozen=True)
 class Fold:
@@ -89,9 +79,9 @@ def make_folds(corpus: Corpus, seed: int, fold_count: int = FOLD_COUNT) -> FoldP
 # Per-strategy drivers: hyperparameter selection + final model for one fold.
 # ---------------------------------------------------------------------------
 
-def _grid_axis(grids, key, default):
-    values = grids.get(key, default) if grids else default
-    values = tuple(values)
+def _grid_axis(strategy, grids, key):
+    default = strategy.grid[key]
+    values = tuple(grids.get(key, default) if grids else default)
     if not values:
         raise ConfigError(f"empty hyperparameter grid for {key!r}")
     return values
@@ -107,13 +97,16 @@ def _best_cell(correct, class_dims, query_dims):
     return best[1]
 
 
-def _subspace_fold(strategy, train_c, val_docs, table, grids, normalize):
-    class_dims = tuple(sorted(set(_grid_axis(grids, "class_dim",
-                                             DEFAULT_GRIDS[strategy]["class_dim"]))))
-    query_dims = tuple(sorted(set(_grid_axis(grids, "query_dim",
-                                             DEFAULT_GRIDS[strategy]["query_dim"]))))
-    trainer = classifiers.train_tfmsm if strategy == "tfmsm" else classifiers.train_msm
-    full = trainer(train_c, table, class_dim=max(class_dims), normalize=normalize)
+def _fixed_fold(strategy, train_c, val_docs, table, grids, feature, normalize, seed):
+    """A strategy without a grid: the fold's model is its plain fit."""
+    return strategy.fit(train_c, table, feature, normalize, {}), {}, []
+
+
+def _subspace_fold(strategy, train_c, val_docs, table, grids, feature, normalize, seed):
+    class_dims = tuple(sorted(set(_grid_axis(strategy, grids, "class_dim"))))
+    query_dims = tuple(sorted(set(_grid_axis(strategy, grids, "query_dim"))))
+    full = strategy.fit(train_c, table, feature, normalize,
+                        {"class_dim": max(class_dims)})
 
     classes = np.asarray(full.classes, dtype=object)
     mc_arr = np.asarray(class_dims, dtype=np.int64)
@@ -140,15 +133,16 @@ def _subspace_fold(strategy, train_c, val_docs, table, grids, normalize):
         for label, sub in full.subspaces.items()
     }
     model = classifiers.SubspaceModel(
-        strategy, full.classes, subspaces, full.word_counts,
+        strategy.name, full.classes, subspaces, full.word_counts,
         class_dim=params["class_dim"], query_dim=params["query_dim"],
         normalize=normalize, embed_dim=full.embed_dim,
     )
     return model, params, []
 
 
-def _lsa_fold(strategy, train_c, val_docs, table, grids, spec):
-    ranks = tuple(sorted(set(_grid_axis(grids, "rank", DEFAULT_GRIDS["lsa"]["rank"]))))
+def _lsa_fold(strategy, train_c, val_docs, table, grids, feature, normalize, seed):
+    spec = fit_feature_spec(feature, train_c, table, normalize)
+    ranks = tuple(sorted(set(_grid_axis(strategy, grids, "rank"))))
     docs = list(train_c)
     feats = feature_matrix(spec, docs, table)
     X = feats.T  # features x documents
@@ -199,8 +193,9 @@ def _lsa_fold(strategy, train_c, val_docs, table, grids, spec):
     return models[best[1]], params, notes
 
 
-def _svm_fold(strategy, train_c, val_docs, table, grids, spec, seed):
-    regs = _grid_axis(grids, "reg", DEFAULT_GRIDS["svm"]["reg"])
+def _svm_fold(strategy, train_c, val_docs, table, grids, feature, normalize, seed):
+    spec = fit_feature_spec(feature, train_c, table, normalize)
+    regs = _grid_axis(strategy, grids, "reg")
     docs = list(train_c)
     feats = feature_matrix(spec, docs, table)
     labels = [d.label for d in docs]
@@ -219,26 +214,116 @@ def _svm_fold(strategy, train_c, val_docs, table, grids, spec, seed):
     return best[2], {"reg": best[1]}, []
 
 
-def _plain_fold(strategy, train_c, table, normalize):
-    if strategy == "sa":
-        return classifiers.train_sa(train_c, table, normalize=normalize)
-    if strategy == "mvb":
-        return bayes.train_mvb(train_c)
-    if strategy == "mnb":
-        return bayes.train_mnb(train_c)
-    raise ConfigError(f"unknown strategy {strategy!r}")
+# Fits at given hyperparameters: ``fit(corpus, table, feature, normalize,
+# hyper)``, where ``hyper`` holds the ``wordspace train`` settings
+# (class_dim, query_dim, angle_count, rank, reg, epochs, seed) or, inside
+# a fold, only what the fold sets.  Modules are looked up at call time so
+# that a caller that rebinds their functions (a tracer) sees every call.
+
+def _serving_policy(model, hyper):
+    model.query_dim = hyper.get("query_dim")
+    model.angle_count = hyper.get("angle_count")
+    return model
 
 
-def _check_feature(strategy, feature):
-    feature = feature or classifiers.DEFAULT_FEATURES[strategy]
-    fixed = {"msm": "w2v", "tfmsm": "w2v", "sa": "w2v", "mvb": "binbow",
-             "mnb": "tfbow"}
-    if strategy in fixed and feature != fixed[strategy]:
-        raise ConfigError(
-            f"strategy {strategy!r} requires feature {fixed[strategy]!r}, "
-            f"got {feature!r}"
-        )
-    return feature
+def _fit_msm(corpus, table, feature, normalize, hyper):
+    return _serving_policy(
+        classifiers.train_msm(corpus, table, hyper.get("class_dim"), normalize), hyper)
+
+
+def _fit_tfmsm(corpus, table, feature, normalize, hyper):
+    return _serving_policy(
+        classifiers.train_tfmsm(corpus, table, hyper.get("class_dim"), normalize), hyper)
+
+
+def _fit_sa(corpus, table, feature, normalize, hyper):
+    return classifiers.train_sa(corpus, table, normalize)
+
+
+def _fit_mvb(corpus, table, feature, normalize, hyper):
+    return bayes.train_mvb(corpus)
+
+
+def _fit_mnb(corpus, table, feature, normalize, hyper):
+    return bayes.train_mnb(corpus)
+
+
+def _fit_lsa(corpus, table, feature, normalize, hyper):
+    spec = fit_feature_spec(feature, corpus, table, normalize)
+    return lsa.train_lsa(corpus, spec, hyper["rank"], table)
+
+
+def _fit_svm(corpus, table, feature, normalize, hyper):
+    spec = fit_feature_spec(feature, corpus, table, normalize)
+    return svm.train_svm(corpus, spec, table, reg=hyper["reg"],
+                         epochs=hyper["epochs"], seed=hyper["seed"])
+
+
+def _document_count(model, corpus, label):
+    return f"documents={len(corpus.indices_of(label))}"
+
+
+def _subspace_size(model, corpus, label):
+    return f"words={model.word_counts[label]} dim={model.subspaces[label].dimension}"
+
+
+@dataclass(frozen=True)
+class Strategy:
+    """What the harness, the CLI and the model container know of a strategy."""
+
+    name: str
+    any_feature: bool   # accepts features other than its default
+    grid: dict          # validation grid: axis -> default values
+    fit: Callable       # fit at given hyperparameters (see above)
+    select: Callable    # one fold: (model, selected params, notes)
+    model: type         # class that reads the strategy's model container
+    summary: Callable = _document_count  # per-class line of ``wordspace train``
+
+    @property
+    def feature(self):
+        """The strategy's own feature scheme."""
+        return classifiers.DEFAULT_FEATURES[self.name]
+
+    def resolve_feature(self, feature):
+        """``feature``, or the default when None; ConfigError if refused."""
+        feature = feature or self.feature
+        if feature != self.feature and not self.any_feature:
+            raise ConfigError(
+                f"strategy {self.name!r} requires feature {self.feature!r}, "
+                f"got {feature!r}"
+            )
+        return feature
+
+
+# Dimension grids bracket the selections reported for the reference
+# corpus; entries are capped by the available rank per fold.
+_SUBSPACE_GRID = {"class_dim": (50, 100, 150, 175, 200),
+                  "query_dim": (1, 5, 10, 25, 50, 100, 200)}
+
+STRATEGIES = {s.name: s for s in (
+    Strategy("msm", any_feature=False, grid=_SUBSPACE_GRID, fit=_fit_msm,
+             select=_subspace_fold, model=classifiers.SubspaceModel,
+             summary=_subspace_size),
+    Strategy("tfmsm", any_feature=False, grid=_SUBSPACE_GRID, fit=_fit_tfmsm,
+             select=_subspace_fold, model=classifiers.SubspaceModel,
+             summary=_subspace_size),
+    Strategy("sa", any_feature=False, grid={}, fit=_fit_sa, select=_fixed_fold,
+             model=classifiers.SimilarityAverageModel),
+    Strategy("mvb", any_feature=False, grid={}, fit=_fit_mvb, select=_fixed_fold,
+             model=bayes.NaiveBayesModel),
+    Strategy("mnb", any_feature=False, grid={}, fit=_fit_mnb, select=_fixed_fold,
+             model=bayes.NaiveBayesModel),
+    Strategy("lsa", any_feature=True, grid={"rank": (10, 30, 50, 90, 130, 200)},
+             fit=_fit_lsa, select=_lsa_fold, model=lsa.LsaModel),
+    Strategy("svm", any_feature=True, grid={"reg": (1e-2, 1e-3, 1e-4, 1e-5)},
+             fit=_fit_svm, select=_svm_fold, model=svm.LinearSvmModel),
+)}
+
+
+def _strategy(name):
+    if name not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {name!r}")
+    return STRATEGIES[name]
 
 
 def select_hyperparams(strategy, corpus, fold: Fold, grids=None, *, table=None,
@@ -249,25 +334,18 @@ def select_hyperparams(strategy, corpus, fold: Fold, grids=None, *, table=None,
     were skipped as infeasible.  Ties prefer the smallest dimensions,
     then grid order.
     """
-    _, params, notes = _fit_fold(strategy, corpus, fold, grids, table=table,
-                                 feature=feature, normalize=normalize, seed=seed)
+    entry = _strategy(strategy)
+    _, params, notes = _fit_fold(entry, corpus, fold, grids, table=table,
+                                 feature=entry.resolve_feature(feature),
+                                 normalize=normalize, seed=seed)
     return params, notes
 
 
 def _fit_fold(strategy, corpus, fold, grids, *, table, feature, normalize, seed):
-    feature = _check_feature(strategy, feature)
     train_c = corpus.subset(fold.train)
     val_docs = [corpus.documents[i] for i in fold.validation]
-    if strategy in ("msm", "tfmsm"):
-        return _subspace_fold(strategy, train_c, val_docs, table, grids, normalize)
-    if strategy == "lsa":
-        spec = fit_feature_spec(feature, train_c, table, normalize)
-        return _lsa_fold(strategy, train_c, val_docs, table, grids, spec)
-    if strategy == "svm":
-        spec = fit_feature_spec(feature, train_c, table, normalize)
-        return _svm_fold(strategy, train_c, val_docs, table, grids, spec, seed)
-    model = _plain_fold(strategy, train_c, table, normalize)
-    return model, {}, []
+    return strategy.select(strategy, train_c, val_docs, table, grids, feature,
+                           normalize, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +416,8 @@ def run_experiment(corpus: Corpus, strategy: str, plan: FoldPlan, *, table=None,
                    feature=None, grids=None, normalize=True, seed=DEFAULT_SEED,
                    threads=1) -> EvalReport:
     """Train/select/test on every fold and aggregate accuracies."""
-    feature = _check_feature(strategy, feature)
+    entry = _strategy(strategy)
+    feature = entry.resolve_feature(feature)
     accuracies = []
     params_per_fold = []
     unclassifiable = []
@@ -349,7 +428,7 @@ def run_experiment(corpus: Corpus, strategy: str, plan: FoldPlan, *, table=None,
     for fold_idx, fold in enumerate(plan.folds):
         try:
             model, params, fold_notes = _fit_fold(
-                strategy, corpus, fold, grids,
+                entry, corpus, fold, grids,
                 table=table, feature=feature, normalize=normalize, seed=seed,
             )
         except ConfigError as err:

@@ -42,6 +42,26 @@ class FeatureSpec:
         """Term -> column map of the bag-of-words vocabulary."""
         return {t: j for j, t in enumerate(self.terms)}
 
+    def container(self):
+        """Model-container entries of this recipe."""
+        return {
+            "spec_name": self.name,
+            "spec_terms": self.terms,
+            "spec_idf_log": np.asarray(self.idf_log, dtype=np.float64),
+            "spec_embed_dim": self.embed_dim,
+            "spec_normalize": int(self.normalize),
+        }
+
+    @classmethod
+    def from_container(cls, arrays):
+        return cls(
+            name=arrays["spec_name"],
+            terms=arrays["spec_terms"],
+            idf_log=np.asarray(arrays["spec_idf_log"], dtype=np.float64),
+            embed_dim=int(arrays["spec_embed_dim"]),
+            normalize=bool(int(arrays["spec_normalize"])),
+        )
+
 
 def fit_feature_spec(name: str, train: Corpus, table=None, normalize=True) -> FeatureSpec:
     """Learn the featurization recipe (vocabulary, IDF table) from ``train``."""

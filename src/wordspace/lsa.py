@@ -78,6 +78,17 @@ class LsaModel:
     def rank(self):
         return self.sigma.size
 
+    def container(self):
+        return {"rank": self.rank}, {
+            "labels": self.labels, "basis": self.basis, "sigma": self.sigma,
+            "doc_coords": self.doc_coords, **self.spec.container(),
+        }
+
+    @classmethod
+    def from_container(cls, hyper, arrays):
+        return cls(arrays["classes"], arrays["labels"], arrays["basis"], arrays["sigma"],
+                   arrays["doc_coords"], FeatureSpec.from_container(arrays))
+
     def project(self, vector) -> np.ndarray:
         """Projection coords(d) of one raw feature vector."""
         return (self.basis.T @ vector) / self.sigma

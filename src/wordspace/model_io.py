@@ -5,39 +5,66 @@ The container is an uncompressed NumPy ``.npz`` archive (a zip of
 ``format_version`` and ``kind`` entries; ``kind`` is ``"subspace"`` or
 ``"model"``.  A subspace file stores the ambient dimension, the basis
 (row-major float64), the spectrum, and the source word count.  A model
-file stores the strategy tag, the class list, hyperparameters, and the
-per-class artifacts of its strategy.  See README.md for the full entry
-list.
+file stores the strategy tag, the class list, the per-class artifacts
+its model class lists in ``container()``, and its hyperparameters as
+``hyper_json``; the strategy table of `evaluation` names the class that
+reads them back.  See README.md for the full entry list.
+
+String sequences (tuples or lists of str) are stored as unicode arrays
+and read back as tuples; a scalar string reads back as ``str``.  Float
+entries must be finite.
 """
 
 import json
+import zipfile
 
 import numpy as np
 
-from .bayes import NaiveBayesModel
-from .classifiers import SimilarityAverageModel, SubspaceModel
 from .errors import FormatError
-from .features import FeatureSpec
-from .lsa import LsaModel
+from .evaluation import STRATEGIES
 from .subspace import Subspace
-from .svm import LinearSvmModel
 
 FORMAT_VERSION = 1
 
 
-def _str_array(values):
-    return np.asarray(list(values), dtype=np.str_)
-
-
-def _str_list(arr):
-    return [str(v) for v in np.atleast_1d(arr)]
-
-
 def _savez_exact(path, entries):
+    entries = {
+        k: np.asarray(list(v), dtype=np.str_) if isinstance(v, (tuple, list)) else v
+        for k, v in entries.items()
+    }
     # np.savez appends ".npz" to bare paths; an open handle keeps the
     # name exactly as given
     with open(path, "wb") as fh:
         np.savez(fh, **entries)
+
+
+def _decoded(arr):
+    if arr.dtype.kind == "U":
+        return str(arr) if arr.ndim == 0 else tuple(str(v) for v in arr)
+    return arr
+
+
+def _read(path, expected_kind):
+    """Every entry of a container of ``expected_kind``, decoded."""
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (ValueError, EOFError, zipfile.BadZipFile) as err:
+        # bytes that are neither .npy nor a zip are refused as a pickle
+        # (ValueError, EOFError when empty); a damaged zip is BadZipFile
+        raise FormatError(f"not a wordspace container file: {err}") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise FormatError("not a wordspace container file: a bare array")
+    with data:
+        _check(data, expected_kind)
+        try:
+            arrays = {k: _decoded(data[k]) for k in data.files}
+        except (ValueError, zipfile.BadZipFile) as err:
+            raise FormatError(f"damaged container entry: {err}") from None
+    for name, arr in arrays.items():
+        if isinstance(arr, np.ndarray) and arr.dtype.kind == "f" \
+                and not np.all(np.isfinite(arr)):
+            raise FormatError(f"container entry {name!r} has non-finite values")
+    return arrays
 
 
 def save_subspace(sub: Subspace, path):
@@ -52,11 +79,13 @@ def save_subspace(sub: Subspace, path):
 
 
 def load_subspace(path) -> Subspace:
-    with np.load(path, allow_pickle=False) as data:
-        _check(data, "subspace")
+    arrays = _read(path, "subspace")
+    try:
         return Subspace(
-            data["basis"], data["spectrum"], int(data["source_word_count"])
+            arrays["basis"], arrays["spectrum"], int(arrays["source_word_count"])
         )
+    except KeyError as err:
+        raise FormatError(f"subspace container lacks entry {err}") from None
 
 
 def _check(data, expected_kind):
@@ -70,120 +99,29 @@ def _check(data, expected_kind):
         raise FormatError(f"expected a {expected_kind} container, found {kind!r}")
 
 
-def _encode_spec(spec: FeatureSpec):
-    return {
-        "spec_name": spec.name,
-        "spec_terms": _str_array(spec.terms),
-        "spec_idf_log": np.asarray(spec.idf_log, dtype=np.float64),
-        "spec_embed_dim": spec.embed_dim,
-        "spec_normalize": int(spec.normalize),
-    }
-
-
-def _decode_spec(data) -> FeatureSpec:
-    return FeatureSpec(
-        name=str(data["spec_name"]),
-        terms=tuple(_str_list(data["spec_terms"])) if data["spec_terms"].size else (),
-        idf_log=np.asarray(data["spec_idf_log"], dtype=np.float64),
-        embed_dim=int(data["spec_embed_dim"]),
-        normalize=bool(int(data["spec_normalize"])),
-    )
-
-
 def save_model(model, path):
     """Serialize any trained model to the container format."""
-    entries = {
+    hyper, arrays = model.container()
+    _savez_exact(path, {
         "format_version": FORMAT_VERSION,
         "kind": "model",
         "strategy": model.strategy,
-        "classes": _str_array(model.classes),
-    }
-    hyper = {}
-    if isinstance(model, SubspaceModel):
-        hyper = {
-            "class_dim": model.class_dim,
-            "query_dim": model.query_dim,
-            "angle_count": model.angle_count,
-            "normalize": model.normalize,
-            "embed_dim": model.embed_dim,
-        }
-        for i, label in enumerate(model.classes):
-            sub = model.subspaces[label]
-            entries[f"class_{i}_basis"] = sub.basis
-            entries[f"class_{i}_spectrum"] = sub.spectrum
-            entries[f"class_{i}_count"] = sub.source_word_count
-    elif isinstance(model, SimilarityAverageModel):
-        hyper = {"normalize": model.normalize, "embed_dim": model.embed_dim}
-        entries["sums"] = model.sums
-        entries["counts"] = model.counts
-    elif isinstance(model, NaiveBayesModel):
-        entries["terms"] = _str_array(model.terms)
-        entries["log_prior"] = model.log_prior
-        entries["log_prob"] = model.log_prob
-        entries["log_not_prob"] = model.log_not_prob
-    elif isinstance(model, LsaModel):
-        hyper = {"rank": model.rank}
-        entries["labels"] = _str_array(model.labels)
-        entries["basis"] = model.basis
-        entries["sigma"] = model.sigma
-        entries["doc_coords"] = model.doc_coords
-        entries.update(_encode_spec(model.spec))
-    elif isinstance(model, LinearSvmModel):
-        hyper = {"reg": model.reg, "epochs": model.epochs, "seed": model.seed}
-        entries["weights"] = model.weights
-        entries["offsets"] = model.offsets
-        entries.update(_encode_spec(model.spec))
-    else:
-        raise FormatError(f"cannot serialize model of type {type(model).__name__}")
-    entries["hyper_json"] = json.dumps(hyper)
-    _savez_exact(path, entries)
+        "classes": model.classes,
+        **arrays,
+        "hyper_json": json.dumps(hyper),
+    })
 
 
 def load_model(path):
     """Reconstruct a trained model from a container file."""
-    with np.load(path, allow_pickle=False) as data:
-        _check(data, "model")
-        strategy = str(data["strategy"])
-        classes = _str_list(data["classes"])
-        hyper = json.loads(str(data["hyper_json"]))
-
-        if strategy in ("msm", "tfmsm"):
-            subspaces = {}
-            counts = {}
-            for i, label in enumerate(classes):
-                subspaces[label] = Subspace(
-                    data[f"class_{i}_basis"],
-                    data[f"class_{i}_spectrum"],
-                    int(data[f"class_{i}_count"]),
-                )
-                counts[label] = subspaces[label].source_word_count
-            return SubspaceModel(
-                strategy, classes, subspaces, counts,
-                class_dim=hyper["class_dim"], query_dim=hyper["query_dim"],
-                angle_count=hyper["angle_count"], normalize=hyper["normalize"],
-                embed_dim=hyper["embed_dim"],
-            )
-        if strategy == "sa":
-            return SimilarityAverageModel(
-                classes, data["sums"], data["counts"],
-                embed_dim=hyper["embed_dim"], normalize=hyper["normalize"],
-            )
-        if strategy in ("mvb", "mnb"):
-            log_not_prob = np.asarray(data["log_not_prob"])
-            return NaiveBayesModel(
-                strategy, tuple(classes), tuple(_str_list(data["terms"])),
-                np.asarray(data["log_prior"]), np.asarray(data["log_prob"]),
-                log_not_prob, log_not_prob.sum(axis=0),
-            )
-        if strategy == "lsa":
-            return LsaModel(
-                classes, _str_list(data["labels"]), np.asarray(data["basis"]),
-                np.asarray(data["sigma"]), np.asarray(data["doc_coords"]),
-                _decode_spec(data),
-            )
-        if strategy == "svm":
-            return LinearSvmModel(
-                classes, data["weights"], data["offsets"], _decode_spec(data),
-                reg=hyper["reg"], epochs=hyper["epochs"], seed=hyper["seed"],
-            )
-        raise FormatError(f"unknown strategy tag {strategy!r}")
+    arrays = _read(path, "model")
+    try:
+        strategy = str(arrays["strategy"])
+        if strategy not in STRATEGIES:
+            raise FormatError(f"unknown strategy tag {strategy!r}")
+        hyper = json.loads(arrays["hyper_json"])
+        return STRATEGIES[strategy].model.from_container(hyper, arrays)
+    except KeyError as err:
+        raise FormatError(f"model container lacks entry {err}") from None
+    except json.JSONDecodeError as err:
+        raise FormatError(f"malformed hyper_json: {err}") from None

@@ -156,31 +156,39 @@ def _validate_weights(X, weights):
     return w
 
 
+def _fit(X, weights, dim, exact):
+    """Validate, decompose and keep the ``dim`` leading directions.
+
+    With ``exact`` a ``dim`` outside [1, rank] raises `SubspaceRankError`;
+    otherwise ``dim`` is a cap and None keeps the full selectable rank.
+    """
+    X = _validate_data_matrix(X)
+    if weights is None:
+        basis, spectrum = _spectral_basis(X, float(X.shape[1]))
+    else:
+        w = _validate_weights(X, weights)
+        basis, spectrum = _spectral_basis(X * np.sqrt(w), float(np.sum(w)))
+    cap = _selectable_rank(spectrum)
+    if exact and not 1 <= dim <= cap:
+        raise SubspaceRankError(dim, cap)
+    if cap == 0:
+        raise DegenerateInputError("data matrix has numerical rank zero")
+    m = cap if dim is None else max(1, min(dim, cap))
+    return Subspace(basis[:, :m], spectrum[:m], X.shape[1])
+
+
 def full_word_subspace(X: np.ndarray, max_dim: int = None) -> Subspace:
     """Subspace at the full selectable rank (optionally capped).
 
     Callers that sweep dimension grids build this once and slice
     prefixes with `Subspace.truncated`.
     """
-    X = _validate_data_matrix(X)
-    basis, spectrum = _spectral_basis(X, float(X.shape[1]))
-    cap = _selectable_rank(spectrum)
-    if cap == 0:
-        raise DegenerateInputError("data matrix has numerical rank zero")
-    m = cap if max_dim is None else max(1, min(max_dim, cap))
-    return Subspace(basis[:, :m], spectrum[:m], X.shape[1])
+    return _fit(X, None, max_dim, exact=False)
 
 
 def full_weighted_word_subspace(X: np.ndarray, weights, max_dim: int = None) -> Subspace:
     """Weighted variant of `full_word_subspace`."""
-    X = _validate_data_matrix(X)
-    w = _validate_weights(X, weights)
-    basis, spectrum = _spectral_basis(X * np.sqrt(w), float(np.sum(w)))
-    cap = _selectable_rank(spectrum)
-    if cap == 0:
-        raise DegenerateInputError("data matrix has numerical rank zero")
-    m = cap if max_dim is None else max(1, min(max_dim, cap))
-    return Subspace(basis[:, :m], spectrum[:m], X.shape[1])
+    return _fit(X, weights, max_dim, exact=False)
 
 
 def word_subspace(X: np.ndarray, m: int) -> Subspace:
@@ -199,12 +207,7 @@ def word_subspace(X: np.ndarray, m: int) -> Subspace:
         Basis of the ``m`` leading eigenvectors of the uncentered
         autocorrelation matrix, spectrum of matching eigenvalues.
     """
-    X = _validate_data_matrix(X)
-    basis, spectrum = _spectral_basis(X, float(X.shape[1]))
-    cap = _selectable_rank(spectrum)
-    if not 1 <= m <= cap:
-        raise SubspaceRankError(m, cap)
-    return Subspace(basis[:, :m], spectrum[:m], X.shape[1])
+    return _fit(X, None, m, exact=True)
 
 
 def weighted_word_subspace(X: np.ndarray, weights, m: int) -> Subspace:
@@ -215,13 +218,7 @@ def weighted_word_subspace(X: np.ndarray, weights, m: int) -> Subspace:
     squared singular values divided by ``sum(weights)``, so integer
     weights reproduce `word_subspace` on a column-duplicated matrix.
     """
-    X = _validate_data_matrix(X)
-    w = _validate_weights(X, weights)
-    basis, spectrum = _spectral_basis(X * np.sqrt(w), float(np.sum(w)))
-    cap = _selectable_rank(spectrum)
-    if not 1 <= m <= cap:
-        raise SubspaceRankError(m, cap)
-    return Subspace(basis[:, :m], spectrum[:m], X.shape[1])
+    return _fit(X, weights, m, exact=True)
 
 
 def canonical_cosines(a: Subspace, b: Subspace) -> np.ndarray:

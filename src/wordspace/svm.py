@@ -39,6 +39,17 @@ class LinearSvmModel:
         self.seed = seed
         self.embed_dim = spec.embed_dim if spec.name == "w2v" else None
 
+    def container(self):
+        return ({"reg": self.reg, "epochs": self.epochs, "seed": self.seed},
+                {"weights": self.weights, "offsets": self.offsets,
+                 **self.spec.container()})
+
+    @classmethod
+    def from_container(cls, hyper, arrays):
+        return cls(arrays["classes"], arrays["weights"], arrays["offsets"],
+                   FeatureSpec.from_container(arrays),
+                   reg=hyper["reg"], epochs=hyper["epochs"], seed=hyper["seed"])
+
     def decision_matrix(self, feats) -> np.ndarray:
         """Scores ``w_c . x - b_c`` for every (row, class) pair."""
         return np.asarray(feats @ self.weights.T) - self.offsets

@@ -7,6 +7,7 @@ eigensolver.
 """
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -54,6 +55,28 @@ def synth_corpus(n_classes, words_per_class, docs_per_class, tokens_per_doc,
                 docs.append(Document(f"c{c}", tuple(tokens.tolist())))
     order = rng.permutation(len(docs))
     return Corpus([docs[i] for i in order])
+
+
+def bow_reference(doc, terms, scheme, train_docs):
+    """Bag-of-words weights of ``doc`` as {term index: weight}, straight
+    from the definitions: presence (binbow), count (tfbow) or
+    count * log10(|D| / |D^w|) over the training documents (tfidfbow).
+    Terms outside ``terms`` and zero weights are left out."""
+    weights = {}
+    for j, term in enumerate(terms):
+        count = doc.tokens.count(term)
+        if count == 0:
+            continue
+        if scheme == "binbow":
+            w = 1.0
+        elif scheme == "tfbow":
+            w = float(count)
+        else:
+            df = sum(term in d.tokens for d in train_docs)
+            w = count * math.log10(len(train_docs) / df)
+        if w != 0.0:
+            weights[j] = w
+    return weights
 
 
 def random_subspace_basis(rng, p, m):

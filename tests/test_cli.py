@@ -7,7 +7,8 @@ import pytest
 from helpers import orthogonal_table, synth_corpus
 from wordspace.cli import main
 from wordspace.embeddings import EmbeddingTable, load_text, save_text
-from wordspace.model_io import load_model
+from wordspace.evaluation import STRATEGIES
+from wordspace.model_io import load_model, save_model
 
 
 def write_corpus(path, corpus):
@@ -152,6 +153,34 @@ class TestTrainAndClassify:
         assert scores.max() - np.sort(scores)[-2] > 0.1
 
 
+# non-default `train` flags per strategy and the model attributes they set;
+# a strategy without an entry is trained with the defaults
+TRAIN_FLAGS = {
+    "tfmsm": (["--query-dim", "2", "--angle-count", "1"], {"query_dim": 2, "angle_count": 1}),
+    "lsa": (["--feature", "tfidfbow", "--rank", "3"], {"rank": 3}),
+    "svm": (["--feature", "w2v", "--epochs", "3"], {"embed_dim": 16, "epochs": 3}),
+}
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
+def test_train_classify_resave_roundtrip(strategy, workspace, tmp_path, capsys):
+    flags, attrs = TRAIN_FLAGS.get(strategy, ([], {}))
+    common = ["--corpus", workspace["corpus"], "--embeddings", workspace["vecs"]]
+    model_path = tmp_path / "model.npz"
+    assert main(["train", "--strategy", strategy, "--out", str(model_path),
+                 *common, *flags]) == 0
+    capsys.readouterr()
+    assert main(["classify", "--model", str(model_path), *common]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == workspace["n_docs"]
+    model = load_model(model_path)
+    assert model.strategy == strategy
+    assert {k: getattr(model, k) for k in attrs} == attrs
+    assert {line.split("\t")[1] for line in lines} <= set(model.classes)
+    save_model(model, tmp_path / "again.npz")
+    assert (tmp_path / "again.npz").read_bytes() == model_path.read_bytes()
+
+
 class TestErrorPaths:
     def test_missing_corpus_is_config_error(self, workspace):
         code = main(["train", "--strategy", "msm", "--embeddings",
@@ -184,6 +213,75 @@ class TestErrorPaths:
                      workspace["corpus"], "--rank", "9999",
                      "--out", "/tmp/x.npz"])
         assert code == 4
+
+
+def _doctored(root, corpus, strategy, change):
+    """A ``strategy`` container written by ``train``, then ``change``d."""
+    path = root / "model.npz"
+    assert main(["train", "--strategy", strategy, "--corpus", corpus,
+                 "--out", str(path)]) == 0
+    with np.load(path) as data:
+        entries = dict(data)
+    change(entries)
+    bad = root / "doctored.npz"
+    with open(bad, "wb") as fh:
+        np.savez(fh, **entries)
+    return str(bad)
+
+
+def _nan_first_weight(entries):
+    entries["weights"][0, 0] = np.nan
+
+
+def _write(path, raw):
+    path.write_bytes(raw)
+    return str(path)
+
+
+# input -> (argv given the workspace and a scratch directory, exit code)
+BAD_INPUTS = {
+    "corpus-is-directory": (lambda ws, d: [
+        "train", "--strategy", "mnb", "--corpus", str(d), "--out", str(d / "m.npz")], 2),
+    "model-is-directory": (lambda ws, d: [
+        "classify", "--model", str(d), "--corpus", ws["corpus"]], 2),
+    "corpus-not-utf8": (lambda ws, d: [
+        "train", "--strategy", "mnb", "--corpus", _write(d / "c.txt", b"c0 caf\xe9 x\n"),
+        "--out", str(d / "m.npz")], 3),
+    "text-embeddings-not-utf8": (lambda ws, d: [
+        "train", "--strategy", "sa", "--corpus", ws["corpus"], "--embeddings",
+        _write(d / "v.txt", b"1 2\ncaf\xe9 1.0 0.0\n"), "--out", str(d / "m.npz")], 3),
+    "model-not-npz": (lambda ws, d: [
+        "classify", "--model", _write(d / "m.npz", b"c0 not a model\n"),
+        "--corpus", ws["corpus"]], 3),
+    "model-empty": (lambda ws, d: [
+        "classify", "--model", _write(d / "m.npz", b""), "--corpus", ws["corpus"]], 3),
+    "model-truncated-zip": (lambda ws, d: [
+        "classify", "--model", _write(d / "m.npz", b"PK\x03\x04" + bytes(40)),
+        "--corpus", ws["corpus"]], 3),
+    "model-lacks-entry": (lambda ws, d: [
+        "classify", "--model", _doctored(d, ws["corpus"], "mnb", lambda e: e.pop("log_prob")),
+        "--corpus", ws["corpus"]], 3),
+    "model-strategy-not-a-name": (lambda ws, d: [
+        "classify", "--model",
+        _doctored(d, ws["corpus"], "mnb", lambda e: e.update(strategy=np.array(5))),
+        "--corpus", ws["corpus"]], 3),
+    "svm-weight-nan": (lambda ws, d: [
+        "classify", "--model", _doctored(d, ws["corpus"], "svm", _nan_first_weight),
+        "--corpus", ws["corpus"]], 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exit_code_without_traceback(case, workspace, tmp_path, capsys):
+    # run in-process: an exception escaping main() fails the test here,
+    # as it would print a traceback from the console entry point
+    make_argv, want = BAD_INPUTS[case]
+    argv = make_argv(workspace, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == want
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ")
 
 
 class TestEval:

@@ -8,25 +8,39 @@ import pytest
 from helpers import orthogonal_table, synth_corpus
 from wordspace.bayes import train_mnb, train_mvb
 from wordspace.cli import main
-from wordspace.corpus import BowVector, Corpus, Document
+from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable, save_text
-from wordspace.errors import DataError
+from wordspace.features import feature_matrix, fit_feature_spec
 from wordspace.model_io import load_model, save_model
 from wordspace.subspace import canonical_cosines, full_word_subspace, similarity
 
 
 class TestBowVectorInvariants:
+    """Invariants of the bag-of-words rows `feature_matrix` stores."""
+
+    @staticmethod
+    def rows(name):
+        rng = np.random.default_rng(3)
+        docs = [Document("c", ("common",) + tuple(
+            rng.choice(["a", "b", "c"], size=rng.integers(0, 8)).tolist()))
+            for _ in range(20)]
+        train = Corpus(docs)
+        return feature_matrix(fit_feature_spec(name, train), docs)
+
     def test_rejects_explicit_zero(self):
-        with pytest.raises(DataError):
-            BowVector(np.array([0]), np.array([0.0]), "tf")
+        # "common" is in every document: its tfidf weight is 0 and not stored
+        for name in ("binbow", "tfbow", "tfidfbow"):
+            rows = self.rows(name)
+            assert np.all(rows.data > 0.0), name
+        assert self.rows("tfidfbow").nnz < self.rows("tfbow").nnz
 
     def test_rejects_non_unit_binary(self):
-        with pytest.raises(DataError):
-            BowVector(np.array([0]), np.array([2.0]), "binary")
+        np.testing.assert_array_equal(self.rows("binbow").data, 1.0)
 
     def test_rejects_fractional_tf(self):
-        with pytest.raises(DataError):
-            BowVector(np.array([0]), np.array([1.5]), "tf")
+        data = self.rows("tfbow").data
+        np.testing.assert_array_equal(data, np.rint(data))
+        assert data.max() > 1.0
 
 
 class TestSimilarityPaths:
