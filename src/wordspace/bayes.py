@@ -20,6 +20,7 @@ import numpy as np
 from .classifiers import Prediction, make_prediction
 from .corpus import Corpus, Vocabulary
 from .errors import TrainingDataError
+from .utils import container_array
 
 # Smoothed probabilities are < 1 by construction, but log1p(-P) still
 # deserves a guard against pathological inputs.
@@ -67,9 +68,12 @@ class NaiveBayesModel:
 
     @classmethod
     def from_container(cls, hyper, arrays):
-        log_not_prob = arrays["log_not_prob"]
-        return cls(arrays["strategy"], arrays["classes"], arrays["terms"], arrays["log_prior"],
-                   arrays["log_prob"], log_not_prob, log_not_prob.sum(axis=0))
+        shape = (len(arrays["terms"]), len(arrays["classes"]))
+        log_not_prob = container_array(arrays, "log_not_prob", *shape)
+        return cls(arrays["strategy"], arrays["classes"], arrays["terms"],
+                   container_array(arrays, "log_prior", shape[1]),
+                   container_array(arrays, "log_prob", *shape),
+                   log_not_prob, log_not_prob.sum(axis=0))
 
     def class_posteriors(self, tokens) -> np.ndarray:
         """Normalized class posteriors for a document (sums to 1)."""

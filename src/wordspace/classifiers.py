@@ -20,7 +20,13 @@ import numpy as np
 
 from .corpus import Corpus
 from .embeddings import EmbeddingTable, lookup_all
-from .errors import DegenerateQueryError, TrainingDataError
+from .errors import (
+    DegenerateQueryError,
+    FormatError,
+    NonFiniteScoreError,
+    NumericalError,
+    TrainingDataError,
+)
 from .subspace import (
     Subspace,
     full_weighted_word_subspace,
@@ -28,6 +34,7 @@ from .subspace import (
     similarity,
     unit_columns,
 )
+from .utils import container_array
 
 log = logging.getLogger(__name__)
 
@@ -55,10 +62,18 @@ class Prediction:
 def make_prediction(classes, scores) -> Prediction:
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
-        raise ValueError("prediction scores must be finite")
+        raise NonFiniteScoreError("prediction scores must be finite")
     best = int(np.argmax(scores))
     tie = int(np.count_nonzero(scores == scores[best])) > 1
     return Prediction(classes[best], scores, tie)
+
+
+def _embed_dim(hyper):
+    """The container's embedding dimension, a positive int."""
+    dim = hyper["embed_dim"]
+    if type(dim) is not int or dim < 1:
+        raise FormatError(f"embed_dim must be a positive integer, found {dim!r}")
+    return dim
 
 
 def class_vectors(corpus: Corpus, table: EmbeddingTable, label: str):
@@ -87,10 +102,23 @@ class SubspaceModel:
         self.angle_count = angle_count
         self.normalize = normalize
         self.embed_dim = embed_dim
+        bases = [self.subspaces[label].basis for label in self.classes]
+        self.class_dims = np.array([b.shape[1] for b in bases])
+        self.class_starts = np.cumsum(self.class_dims) - self.class_dims
+        # every class basis side by side, p x (sum of class dims), so one
+        # GEMM gives the basis products of all classes with a query
+        self.stacked_basis = np.hstack(bases)
 
     @property
     def weighted(self):
         return self.strategy == "tfmsm"
+
+    def basis_products(self, query: Subspace) -> np.ndarray:
+        """``query.basis.T @ class_basis`` of every class side by side, in
+        class order: columns ``class_starts[c]`` to ``class_starts[c] +
+        class_dims[c]`` belong to class ``c``.  (The query-major product
+        is the faster GEMM for the thin query bases of short documents.)"""
+        return query.basis.T @ self.stacked_basis
 
     def container(self):
         """Hyperparameters and per-class arrays for the model container."""
@@ -111,18 +139,22 @@ class SubspaceModel:
 
     @classmethod
     def from_container(cls, hyper, arrays):
-        classes = arrays["classes"]
-        subspaces = {
-            label: Subspace(arrays[f"class_{i}_basis"], arrays[f"class_{i}_spectrum"],
-                            int(arrays[f"class_{i}_count"]))
-            for i, label in enumerate(classes)
-        }
+        classes, embed_dim = arrays["classes"], _embed_dim(hyper)
+        subspaces = {}
+        for i, label in enumerate(classes):
+            basis = container_array(arrays, f"class_{i}_basis", embed_dim, None)
+            spectrum = container_array(arrays, f"class_{i}_spectrum", basis.shape[1])
+            try:
+                subspaces[label] = Subspace(basis, spectrum,
+                                            int(container_array(arrays, f"class_{i}_count")))
+            except NumericalError as err:
+                raise FormatError(f"class {i} subspace: {err}") from None
         counts = {label: sub.source_word_count for label, sub in subspaces.items()}
         return cls(
             arrays["strategy"], classes, subspaces, counts,
             class_dim=hyper["class_dim"], query_dim=hyper["query_dim"],
             angle_count=hyper["angle_count"], normalize=hyper["normalize"],
-            embed_dim=hyper["embed_dim"],
+            embed_dim=embed_dim,
         )
 
     def predict(self, tokens, table: EmbeddingTable, query_dim=None,
@@ -191,13 +223,18 @@ def predict_subspace(model: SubspaceModel, tokens, table: EmbeddingTable,
     to every available angle, i.e. min(class dim, query dim).
     """
     query = query_subspace(model, tokens, table, query_dim)
-    scores = np.empty(len(model.classes), dtype=np.float64)
-    for j, label in enumerate(model.classes):
-        sub = model.subspaces[label]
-        t = min(sub.dimension, query.dimension)
-        if angle_count is not None:
-            t = min(t, angle_count)
-        scores[j] = similarity(sub, query, t)
+    limits = np.minimum(model.class_dims, query.dimension)
+    if angle_count is None or angle_count >= limits.max():
+        # every angle: the sum of squared cosines is the squared Frobenius
+        # norm of each class's block of the stacked basis product
+        g = model.basis_products(query)
+        sums = np.add.reduceat(np.einsum("ij,ij->j", g, g), model.class_starts)
+        scores = np.minimum(sums / limits, 1.0)
+    else:
+        scores = np.array([
+            similarity(model.subspaces[label], query, min(limit, angle_count))
+            for label, limit in zip(model.classes, limits)
+        ])
     return make_prediction(model.classes, scores)
 
 
@@ -224,8 +261,10 @@ class SimilarityAverageModel:
 
     @classmethod
     def from_container(cls, hyper, arrays):
-        return cls(arrays["classes"], arrays["sums"], arrays["counts"],
-                   embed_dim=hyper["embed_dim"], normalize=hyper["normalize"])
+        classes, embed_dim = arrays["classes"], _embed_dim(hyper)
+        return cls(classes, container_array(arrays, "sums", len(classes), embed_dim),
+                   container_array(arrays, "counts", len(classes)),
+                   embed_dim=embed_dim, normalize=hyper["normalize"])
 
     def predict(self, tokens, table: EmbeddingTable, **_ignored) -> Prediction:
         matrix, _, _ = lookup_all(table, tokens)

@@ -293,19 +293,17 @@ def lookup_all(table: EmbeddingTable, words):
     oov : list of str
         Distinct out-of-vocabulary words, in first-occurrence order.
     """
-    kept = {}
+    kept = {}  # table row -> occurrence count, in first-occurrence order
     oov_seen = {}
+    row_of = table._index.get
     for w in words:
-        if w in table:
-            if w in kept:
-                kept[w] += 1
-            else:
-                kept[w] = 1
-        elif w not in oov_seen:
+        row = row_of(w)
+        if row is None:
             oov_seen[w] = None
-    matrix = np.empty((table.dimension, len(kept)), dtype=np.float64)
-    counts = np.empty(len(kept), dtype=np.int64)
-    for j, (w, c) in enumerate(kept.items()):
-        matrix[:, j] = table.vector(w)
-        counts[j] = c
+        else:
+            kept[row] = kept.get(row, 0) + 1
+    rows = np.fromiter(kept, dtype=np.intp, count=len(kept))
+    counts = np.fromiter(kept.values(), dtype=np.int64, count=len(kept))
+    # one gather; the transpose copy keeps the (dimension, k) result C-ordered
+    matrix = np.ascontiguousarray(table._matrix[rows].T)
     return matrix, counts, list(oov_seen)

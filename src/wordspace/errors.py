@@ -7,6 +7,10 @@ the families because it is recoverable: callers map it to an
 "unclassifiable" record instead of aborting.
 """
 
+import contextlib
+
+import numpy as np
+
 
 class WordspaceError(Exception):
     """Base class for all errors raised by this package."""
@@ -83,6 +87,19 @@ class DegenerateInputError(NumericalError):
 
 class WeightError(NumericalError):
     """A column weight was zero, negative, or non-finite."""
+
+
+class NonFiniteScoreError(NumericalError, ValueError):
+    """Finite model values produced a non-finite prediction score."""
+
+
+@contextlib.contextmanager
+def solver_errors(what):
+    """Re-raise a LAPACK failure (``LinAlgError``) as `NumericalError`."""
+    try:
+        yield
+    except np.linalg.LinAlgError as err:
+        raise NumericalError(f"{what} failed: {err}") from None
 
 
 class DegenerateTestError(NumericalError):

@@ -30,6 +30,7 @@ from .errors import (
     NumericalError,
     SubspaceRankError,
     TrainingDataError,
+    solver_errors,
 )
 from .features import fit_feature_spec, feature_matrix
 from .kernels import grid_mean_sq_cosines
@@ -111,6 +112,8 @@ def _subspace_fold(strategy, train_c, val_docs, table, grids, feature, normalize
     classes = np.asarray(full.classes, dtype=object)
     mc_arr = np.asarray(class_dims, dtype=np.int64)
     mq_arr = np.asarray(query_dims, dtype=np.int64)
+    blocks = [(slice(start, start + dim), np.minimum(mc_arr, dim))
+              for start, dim in zip(full.class_starts, full.class_dims)]
     correct = np.zeros((len(class_dims), len(query_dims)), dtype=np.int64)
     for doc in val_docs:
         try:
@@ -119,12 +122,11 @@ def _subspace_fold(strategy, train_c, val_docs, table, grids, feature, normalize
         except DegenerateQueryError:
             continue  # counts as wrong at every grid point
         mq_caps = np.minimum(mq_arr, query.dimension)
+        g = full.basis_products(query)
+        sq = g * g
         stack = np.empty((len(classes), len(class_dims), len(query_dims)))
-        for c, label in enumerate(full.classes):
-            sub = full.subspaces[label]
-            g = sub.basis.T @ query.basis
-            mc_caps = np.minimum(mc_arr, sub.dimension)
-            stack[c] = grid_mean_sq_cosines(g * g, mc_caps, mq_caps)
+        for c, (cols, mc_caps) in enumerate(blocks):
+            stack[c] = grid_mean_sq_cosines(sq[:, cols].T, mc_caps, mq_caps)
         correct += classes[np.argmax(stack, axis=0)] == doc.label
 
     params = _best_cell(correct, class_dims, query_dims)
@@ -506,11 +508,12 @@ def _pad(arr, length, value):
 def _full_spectrum(X):
     """All min(p, N) eigenvalues of the uncentered autocorrelation matrix."""
     p, n = X.shape
-    if p <= n:
-        vals = np.linalg.eigvalsh(X @ X.T)[::-1] / n
-    else:
-        sing = np.linalg.svd(X, compute_uv=False)
-        vals = (sing * sing) / n
+    with solver_errors("spectrum eigensolver"):
+        if p <= n:
+            vals = np.linalg.eigvalsh(X @ X.T)[::-1] / n
+        else:
+            sing = np.linalg.svd(X, compute_uv=False)
+            vals = (sing * sing) / n
     return np.maximum(vals, 0.0)
 
 

@@ -20,9 +20,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .classifiers import Prediction, make_prediction
-from .errors import DegenerateQueryError, SubspaceRankError, TrainingDataError
+from .errors import (
+    DegenerateQueryError,
+    SubspaceRankError,
+    TrainingDataError,
+    solver_errors,
+)
 from .features import FeatureSpec, feature_matrix
 from .subspace import RANK_RTOL
+from .utils import container_array
 
 
 def truncated_svd(X, k: int):
@@ -30,21 +36,23 @@ def truncated_svd(X, k: int):
 
     Dense LAPACK for small or nearly-full requests, ARPACK with a fixed
     deterministic start vector otherwise.  Raises ``SubspaceRankError``
-    when ``k`` exceeds the numerical rank.
+    when ``k`` exceeds the numerical rank and `NumericalError` when
+    LAPACK fails.
     """
     n_min = min(X.shape)
     if k < 1:
         raise SubspaceRankError(k, n_min)
     use_sparse = sp.issparse(X) and k < n_min - 1
-    if use_sparse:
-        v0 = np.full(min(X.shape), 1.0 / np.sqrt(n_min))
-        u, s, _ = spla.svds(X, k=k, v0=v0)
-        order = np.argsort(s)[::-1]
-        u, s = u[:, order], s[order]
-    else:
-        dense = X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
-        u, s, _ = np.linalg.svd(dense, full_matrices=False)
-        u, s = u[:, :k], s[:k]
+    with solver_errors("truncated SVD"):
+        if use_sparse:
+            v0 = np.full(min(X.shape), 1.0 / np.sqrt(n_min))
+            u, s, _ = spla.svds(X, k=k, v0=v0)
+            order = np.argsort(s)[::-1]
+            u, s = u[:, order], s[order]
+        else:
+            dense = X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
+            u, s, _ = np.linalg.svd(dense, full_matrices=False)
+            u, s = u[:, :k], s[:k]
     if s.size < k or s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
         rank = 0 if s.size == 0 or s[0] == 0.0 else int(
             np.count_nonzero(s > RANK_RTOL * s[0])
@@ -86,8 +94,13 @@ class LsaModel:
 
     @classmethod
     def from_container(cls, hyper, arrays):
-        return cls(arrays["classes"], arrays["labels"], arrays["basis"], arrays["sigma"],
-                   arrays["doc_coords"], FeatureSpec.from_container(arrays))
+        spec = FeatureSpec.from_container(arrays)
+        basis = container_array(arrays, "basis", spec.width, None)
+        rank = basis.shape[1]
+        return cls(arrays["classes"], arrays["labels"], basis,
+                   container_array(arrays, "sigma", rank),
+                   container_array(arrays, "doc_coords", len(arrays["labels"]), rank),
+                   spec)
 
     def project(self, vector) -> np.ndarray:
         """Projection coords(d) of one raw feature vector."""

@@ -119,7 +119,13 @@ def load_model(path):
         strategy = str(arrays["strategy"])
         if strategy not in STRATEGIES:
             raise FormatError(f"unknown strategy tag {strategy!r}")
+        if not isinstance(arrays["hyper_json"], str):
+            raise FormatError("hyper_json must be a string")
         hyper = json.loads(arrays["hyper_json"])
+        if not isinstance(hyper, dict):
+            raise FormatError("hyper_json must hold a JSON object")
+        if not isinstance(arrays["classes"], tuple):
+            raise FormatError("classes must be a list of names")
         return STRATEGIES[strategy].model.from_container(hyper, arrays)
     except KeyError as err:
         raise FormatError(f"model container lacks entry {err}") from None

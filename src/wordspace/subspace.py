@@ -28,11 +28,19 @@ from .errors import (
     NumericalError,
     SubspaceRankError,
     WeightError,
+    solver_errors,
 )
 
 # Relative spectrum threshold below which directions are treated as
 # rank-deficient and excluded from selectable dimensions.
 RANK_RTOL = 1e-10
+
+# Largest entry of |B^T B - I| accepted from the Gram route of
+# `_spectral_basis` (about 5000 float64 epsilons).  Forming X^T X
+# squares the condition number, so directions near the RANK_RTOL cut
+# can lose orthogonality (up to ~eps / RANK_RTOL); such a basis is
+# recomputed by SVD instead.
+ORTHONORMALITY_TOL = 1e-12
 
 # Spectrum entries may come out of the solver as tiny negatives; they
 # are clamped to zero down to this magnitude and rejected beyond it.
@@ -120,23 +128,43 @@ def _validate_data_matrix(X):
 def _spectral_basis(X, normalizer):
     """Leading left singular directions of X with spectrum sigma^2 / normalizer.
 
-    Uses the eigendecomposition of ``X @ X.T`` when the ambient side is
-    the small one and an economy SVD otherwise; both give the
-    eigenvectors of the (weighted) autocorrelation matrix.
+    Returns only the selectable directions (spectrum above RANK_RTOL of
+    its largest entry), non-increasing.  All three routes give the
+    eigenvectors of the (weighted) autocorrelation matrix:
+
+    - p <= N: ``eigh(X @ X.T)``;
+    - N < p (the Gram route): ``eigh(X.T @ X) = V diag(sigma^2) V^T``,
+      then ``B = X V diag(1/sigma)`` for the selectable directions only.
+      Eigenpairs are sorted by a stable descending sort, so tied
+      directions keep the column order of X (first word first);
+    - N < p when that ``B`` is off orthonormal by more than
+      ORTHONORMALITY_TOL: an economy SVD of X followed by a QR that
+      rebuilds exact orthonormality.
+
+    A LAPACK failure is raised as `NumericalError`.
     """
     p, n = X.shape
-    if p <= n:
-        evals, evecs = np.linalg.eigh(X @ X.T)
-        order = np.argsort(evals)[::-1]
-        spectrum = evals[order] / normalizer
-        basis = evecs[:, order]
-    else:
+    with solver_errors("subspace eigensolver"):
+        if p <= n:
+            evals, evecs = np.linalg.eigh(X @ X.T)
+            order = np.argsort(evals)[::-1]
+            return _selectable(evecs[:, order], evals[order] / normalizer)
+        evals, evecs = np.linalg.eigh(X.T @ X)
+        order = np.argsort(-evals, kind="stable")
+        evals = evals[order]
+        spectrum = evals / normalizer
+        keep = _selectable_rank(spectrum)  # >= 1: X has a nonzero column
+        basis = (X @ evecs[:, order[:keep]]) / np.sqrt(evals[:keep])
+        if np.max(np.abs(basis.T @ basis - np.eye(keep))) <= ORTHONORMALITY_TOL:
+            return basis, spectrum[:keep]
         basis, sing, _ = np.linalg.svd(X, full_matrices=False)
-        spectrum = (sing * sing) / normalizer
-        # Rebuild exact orthonormality lost to tiny-singular-value noise.
         basis, _ = np.linalg.qr(basis)
-    spectrum = np.maximum(spectrum, 0.0)
-    return basis, spectrum
+    return _selectable(basis, (sing * sing) / normalizer)
+
+
+def _selectable(basis, spectrum):
+    keep = _selectable_rank(spectrum)
+    return basis[:, :keep], spectrum[:keep]
 
 
 def _selectable_rank(spectrum):
@@ -168,7 +196,7 @@ def _fit(X, weights, dim, exact):
     else:
         w = _validate_weights(X, weights)
         basis, spectrum = _spectral_basis(X * np.sqrt(w), float(np.sum(w)))
-    cap = _selectable_rank(spectrum)
+    cap = basis.shape[1]
     if exact and not 1 <= dim <= cap:
         raise SubspaceRankError(dim, cap)
     if cap == 0:

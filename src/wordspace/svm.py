@@ -18,6 +18,7 @@ from .classifiers import Prediction, make_prediction
 from .errors import TrainingDataError
 from .features import FeatureSpec, feature_matrix
 from .kernels import hinge_sgd
+from .utils import container_array
 
 DEFAULT_REG = 1e-4
 DEFAULT_EPOCHS = 20
@@ -46,8 +47,9 @@ class LinearSvmModel:
 
     @classmethod
     def from_container(cls, hyper, arrays):
-        return cls(arrays["classes"], arrays["weights"], arrays["offsets"],
-                   FeatureSpec.from_container(arrays),
+        classes, spec = arrays["classes"], FeatureSpec.from_container(arrays)
+        return cls(classes, container_array(arrays, "weights", len(classes), spec.width),
+                   container_array(arrays, "offsets", len(classes)), spec,
                    reg=hyper["reg"], epochs=hyper["epochs"], seed=hyper["seed"])
 
     def decision_matrix(self, feats) -> np.ndarray:

@@ -2,6 +2,10 @@
 
 from concurrent.futures import ThreadPoolExecutor
 
+import numpy as np
+
+from .errors import FormatError
+
 
 def parallel_map(fn, items, threads):
     """Order-preserving map, sequential when ``threads`` is 1.
@@ -16,3 +20,21 @@ def parallel_map(fn, items, threads):
         return [fn(x) for x in items]
     with ThreadPoolExecutor(max_workers=threads) as pool:
         return list(pool.map(fn, items))
+
+
+def container_array(arrays, name, *shape):
+    """Numeric model-container entry ``name``, checked against ``shape``.
+
+    A ``None`` in ``shape`` accepts any length on that axis.  Raises
+    `FormatError` for a non-numeric entry or another rank or length, so
+    a doctored container is refused when it is read, not when it is used.
+    """
+    arr = arrays[name]
+    if not (isinstance(arr, np.ndarray) and arr.dtype.kind in "fiu"
+            and arr.ndim == len(shape)
+            and all(want is None or got == want for got, want in zip(arr.shape, shape))):
+        want = " x ".join("any" if n is None else str(n) for n in shape) or "scalar"
+        got = getattr(arr, "shape", type(arr).__name__)
+        raise FormatError(f"container entry {name!r} must be a numeric {want} "
+                          f"array, found {got}")
+    return arr

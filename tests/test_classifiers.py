@@ -6,13 +6,14 @@ from wordspace.classifiers import (
     SimilarityAverageModel,
     make_prediction,
     predict_subspace,
+    query_subspace,
     train_msm,
     train_sa,
     train_tfmsm,
 )
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
-from wordspace.errors import DegenerateQueryError, TrainingDataError
+from wordspace.errors import DegenerateQueryError, NumericalError, TrainingDataError
 from wordspace.model_io import load_model, save_model
 from wordspace.subspace import similarity
 
@@ -144,6 +145,57 @@ class TestPredictSubspace:
         assert pred.label == "c1"
 
 
+class TestStackedScorer:
+    """One GEMM against the stacked class bases scores like `similarity`."""
+
+    @staticmethod
+    def per_class(model, tokens, table, angle_count=None):
+        query = query_subspace(model, tokens, table, model.query_dim)
+        out = []
+        for label in model.classes:
+            sub = model.subspaces[label]
+            t = min(sub.dimension, query.dimension, angle_count or sub.dimension)
+            out.append(similarity(sub, query, t))
+        return np.array(out)
+
+    @pytest.fixture
+    def unequal(self):
+        # three classes with 2, 5 and 9 distinct words in a 12-d space
+        rng = np.random.default_rng(31)
+        words = [f"u{i}" for i in range(20)]
+        table = EmbeddingTable(words, rng.standard_normal((20, 12)))
+        pools = {"a": words[:2], "b": words[2:7], "c": words[7:16]}
+        docs = [Document(label, tuple(pool)) for label, pool in pools.items()]
+        docs += [Document(label, tuple(rng.choice(pool, size=4)))
+                 for label, pool in pools.items() for _ in range(3)]
+        return table, Corpus(docs), words, rng
+
+    @pytest.mark.parametrize("trainer", [train_msm, train_tfmsm])
+    def test_scores_match_per_class_similarity(self, trainer, unequal, tmp_path):
+        table, corpus, words, rng = unequal
+        model = trainer(corpus, table)
+        assert sorted(model.class_dims) == [2, 5, 9]
+        path = tmp_path / "model.npz"
+        save_model(model, path)
+        for served in (model, load_model(path)):
+            for _ in range(30):
+                tokens = tuple(rng.choice(words, size=int(rng.integers(1, 15))))
+                for angle_count in (None, 1, 3, 12):
+                    got = predict_subspace(served, tokens, table,
+                                           angle_count=angle_count).scores
+                    want = self.per_class(served, tokens, table, angle_count)
+                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    def test_stack_layout(self, unequal):
+        table, corpus, _, _ = unequal
+        model = train_msm(corpus, table)
+        for c, label in enumerate(model.classes):
+            start, dim = model.class_starts[c], model.class_dims[c]
+            np.testing.assert_array_equal(model.stacked_basis[:, start:start + dim],
+                                          model.subspaces[label].basis)
+        assert model.stacked_basis.shape == (12, int(model.class_dims.sum()))
+
+
 class TestSimilarityAverage:
     def make_table(self):
         return EmbeddingTable(["a", "b", "c"], np.eye(3))
@@ -206,6 +258,10 @@ class TestPredictionContract:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             make_prediction(("x",), np.array([np.nan]))
+
+    def test_non_finite_is_a_numerical_error(self):
+        with pytest.raises(NumericalError):
+            make_prediction(("x", "y"), np.array([np.inf, 0.0]))
 
 
 class TestDeterminismAndRoundtrip:

@@ -3,6 +3,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from helpers import orthogonal_table, synth_corpus
 from wordspace.cli import main
@@ -215,11 +216,11 @@ class TestErrorPaths:
         assert code == 4
 
 
-def _doctored(root, corpus, strategy, change):
+def _doctored(root, ws, strategy, change, flags=()):
     """A ``strategy`` container written by ``train``, then ``change``d."""
     path = root / "model.npz"
-    assert main(["train", "--strategy", strategy, "--corpus", corpus,
-                 "--out", str(path)]) == 0
+    assert main(["train", "--strategy", strategy, "--corpus", ws["corpus"],
+                 "--embeddings", ws["vecs"], "--out", str(path), *flags]) == 0
     with np.load(path) as data:
         entries = dict(data)
     change(entries)
@@ -231,6 +232,21 @@ def _doctored(root, corpus, strategy, change):
 
 def _nan_first_weight(entries):
     entries["weights"][0, 0] = np.nan
+
+
+def _set(name, value):
+    return lambda entries: entries.update({name: value})
+
+
+def _cut(name, index):
+    return lambda entries: entries.update({name: entries[name][index]})
+
+
+def _classify_doctored(strategy, change, code=3, flags=()):
+    """``classify`` with a doctored ``strategy`` container, expecting ``code``."""
+    return (lambda ws, d: [
+        "classify", "--model", _doctored(d, ws, strategy, change, flags),
+        "--corpus", ws["corpus"], "--embeddings", ws["vecs"]], code)
 
 
 def _write(path, raw):
@@ -259,15 +275,34 @@ BAD_INPUTS = {
         "classify", "--model", _write(d / "m.npz", b"PK\x03\x04" + bytes(40)),
         "--corpus", ws["corpus"]], 3),
     "model-lacks-entry": (lambda ws, d: [
-        "classify", "--model", _doctored(d, ws["corpus"], "mnb", lambda e: e.pop("log_prob")),
+        "classify", "--model", _doctored(d, ws, "mnb", lambda e: e.pop("log_prob")),
         "--corpus", ws["corpus"]], 3),
     "model-strategy-not-a-name": (lambda ws, d: [
         "classify", "--model",
-        _doctored(d, ws["corpus"], "mnb", lambda e: e.update(strategy=np.array(5))),
+        _doctored(d, ws, "mnb", lambda e: e.update(strategy=np.array(5))),
         "--corpus", ws["corpus"]], 3),
     "svm-weight-nan": (lambda ws, d: [
-        "classify", "--model", _doctored(d, ws["corpus"], "svm", _nan_first_weight),
+        "classify", "--model", _doctored(d, ws, "svm", _nan_first_weight),
         "--corpus", ws["corpus"]], 3),
+    "hyper-json-not-object": _classify_doctored("mnb", _set("hyper_json", np.array("[1, 2]"))),
+    "hyper-json-not-text": _classify_doctored("mnb", _set("hyper_json", np.array(7))),
+    "svm-weights-one-column": _classify_doctored("svm", _cut("weights", np.s_[:, :1])),
+    "svm-offsets-not-a-vector": _classify_doctored("svm", _cut("offsets", np.s_[None])),
+    "svm-more-classes-than-weights": _classify_doctored(
+        "svm", lambda e: e.update(classes=np.append(e["classes"], "extra"))),
+    "msm-basis-ambient-not-embed-dim": _classify_doctored("msm", _cut("class_0_basis", np.s_[1:])),
+    "msm-spectrum-not-basis-width": _classify_doctored("msm", _cut("class_0_spectrum", np.s_[1:])),
+    "msm-embed-dim-not-an-int": _classify_doctored(
+        "msm", _set("hyper_json", np.array('{"class_dim": 150, "query_dim": 10, '
+                                           '"angle_count": null, "normalize": true, '
+                                           '"embed_dim": "16"}'))),
+    "sa-sums-not-embed-dim": _classify_doctored("sa", _cut("sums", np.s_[:, 1:])),
+    "mnb-log-prob-not-terms-by-classes": _classify_doctored("mnb", _cut("log_prob", np.s_[1:])),
+    "lsa-sigma-not-rank": _classify_doctored("lsa", _cut("sigma", np.s_[1:]),
+                                             flags=("--rank", "3")),
+    # finite weights whose scores overflow: a numerical error, not a data error
+    "svm-score-overflow": _classify_doctored(
+        "svm", lambda e: e.update(weights=np.full_like(e["weights"], 1e308)), code=4),
 }
 
 
@@ -282,6 +317,39 @@ def test_bad_input_exit_code_without_traceback(case, workspace, tmp_path, capsys
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ")
+
+
+def _fail_lapack(*args, **kwargs):
+    raise np.linalg.LinAlgError("did not converge")
+
+
+# solver -> (functions made to fail, argv given the workspace and a scratch directory)
+SOLVER_FAILURES = {
+    "subspace-eigh": ([(np.linalg, "eigh")], lambda ws, d: [
+        "train", "--strategy", "msm", "--corpus", ws["corpus"], "--embeddings", ws["vecs"],
+        "--out", str(d / "m.npz")]),
+    "lsa-svds": ([(spla, "svds")], lambda ws, d: [
+        "train", "--strategy", "lsa", "--rank", "3", "--corpus", ws["corpus"],
+        "--out", str(d / "m.npz")]),
+    "lsa-dense-svd": ([(np.linalg, "svd")], lambda ws, d: [
+        "train", "--strategy", "lsa", "--rank", "15", "--corpus", ws["corpus"],
+        "--out", str(d / "m.npz")]),
+    "spectrum": ([(np.linalg, "svd"), (np.linalg, "eigvalsh")], lambda ws, d: [
+        "spectrum", "--corpus", ws["corpus"], "--embeddings", ws["vecs"],
+        "--out", str(d / "s.csv")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SOLVER_FAILURES))
+def test_solver_failure_exits_four(case, workspace, tmp_path, capsys, monkeypatch):
+    targets, make_argv = SOLVER_FAILURES[case]
+    for owner, name in targets:
+        monkeypatch.setattr(owner, name, _fail_lapack)
+    capsys.readouterr()
+    assert main(make_argv(workspace, tmp_path)) == 4
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and "did not converge" in err
 
 
 class TestEval:

@@ -208,6 +208,35 @@ class TestLookupAll:
             oov_occurrences = sum(words.count(w) for w in oov)
             assert counts.sum() == len(words) - oov_occurrences
 
+    def test_gather_matches_per_word_loop(self):
+        # the former implementation: one vector() copy per distinct word
+        def reference(table, words):
+            kept, oov_seen = {}, {}
+            for w in words:
+                if w in table:
+                    kept[w] = kept.get(w, 0) + 1
+                elif w not in oov_seen:
+                    oov_seen[w] = None
+            matrix = np.empty((table.dimension, len(kept)), dtype=np.float64)
+            counts = np.empty(len(kept), dtype=np.int64)
+            for j, (w, c) in enumerate(kept.items()):
+                matrix[:, j] = table.vector(w)
+                counts[j] = c
+            return matrix, counts, list(oov_seen)
+
+        rng = np.random.default_rng(11)
+        words = [f"w{i}" for i in range(40)]
+        table = EmbeddingTable(words, rng.standard_normal((40, 7)))
+        pool = words + [f"oov{i}" for i in range(10)]
+        for _ in range(200):
+            doc = rng.choice(pool, size=int(rng.integers(0, 60))).tolist()
+            got, want = lookup_all(table, doc), reference(table, doc)
+            assert got[0].shape == want[0].shape and got[0].flags.c_contiguous
+            assert got[0].tobytes() == want[0].tobytes()
+            assert got[1].dtype == want[1].dtype
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[2] == want[2]
+
 
 class TestTableValidation:
     def test_rejects_empty_word(self):

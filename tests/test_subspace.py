@@ -11,6 +11,8 @@ from wordspace.errors import (
 )
 from wordspace.model_io import load_subspace, save_subspace
 from wordspace.subspace import (
+    ORTHONORMALITY_TOL as GRAM_ROUTE_TOL,
+    RANK_RTOL,
     Subspace,
     canonical_cosines,
     full_weighted_word_subspace,
@@ -98,6 +100,114 @@ class TestWordSubspace:
         a = word_subspace(X, 3)
         b = word_subspace(X.copy(), 3)
         assert max_abs(a.projector() - b.projector()) < PROJECTOR_TOL
+
+
+def svd_qr_subspace(X, weights=None):
+    """The former N < p route of `_spectral_basis`, kept as a reference:
+    economy SVD, a re-orthonormalizing QR, then the selectable rank."""
+    normalizer = float(X.shape[1]) if weights is None else float(np.sum(weights))
+    if weights is not None:
+        X = X * np.sqrt(weights)
+    basis, sing, _ = np.linalg.svd(X, full_matrices=False)
+    basis, _ = np.linalg.qr(basis)
+    spectrum = sing * sing / normalizer
+    keep = int(np.count_nonzero(spectrum > RANK_RTOL * spectrum[0]))
+    return basis[:, :keep], spectrum[:keep]
+
+
+def defect(basis):
+    return max_abs(basis.T @ basis - np.eye(basis.shape[1]))
+
+
+def geometric_to_cut(rng, p, n):
+    """p x n matrix whose singular values fall geometrically from 1 to
+    just above the RANK_RTOL cut (sigma^2 ratio 2.25e-10 against 1e-10)."""
+    u, _ = np.linalg.qr(rng.standard_normal((p, n)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    return (u * np.geomspace(1.0, 1.5e-5, n)) @ v.T
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Count the SVD fallbacks of the Gram route."""
+    calls = []
+    real = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+class TestGramRoute:
+    """Queries with fewer words than dimensions (N < p) take eigh(X^T X)."""
+
+    def test_plain_and_weighted_match_svd_qr(self):
+        rng = np.random.default_rng(20)
+        for case in range(60):
+            p = int(rng.integers(2, 40)) if case % 2 else 300
+            n = int(rng.integers(1, min(p, 161)))
+            X = unit_columns(rng.standard_normal((p, n)))
+            w = rng.integers(1, 9, size=n).astype(float) if case % 3 else None
+            sub = (full_word_subspace(X) if w is None
+                   else full_weighted_word_subspace(X, w))
+            basis, spectrum = svd_qr_subspace(X, w)
+            assert sub.dimension == basis.shape[1]
+            assert max_abs(sub.projector() - basis @ basis.T) <= 1e-10
+            np.testing.assert_allclose(sub.spectrum, spectrum, rtol=1e-10)
+
+    def test_near_cap_matrices_stay_orthonormal(self):
+        rng = np.random.default_rng(21)
+        for _ in range(20):
+            p = int(rng.integers(20, 301))
+            n = int(rng.integers(2, min(p, 80)))
+            X = geometric_to_cut(rng, p, n)
+            w = rng.integers(1, 4, size=n).astype(float)
+            for sub in (full_word_subspace(X), full_weighted_word_subspace(X, w)):
+                assert sub.dimension == n
+                assert defect(sub.basis) <= GRAM_ROUTE_TOL
+
+    def test_fallback_when_the_gram_basis_is_off(self, svd_calls):
+        # sigma_min / sigma_max = 1.5e-5: the Gram route loses about
+        # eps / 2.25e-10 ~ 1e-6 of orthogonality, far above the bound
+        X = geometric_to_cut(np.random.default_rng(22), 120, 40)
+        sub = full_word_subspace(X)
+        assert svd_calls == [X.shape]
+        svd_calls.clear()
+        basis, spectrum = svd_qr_subspace(X)
+        np.testing.assert_array_equal(sub.basis, basis)
+        np.testing.assert_array_equal(sub.spectrum, spectrum)
+        assert defect(sub.basis) <= 1e-13
+
+    def test_unit_column_documents_never_fall_back(self, svd_calls):
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n = int(rng.integers(1, 161))
+            X = unit_columns(rng.standard_normal((300, n)))
+            sub = full_weighted_word_subspace(X, rng.integers(1, 6, size=n).astype(float))
+            assert defect(sub.basis) <= GRAM_ROUTE_TOL
+        assert svd_calls == []
+
+    def test_tied_directions_keep_column_order(self):
+        # orthonormal columns all share one eigenvalue; the basis lists
+        # them first word first, as the SVD did
+        X = np.eye(6)[:, [4, 1, 3]]
+        sub = full_word_subspace(X)
+        np.testing.assert_array_equal(np.abs(sub.basis), X)
+        np.testing.assert_array_equal(sub.spectrum, [1 / 3] * 3)
+
+    def test_rank_deficient_query_keeps_only_selectable_directions(self):
+        rng = np.random.default_rng(24)
+        v = rng.standard_normal((50, 3))
+        X = np.hstack([v, v[:, :1] + v[:, 1:2], v[:, :1]])  # rank 3 of 5 columns
+        sub = full_word_subspace(X)
+        assert sub.dimension == 3
+        assert defect(sub.basis) <= GRAM_ROUTE_TOL
+        with pytest.raises(SubspaceRankError) as err:
+            word_subspace(X, 4)
+        assert err.value.cap == 3
 
 
 class TestWeightedWordSubspace:
