@@ -11,16 +11,21 @@ vocabulary term; the multinomial model scores it by per-term occurrence
 counts (the class-independent document-length factor is dropped, which
 leaves the argmax unchanged).  Scoring happens in log space; query
 words outside the training vocabulary are ignored.
+
+Documents are read through `features`: the vocabulary and the presence
+counts come from the binbow scheme, and a query is one binbow (mvb) or
+tfbow (mnb) row over ``terms`` times one table.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from .classifiers import Prediction, make_prediction
-from .corpus import Corpus, Vocabulary
+from .classifiers import DEFAULT_FEATURES, Prediction, make_prediction
+from .corpus import Corpus, Document
 from .errors import TrainingDataError
-from .utils import container_array
+from .features import FeatureSpec, feature_matrix, fit_feature_spec
+from .utils import container_array, container_text
 
 # Smoothed probabilities are < 1 by construction, but log1p(-P) still
 # deserves a guard against pathological inputs.
@@ -37,30 +42,23 @@ class NaiveBayesModel:
     log_prior: np.ndarray       # (n_classes,)
     log_prob: np.ndarray        # (n_terms, n_classes)
     log_not_prob: np.ndarray    # (n_terms, n_classes); used by mvb only
-    absent_base: np.ndarray     # (n_classes,) column sums of log_not_prob
 
     def __post_init__(self):
-        self._index = {t: j for j, t in enumerate(self.terms)}
+        self.spec = FeatureSpec(DEFAULT_FEATURES[self.kind], terms=self.terms)
+        if self.kind == "mvb":
+            # every term absent, then each present term swaps its factor
+            self._base = self.log_prior + self.log_not_prob.sum(axis=0)
+            self._table = self.log_prob - self.log_not_prob
+        else:
+            self._base, self._table = self.log_prior, self.log_prob
 
     @property
     def strategy(self):
         return self.kind
 
     def predict(self, tokens, table=None, **_ignored) -> Prediction:
-        counts = {}
-        for t in tokens:
-            j = self._index.get(t)
-            if j is not None:
-                counts[j] = counts.get(j, 0) + 1
-        if self.kind == "mvb":
-            scores = self.log_prior + self.absent_base
-            for j in counts:
-                scores = scores + (self.log_prob[j] - self.log_not_prob[j])
-        else:
-            scores = self.log_prior.copy()
-            for j, n in counts.items():
-                scores = scores + n * self.log_prob[j]
-        return make_prediction(self.classes, scores)
+        row = feature_matrix(self.spec, [Document("_q", tuple(tokens))])
+        return make_prediction(self.classes, self._base + (row @ self._table)[0])
 
     def container(self):
         return {}, {"terms": self.terms, "log_prior": self.log_prior,
@@ -68,12 +66,12 @@ class NaiveBayesModel:
 
     @classmethod
     def from_container(cls, hyper, arrays):
-        shape = (len(arrays["terms"]), len(arrays["classes"]))
-        log_not_prob = container_array(arrays, "log_not_prob", *shape)
-        return cls(arrays["strategy"], arrays["classes"], arrays["terms"],
+        terms = container_text(arrays, "terms")
+        shape = (len(terms), len(arrays["classes"]))
+        return cls(arrays["strategy"], arrays["classes"], terms,
                    container_array(arrays, "log_prior", shape[1]),
                    container_array(arrays, "log_prob", *shape),
-                   log_not_prob, log_not_prob.sum(axis=0))
+                   container_array(arrays, "log_not_prob", *shape))
 
     def class_posteriors(self, tokens) -> np.ndarray:
         """Normalized class posteriors for a document (sums to 1)."""
@@ -83,32 +81,19 @@ class NaiveBayesModel:
 
 
 def _fit(kind: str, corpus: Corpus) -> NaiveBayesModel:
-    vocab = Vocabulary.from_corpus(corpus)
-    if len(vocab) == 0:
+    spec = fit_feature_spec("binbow", corpus)
+    if not spec.terms:
         raise TrainingDataError("training corpus has an empty vocabulary")
-    n_classes = len(corpus.classes)
-    denom = n_classes + len(corpus)
+    denom = len(corpus.classes) + len(corpus)
+    labels = np.asarray([doc.label for doc in corpus], dtype=object)
+    one_hot = (labels[:, None] == np.asarray(corpus.classes, dtype=object)).astype(np.float64)
+    log_prior = np.log((1.0 + one_hot.sum(axis=0)) / denom)
 
-    class_doc_counts = np.array(
-        [len(corpus.indices_of(c)) for c in corpus.classes], dtype=np.float64
-    )
-    log_prior = np.log((1.0 + class_doc_counts) / denom)
-
-    # docs-in-class-containing-term counts
-    df = np.zeros((len(vocab), n_classes), dtype=np.float64)
-    class_pos = {c: j for j, c in enumerate(corpus.classes)}
-    for doc in corpus:
-        j = class_pos[doc.label]
-        for t in set(doc.tokens):
-            df[vocab.index[t], j] += 1.0
-
+    # docs-in-class-containing-term counts: presence (docs x terms) by class
+    df = feature_matrix(spec, list(corpus)).T @ one_hot
     prob = np.minimum((1.0 + df) / denom, _MAX_PROB)
-    log_prob = np.log(prob)
-    log_not_prob = np.log1p(-prob)
-    return NaiveBayesModel(
-        kind, corpus.classes, vocab.terms, log_prior, log_prob, log_not_prob,
-        log_not_prob.sum(axis=0),
-    )
+    return NaiveBayesModel(kind, corpus.classes, spec.terms, log_prior,
+                           np.log(prob), np.log1p(-prob))
 
 
 def train_mvb(corpus: Corpus) -> NaiveBayesModel:

@@ -24,7 +24,6 @@ from .errors import (
     DegenerateQueryError,
     FormatError,
     NonFiniteScoreError,
-    NumericalError,
     TrainingDataError,
 )
 from .subspace import (
@@ -32,6 +31,7 @@ from .subspace import (
     full_weighted_word_subspace,
     full_word_subspace,
     similarity,
+    stored_subspace,
     unit_columns,
 )
 from .utils import container_array
@@ -74,6 +74,14 @@ def _embed_dim(hyper):
     if type(dim) is not int or dim < 1:
         raise FormatError(f"embed_dim must be a positive integer, found {dim!r}")
     return dim
+
+
+def _int_or_none(hyper, name):
+    """A serving cap of the container (query_dim, angle_count): an int or None."""
+    value = hyper[name]
+    if value is not None and type(value) is not int:
+        raise FormatError(f"{name} must be an integer or null, found {value!r}")
+    return value
 
 
 def class_vectors(corpus: Corpus, table: EmbeddingTable, label: str):
@@ -144,16 +152,16 @@ class SubspaceModel:
         for i, label in enumerate(classes):
             basis = container_array(arrays, f"class_{i}_basis", embed_dim, None)
             spectrum = container_array(arrays, f"class_{i}_spectrum", basis.shape[1])
+            count = container_array(arrays, f"class_{i}_count")
             try:
-                subspaces[label] = Subspace(basis, spectrum,
-                                            int(container_array(arrays, f"class_{i}_count")))
-            except NumericalError as err:
+                subspaces[label] = stored_subspace(basis, spectrum, count)
+            except FormatError as err:
                 raise FormatError(f"class {i} subspace: {err}") from None
         counts = {label: sub.source_word_count for label, sub in subspaces.items()}
         return cls(
             arrays["strategy"], classes, subspaces, counts,
-            class_dim=hyper["class_dim"], query_dim=hyper["query_dim"],
-            angle_count=hyper["angle_count"], normalize=hyper["normalize"],
+            class_dim=hyper["class_dim"], query_dim=_int_or_none(hyper, "query_dim"),
+            angle_count=_int_or_none(hyper, "angle_count"), normalize=hyper["normalize"],
             embed_dim=embed_dim,
         )
 

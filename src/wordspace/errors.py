@@ -10,6 +10,7 @@ the families because it is recoverable: callers map it to an
 import contextlib
 
 import numpy as np
+from scipy.sparse.linalg import ArpackError
 
 
 class WordspaceError(Exception):
@@ -95,10 +96,11 @@ class NonFiniteScoreError(NumericalError, ValueError):
 
 @contextlib.contextmanager
 def solver_errors(what):
-    """Re-raise a LAPACK failure (``LinAlgError``) as `NumericalError`."""
+    """Re-raise a LAPACK failure (``LinAlgError``) or an ARPACK one
+    (``ArpackError``, ``ArpackNoConvergence`` included) as `NumericalError`."""
     try:
         yield
-    except np.linalg.LinAlgError as err:
+    except (np.linalg.LinAlgError, ArpackError) as err:
         raise NumericalError(f"{what} failed: {err}") from None
 
 

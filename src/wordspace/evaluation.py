@@ -88,16 +88,6 @@ def _grid_axis(strategy, grids, key):
     return values
 
 
-def _best_cell(correct, class_dims, query_dims):
-    """Grid argmax; ties go to the lexicographically smallest dims."""
-    best = (-1, None)
-    for i, mc in enumerate(class_dims):
-        for j, mq in enumerate(query_dims):
-            if correct[i, j] > best[0]:
-                best = (correct[i, j], {"class_dim": mc, "query_dim": mq})
-    return best[1]
-
-
 def _fixed_fold(strategy, train_c, val_docs, table, grids, feature, normalize, seed):
     """A strategy without a grid: the fold's model is its plain fit."""
     return strategy.fit(train_c, table, feature, normalize, {}), {}, []
@@ -129,7 +119,8 @@ def _subspace_fold(strategy, train_c, val_docs, table, grids, feature, normalize
             stack[c] = grid_mean_sq_cosines(sq[:, cols].T, mc_caps, mq_caps)
         correct += classes[np.argmax(stack, axis=0)] == doc.label
 
-    params = _best_cell(correct, class_dims, query_dims)
+    i, j = np.unravel_index(np.argmax(correct), correct.shape)
+    params = {"class_dim": class_dims[i], "query_dim": query_dims[j]}
     subspaces = {
         label: sub.truncated(min(params["class_dim"], sub.dimension))
         for label, sub in full.subspaces.items()
@@ -145,54 +136,35 @@ def _subspace_fold(strategy, train_c, val_docs, table, grids, feature, normalize
 def _lsa_fold(strategy, train_c, val_docs, table, grids, feature, normalize, seed):
     spec = fit_feature_spec(feature, train_c, table, normalize)
     ranks = tuple(sorted(set(_grid_axis(strategy, grids, "rank"))))
-    docs = list(train_c)
-    feats = feature_matrix(spec, docs, table)
-    X = feats.T  # features x documents
-    notes = []
-
-    available = 0
+    # one factorization at the largest feasible rank; lower ranks are its prefixes
     try:
-        basis, sigma = lsa.truncated_svd(X, min(max(ranks), min(X.shape)))
-        available = sigma.size
+        full = lsa.train_lsa(train_c, spec, min(max(ranks), len(train_c)), table)
     except SubspaceRankError as err:
-        available = err.cap
-        if available >= 1:
-            basis, sigma = lsa.truncated_svd(X, available)
-    feasible = [k for k in ranks if k <= available]
-    for k in ranks:
-        if k > available:
-            notes.append(f"rank={k} infeasible (numerical rank {available})")
+        if err.cap < 1:
+            raise TrainingDataError(
+                f"every grid rank exceeds the numerical rank {err.cap}") from None
+        full = lsa.train_lsa(train_c, spec, err.cap, table)
+    feasible = [k for k in ranks if k <= full.rank]
+    notes = [f"rank={k} infeasible (numerical rank {full.rank})"
+             for k in ranks if k > full.rank]
     if not feasible:
         raise TrainingDataError(
-            f"every grid rank exceeds the numerical rank {available}"
+            f"every grid rank exceeds the numerical rank {full.rank}"
         )
 
-    labels = [d.label for d in docs]
-    coords = np.asarray(feats @ basis) / sigma
-    models = {
-        k: lsa.LsaModel(train_c.classes, labels, basis[:, :k], sigma[:k],
-                        coords[:, :k], spec)
-        for k in feasible
-    }
     val_feats = feature_matrix(spec, val_docs, table)
     if sp.issparse(val_feats):
         val_feats = val_feats.toarray()
-    projections = val_feats @ basis  # query coordinates at the largest rank
-
-    best = (-1, None)
-    for k in feasible:
-        model = models[k]
-        n_correct = 0
+    projections = val_feats @ full.basis  # query coordinates at the largest rank
+    models = [full.truncated(k) for k in feasible]
+    hits = np.zeros(len(models), dtype=np.int64)
+    for i, model in enumerate(models):
         for row, doc in enumerate(val_docs):
             scores = model.class_scores_from_projection(projections[row])
-            if scores is None:
-                continue
-            pred = model.classes[int(np.argmax(scores))]
-            n_correct += pred == doc.label
-        if n_correct > best[0]:
-            best = (n_correct, k)
-    params = {"rank": best[1]}
-    return models[best[1]], params, notes
+            if scores is not None:
+                hits[i] += model.classes[int(np.argmax(scores))] == doc.label
+    best = int(np.argmax(hits))
+    return models[best], {"rank": feasible[best]}, notes
 
 
 def _svm_fold(strategy, train_c, val_docs, table, grids, feature, normalize, seed):
@@ -203,17 +175,14 @@ def _svm_fold(strategy, train_c, val_docs, table, grids, feature, normalize, see
     labels = [d.label for d in docs]
     val_feats = feature_matrix(spec, val_docs, table)
     val_labels = np.asarray([d.label for d in val_docs], dtype=object)
+    classes = np.asarray(train_c.classes, dtype=object)
 
-    best = (-1, None, None)
-    for reg in regs:
-        model = svm.fit_linear_svm(feats, labels, train_c.classes, spec,
-                                   reg=reg, seed=seed)
-        classes = np.asarray(model.classes, dtype=object)
-        preds = classes[np.argmax(model.decision_matrix(val_feats), axis=1)]
-        n_correct = int(np.sum(preds == val_labels))
-        if n_correct > best[0]:
-            best = (n_correct, reg, model)
-    return best[2], {"reg": best[1]}, []
+    models = [svm.fit_linear_svm(feats, labels, train_c.classes, spec, reg=reg, seed=seed)
+              for reg in regs]
+    hits = [np.sum(classes[np.argmax(m.decision_matrix(val_feats), axis=1)] == val_labels)
+            for m in models]
+    best = int(np.argmax(hits))
+    return models[best], {"reg": regs[best]}, []
 
 
 # Fits at given hyperparameters: ``fit(corpus, table, feature, normalize,
@@ -333,8 +302,11 @@ def select_hyperparams(strategy, corpus, fold: Fold, grids=None, *, table=None,
     """Grid point maximizing validation accuracy for one fold.
 
     Returns ``(params, notes)`` where ``notes`` lists grid points that
-    were skipped as infeasible.  Ties prefer the smallest dimensions,
-    then grid order.
+    were skipped as infeasible.  Every selector counts validation hits
+    in grid order and keeps the first best point.  The dimension and
+    rank grids are sorted ascending, so ties go to the smallest class
+    dimension, then the smallest query dimension, and to the smallest
+    rank; the reg grid keeps the order it is given in.
     """
     entry = _strategy(strategy)
     _, params, notes = _fit_fold(entry, corpus, fold, grids, table=table,

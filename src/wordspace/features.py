@@ -15,8 +15,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus, Vocabulary
-from .errors import ConfigError
+from .embeddings import lookup_all
+from .errors import ConfigError, FormatError
 from .subspace import unit_columns
+from .utils import container_array, container_text
 
 # CLI feature names -> bag-of-words weighting schemes.
 FEATURE_NAMES = ("binbow", "tfbow", "tfidfbow", "w2v")
@@ -54,12 +56,17 @@ class FeatureSpec:
 
     @classmethod
     def from_container(cls, arrays):
+        name = container_text(arrays, "spec_name", str)
+        terms = container_text(arrays, "spec_terms")
+        if name not in FEATURE_NAMES:
+            raise FormatError(f"unknown feature scheme {name!r}")
         return cls(
-            name=arrays["spec_name"],
-            terms=arrays["spec_terms"],
-            idf_log=np.asarray(arrays["spec_idf_log"], dtype=np.float64),
-            embed_dim=int(arrays["spec_embed_dim"]),
-            normalize=bool(int(arrays["spec_normalize"])),
+            name=name,
+            terms=terms,
+            idf_log=np.asarray(container_array(arrays, "spec_idf_log", len(terms)),
+                               dtype=np.float64),
+            embed_dim=int(container_array(arrays, "spec_embed_dim")),
+            normalize=bool(int(container_array(arrays, "spec_normalize"))),
         )
 
 
@@ -115,17 +122,9 @@ def feature_matrix(spec: FeatureSpec, docs, table=None):
             raise ConfigError("w2v featurization requires an embedding table")
         out = np.zeros((len(docs), spec.embed_dim), dtype=np.float64)
         for i, doc in enumerate(docs):
-            vecs = []
-            seen = set()
-            for t in doc.tokens:
-                if t in table and t not in seen:
-                    seen.add(t)
-                    vecs.append(table.vector(t))
-            if vecs:
-                block = np.stack(vecs, axis=1)
-                if spec.normalize:
-                    block = unit_columns(block)
-                out[i] = block.mean(axis=1)
+            block, _, _ = lookup_all(table, doc.tokens)
+            if block.shape[1]:
+                out[i] = (unit_columns(block) if spec.normalize else block).mean(axis=1)
         return out
 
     data, indices, indptr = [], [], [0]

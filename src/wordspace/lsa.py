@@ -22,13 +22,14 @@ import scipy.sparse.linalg as spla
 from .classifiers import Prediction, make_prediction
 from .errors import (
     DegenerateQueryError,
+    FormatError,
     SubspaceRankError,
     TrainingDataError,
     solver_errors,
 )
 from .features import FeatureSpec, feature_matrix
 from .subspace import RANK_RTOL
-from .utils import container_array
+from .utils import container_array, container_text
 
 
 def truncated_svd(X, k: int):
@@ -97,14 +98,19 @@ class LsaModel:
         spec = FeatureSpec.from_container(arrays)
         basis = container_array(arrays, "basis", spec.width, None)
         rank = basis.shape[1]
-        return cls(arrays["classes"], arrays["labels"], basis,
+        labels = container_text(arrays, "labels")
+        if set(labels) != set(arrays["classes"]):
+            raise FormatError("lsa labels must name every class and only those")
+        return cls(arrays["classes"], labels, basis,
                    container_array(arrays, "sigma", rank),
-                   container_array(arrays, "doc_coords", len(arrays["labels"]), rank),
+                   container_array(arrays, "doc_coords", len(labels), rank),
                    spec)
 
-    def project(self, vector) -> np.ndarray:
-        """Projection coords(d) of one raw feature vector."""
-        return (self.basis.T @ vector) / self.sigma
+    def truncated(self, k: int) -> "LsaModel":
+        """The rank-``k`` model (k <= rank): the leading ``k`` columns of
+        this factorization, as `train_lsa` at rank ``k`` would give."""
+        return LsaModel(self.classes, self.labels, self.basis[:, :k], self.sigma[:k],
+                        self.doc_coords[:, :k], self.spec)
 
     def class_scores_from_projection(self, projection):
         """Per-class best cosine given ``U.T @ d`` coordinates (length

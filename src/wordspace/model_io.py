@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import FormatError
 from .evaluation import STRATEGIES
-from .subspace import Subspace
+from .subspace import Subspace, stored_subspace
+from .utils import container_array, container_text
 
 FORMAT_VERSION = 1
 
@@ -44,22 +45,25 @@ def _decoded(arr):
     return arr
 
 
+# What numpy and zipfile raise for damaged bytes: bytes that are neither
+# .npy nor a zip are refused as a pickle (ValueError; EOFError when
+# empty), a broken zip structure is BadZipFile, and a zip that asks for
+# an unsupported version or for encryption NotImplementedError or
+# RuntimeError.
+_DAMAGED = (ValueError, EOFError, RuntimeError, zipfile.BadZipFile)
+
+
 def _read(path, expected_kind):
     """Every entry of a container of ``expected_kind``, decoded."""
     try:
         data = np.load(path, allow_pickle=False)
-    except (ValueError, EOFError, zipfile.BadZipFile) as err:
-        # bytes that are neither .npy nor a zip are refused as a pickle
-        # (ValueError, EOFError when empty); a damaged zip is BadZipFile
-        raise FormatError(f"not a wordspace container file: {err}") from None
-    if not isinstance(data, np.lib.npyio.NpzFile):
-        raise FormatError("not a wordspace container file: a bare array")
-    with data:
-        _check(data, expected_kind)
-        try:
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise FormatError("not a wordspace container file: a bare array")
+        with data:
             arrays = {k: _decoded(data[k]) for k in data.files}
-        except (ValueError, zipfile.BadZipFile) as err:
-            raise FormatError(f"damaged container entry: {err}") from None
+    except _DAMAGED as err:
+        raise FormatError(f"not a wordspace container file or a damaged one: {err}") from None
+    _check(arrays, expected_kind)
     for name, arr in arrays.items():
         if isinstance(arr, np.ndarray) and arr.dtype.kind == "f" \
                 and not np.all(np.isfinite(arr)):
@@ -81,21 +85,21 @@ def save_subspace(sub: Subspace, path):
 def load_subspace(path) -> Subspace:
     arrays = _read(path, "subspace")
     try:
-        return Subspace(
-            arrays["basis"], arrays["spectrum"], int(arrays["source_word_count"])
+        return stored_subspace(
+            arrays["basis"], arrays["spectrum"], arrays["source_word_count"]
         )
     except KeyError as err:
         raise FormatError(f"subspace container lacks entry {err}") from None
 
 
-def _check(data, expected_kind):
-    if "format_version" not in data or "kind" not in data:
+def _check(arrays, expected_kind):
+    if "format_version" not in arrays or "kind" not in arrays:
         raise FormatError("not a wordspace container file")
-    version = int(data["format_version"])
+    version = int(container_array(arrays, "format_version"))
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported container version {version}")
-    kind = str(data["kind"])
-    if kind != expected_kind:
+    kind = arrays["kind"]
+    if not isinstance(kind, str) or kind != expected_kind:
         raise FormatError(f"expected a {expected_kind} container, found {kind!r}")
 
 
@@ -119,13 +123,11 @@ def load_model(path):
         strategy = str(arrays["strategy"])
         if strategy not in STRATEGIES:
             raise FormatError(f"unknown strategy tag {strategy!r}")
-        if not isinstance(arrays["hyper_json"], str):
-            raise FormatError("hyper_json must be a string")
-        hyper = json.loads(arrays["hyper_json"])
+        hyper = json.loads(container_text(arrays, "hyper_json", str))
         if not isinstance(hyper, dict):
             raise FormatError("hyper_json must hold a JSON object")
-        if not isinstance(arrays["classes"], tuple):
-            raise FormatError("classes must be a list of names")
+        if not container_text(arrays, "classes"):
+            raise FormatError("a model needs at least one class")
         return STRATEGIES[strategy].model.from_container(hyper, arrays)
     except KeyError as err:
         raise FormatError(f"model container lacks entry {err}") from None

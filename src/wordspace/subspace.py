@@ -25,6 +25,7 @@ import numpy as np
 from .errors import (
     DegenerateInputError,
     DimensionMismatchError,
+    FormatError,
     NumericalError,
     SubspaceRankError,
     WeightError,
@@ -41,6 +42,14 @@ RANK_RTOL = 1e-10
 # can lose orthogonality (up to ~eps / RANK_RTOL); such a basis is
 # recomputed by SVD instead.
 ORTHONORMALITY_TOL = 1e-12
+
+# Largest entry of |B^T B - I| accepted from a basis read from a
+# container.  The bases `wordspace train` writes on the benchmark's
+# inputs measure at most 5.2e-13 (full-rank classes) and 1.2e-14 at the
+# default class dimension, and the Gram route itself accepts at most
+# ORTHONORMALITY_TOL; a basis off by more than this was not written by
+# this package, and the min(..., 1) clip of the scores would hide it.
+LOAD_ORTHONORMALITY_TOL = 1e-10
 
 # Spectrum entries may come out of the solver as tiny negatives; they
 # are clamped to zero down to this magnitude and rejected beyond it.
@@ -102,6 +111,25 @@ class Subspace:
         return Subspace(self.basis[:, :m], self.spectrum[:m], self.source_word_count)
 
 
+def orthonormality_defect(basis) -> float:
+    """Largest entry of ``|B^T B - I|``; 0 for exactly orthonormal columns."""
+    return float(np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))))
+
+
+def stored_subspace(basis, spectrum, source_word_count) -> Subspace:
+    """A `Subspace` read back from a container: a broken invariant, a
+    basis off orthonormal by more than LOAD_ORTHONORMALITY_TOL included,
+    is a `FormatError`."""
+    try:
+        sub = Subspace(basis, spectrum, int(source_word_count))
+    except NumericalError as err:
+        raise FormatError(str(err)) from None
+    defect = orthonormality_defect(sub.basis)
+    if not defect <= LOAD_ORTHONORMALITY_TOL:  # NaN too: an overflowing basis
+        raise FormatError(f"basis is not orthonormal: max |B^T B - I| = {defect:.3g}")
+    return sub
+
+
 def unit_columns(X: np.ndarray) -> np.ndarray:
     """Scale each column to unit Euclidean norm.
 
@@ -155,7 +183,7 @@ def _spectral_basis(X, normalizer):
         spectrum = evals / normalizer
         keep = _selectable_rank(spectrum)  # >= 1: X has a nonzero column
         basis = (X @ evecs[:, order[:keep]]) / np.sqrt(evals[:keep])
-        if np.max(np.abs(basis.T @ basis - np.eye(keep))) <= ORTHONORMALITY_TOL:
+        if orthonormality_defect(basis) <= ORTHONORMALITY_TOL:
             return basis, spectrum[:keep]
         basis, sing, _ = np.linalg.svd(X, full_matrices=False)
         basis, _ = np.linalg.qr(basis)

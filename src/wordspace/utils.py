@@ -38,3 +38,13 @@ def container_array(arrays, name, *shape):
         raise FormatError(f"container entry {name!r} must be a numeric {want} "
                           f"array, found {got}")
     return arr
+
+
+def container_text(arrays, name, kind=tuple):
+    """Text entry ``name``: a ``str``, or by default a tuple of them.
+    Raises `FormatError` for anything else."""
+    value = arrays[name]
+    if not isinstance(value, kind):
+        want = "a string" if kind is str else "a list of strings"
+        raise FormatError(f"container entry {name!r} must be {want}")
+    return value

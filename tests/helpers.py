@@ -12,8 +12,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from wordspace.corpus import Corpus, Document
+from wordspace.corpus import Corpus, Document, Vocabulary
 from wordspace.embeddings import EmbeddingTable
+from wordspace.subspace import unit_columns
 
 
 def orthogonal_table(n_classes, words_per_class, extra_dims=0):
@@ -191,3 +192,65 @@ def nb_queries(vocab):
               (vocab[0], vocab[-1], vocab[0])]
     probes.append((vocab[0], "zzz"))
     return probes
+
+
+# ---------------------------------------------------------------------------
+# Former implementations, kept as parity references for their replacements
+# ---------------------------------------------------------------------------
+
+def nb_tables_by_loop(corpus):
+    """Naive-Bayes ``(terms, log_prior, log_prob, log_not_prob)`` as the
+    former trainer built them: its own vocabulary and a per-document
+    loop over the distinct tokens for the class document frequencies."""
+    vocab = Vocabulary.from_corpus(corpus)
+    denom = len(corpus.classes) + len(corpus)
+    class_doc_counts = np.array(
+        [len(corpus.indices_of(c)) for c in corpus.classes], dtype=np.float64
+    )
+    df = np.zeros((len(vocab), len(corpus.classes)), dtype=np.float64)
+    class_pos = {c: j for j, c in enumerate(corpus.classes)}
+    for doc in corpus:
+        for t in set(doc.tokens):
+            df[vocab.index[t], class_pos[doc.label]] += 1.0
+    prob = np.minimum((1.0 + df) / denom, 1.0 - 1e-12)
+    return (vocab.terms, np.log((1.0 + class_doc_counts) / denom),
+            np.log(prob), np.log1p(-prob))
+
+
+def nb_scores_by_token_loop(model, tokens):
+    """Naive-Bayes class scores as the former scorer summed them: one
+    table row per distinct in-vocabulary token, in first-occurrence
+    order (times its count for mnb)."""
+    index = {t: j for j, t in enumerate(model.terms)}
+    counts = {}
+    for t in tokens:
+        j = index.get(t)
+        if j is not None:
+            counts[j] = counts.get(j, 0) + 1
+    if model.kind == "mvb":
+        scores = model.log_prior + model.log_not_prob.sum(axis=0)
+        for j in counts:
+            scores = scores + (model.log_prob[j] - model.log_not_prob[j])
+    else:
+        scores = model.log_prior.copy()
+        for j, n in counts.items():
+            scores = scores + n * model.log_prob[j]
+    return scores
+
+
+def w2v_rows_by_word_loop(table, docs, normalize):
+    """w2v feature rows as the former per-word loop built them: the
+    mean of the distinct in-vocabulary (unit) word vectors."""
+    out = np.zeros((len(docs), table.dimension), dtype=np.float64)
+    for i, doc in enumerate(docs):
+        vecs, seen = [], set()
+        for t in doc.tokens:
+            if t in table and t not in seen:
+                seen.add(t)
+                vecs.append(table.vector(t))
+        if vecs:
+            block = np.stack(vecs, axis=1)
+            if normalize:
+                block = unit_columns(block)
+            out[i] = block.mean(axis=1)
+    return out

@@ -3,10 +3,17 @@ import math
 import numpy as np
 import pytest
 
-from helpers import enumerate_nb_corpora, nb_oracle_maximizers, nb_queries
+from helpers import (
+    enumerate_nb_corpora,
+    nb_oracle_maximizers,
+    nb_queries,
+    nb_scores_by_token_loop,
+    nb_tables_by_loop,
+)
 from wordspace.bayes import train_mnb, train_mvb
 from wordspace.corpus import Corpus, Document
 from wordspace.errors import TrainingDataError
+from wordspace.model_io import load_model, save_model
 
 # Document counts of the 8-class reference corpus (7674 documents).
 CLASS_SIZES = {
@@ -127,3 +134,53 @@ class TestBruteForceOracle:
                     assert {got.label} == maximizers
                 checked += 1
         assert checked >= 3000
+
+
+def _seeded_corpus(seed, n_docs=60, n_classes=5, n_words=40):
+    """Documents of 0-25 tokens drawn with repeats from a shared pool."""
+    rng = np.random.default_rng(seed)
+    pool = [f"w{i}" for i in range(n_words)]
+    return Corpus([
+        Document(f"c{rng.integers(n_classes)}",
+                 tuple(rng.choice(pool, size=rng.integers(0, 26)).tolist()))
+        for _ in range(n_docs)
+    ])
+
+
+def _seeded_queries(seed, vocab_size=40, count=50):
+    """Queries mixing training words, repeats and out-of-vocabulary words."""
+    rng = np.random.default_rng(seed)
+    pool = [f"w{i}" for i in range(vocab_size + 10)] + ["oov_a", "oov_b"]
+    return [()] + [tuple(rng.choice(pool, size=rng.integers(1, 40)).tolist())
+                   for _ in range(count)]
+
+
+class TestFeaturesPathParity:
+    """The bag-of-words path of `features` against the former token loops."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("train", [train_mvb, train_mnb])
+    def test_scores_match_token_loop(self, seed, train):
+        model = train(_seeded_corpus(seed))
+        for query in _seeded_queries(seed + 100):
+            np.testing.assert_allclose(model.predict(query).scores,
+                                       nb_scores_by_token_loop(model, query),
+                                       rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("train", [train_mvb, train_mnb])
+    def test_container_tables_equal_loop_tables(self, seed, train, tmp_path):
+        corpus = _seeded_corpus(seed)
+        path = tmp_path / "nb.npz"
+        save_model(train(corpus), path)
+        terms, log_prior, log_prob, log_not_prob = nb_tables_by_loop(corpus)
+        with np.load(path) as saved:
+            assert tuple(saved["terms"].tolist()) == terms
+            for name, want in (("log_prior", log_prior), ("log_prob", log_prob),
+                               ("log_not_prob", log_not_prob)):
+                assert saved[name].dtype == want.dtype
+                np.testing.assert_array_equal(saved[name], want)
+        loaded, query = load_model(path), _seeded_queries(seed)[1]
+        np.testing.assert_allclose(loaded.predict(query).scores,
+                                   nb_scores_by_token_loop(loaded, query),
+                                   rtol=1e-12, atol=0.0)

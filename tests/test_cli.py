@@ -1,3 +1,4 @@
+import json
 import subprocess
 import sys
 
@@ -238,6 +239,11 @@ def _set(name, value):
     return lambda entries: entries.update({name: value})
 
 
+def _hyper(**fields):
+    return lambda entries: entries.update(hyper_json=np.array(json.dumps(
+        {**json.loads(str(entries["hyper_json"])), **fields})))
+
+
 def _cut(name, index):
     return lambda entries: entries.update({name: entries[name][index]})
 
@@ -252,6 +258,37 @@ def _classify_doctored(strategy, change, code=3, flags=()):
 def _write(path, raw):
     path.write_bytes(raw)
     return str(path)
+
+
+def _zip_bytes(change):
+    """``classify`` with an mnb container whose raw bytes were ``change``d."""
+    def argv(ws, d):
+        path = d / "model.npz"
+        assert main(["train", "--strategy", "mnb", "--corpus", ws["corpus"],
+                     "--out", str(path)]) == 0
+        raw = bytearray(path.read_bytes())
+        change(raw)
+        return ["classify", "--model", _write(d / "doctored.npz", bytes(raw)),
+                "--corpus", ws["corpus"]]
+    return argv, 3
+
+
+def _central_field(offset, value):
+    """Set the 2-byte field at ``offset`` of the first central-directory record."""
+    def change(raw):
+        at = raw.index(b"PK\x01\x02") + offset
+        raw[at:at + 2] = value.to_bytes(2, "little")
+    return change
+
+
+def _flip_first_member_last_byte(raw):
+    # the byte before the second member's local header: the CRC no longer matches
+    raw[raw.index(b"PK\x03\x04", 4) - 1] ^= 1
+
+
+def _relabel_first_class(entries):
+    labels, classes = entries["labels"], entries["classes"]
+    entries["labels"] = np.where(labels == classes[0], classes[1], labels)
 
 
 # input -> (argv given the workspace and a scratch directory, exit code)
@@ -292,14 +329,28 @@ BAD_INPUTS = {
         "svm", lambda e: e.update(classes=np.append(e["classes"], "extra"))),
     "msm-basis-ambient-not-embed-dim": _classify_doctored("msm", _cut("class_0_basis", np.s_[1:])),
     "msm-spectrum-not-basis-width": _classify_doctored("msm", _cut("class_0_spectrum", np.s_[1:])),
+    # the score clip min(..., 1) would hide a scaled basis: refused at load
+    "msm-basis-not-orthonormal": _classify_doctored(
+        "msm", lambda e: e.update(class_0_basis=2.0 * e["class_0_basis"])),
     "msm-embed-dim-not-an-int": _classify_doctored(
         "msm", _set("hyper_json", np.array('{"class_dim": 150, "query_dim": 10, '
                                            '"angle_count": null, "normalize": true, '
                                            '"embed_dim": "16"}'))),
+    "msm-query-dim-not-an-int": _classify_doctored("msm", _hyper(query_dim="5")),
+    "tfmsm-angle-count-not-an-int": _classify_doctored("tfmsm", _hyper(angle_count=[2])),
     "sa-sums-not-embed-dim": _classify_doctored("sa", _cut("sums", np.s_[:, 1:])),
     "mnb-log-prob-not-terms-by-classes": _classify_doctored("mnb", _cut("log_prob", np.s_[1:])),
     "lsa-sigma-not-rank": _classify_doctored("lsa", _cut("sigma", np.s_[1:]),
                                              flags=("--rank", "3")),
+    "lsa-labels-not-text": _classify_doctored("lsa", _set("labels", np.array(5)),
+                                              flags=("--rank", "3")),
+    "svm-spec-name-not-text": _classify_doctored("svm", _set("spec_name", np.zeros(2))),
+    "model-no-classes": _classify_doctored("msm", _set("classes", np.array([], dtype=np.str_))),
+    "lsa-class-without-documents": _classify_doctored("lsa", _relabel_first_class,
+                                                      flags=("--rank", "3")),
+    "model-zip-version-unsupported": _zip_bytes(_central_field(6, 109)),
+    "model-zip-member-encrypted": _zip_bytes(_central_field(8, 1)),
+    "model-zip-member-crc-mismatch": _zip_bytes(_flip_first_member_last_byte),
     # finite weights whose scores overflow: a numerical error, not a data error
     "svm-score-overflow": _classify_doctored(
         "svm", lambda e: e.update(weights=np.full_like(e["weights"], 1e308)), code=4),
@@ -319,22 +370,27 @@ def test_bad_input_exit_code_without_traceback(case, workspace, tmp_path, capsys
     assert err.startswith("error: ")
 
 
-def _fail_lapack(*args, **kwargs):
-    raise np.linalg.LinAlgError("did not converge")
+def _lsa_rank_3(ws, d):
+    return ["train", "--strategy", "lsa", "--rank", "3", "--corpus", ws["corpus"],
+            "--out", str(d / "m.npz")]
 
 
-# solver -> (functions made to fail, argv given the workspace and a scratch directory)
+LAPACK = np.linalg.LinAlgError("did not converge")
+
+# solver -> (functions made to fail, the error they raise, argv given the
+# workspace and a scratch directory)
 SOLVER_FAILURES = {
-    "subspace-eigh": ([(np.linalg, "eigh")], lambda ws, d: [
+    "subspace-eigh": ([(np.linalg, "eigh")], LAPACK, lambda ws, d: [
         "train", "--strategy", "msm", "--corpus", ws["corpus"], "--embeddings", ws["vecs"],
         "--out", str(d / "m.npz")]),
-    "lsa-svds": ([(spla, "svds")], lambda ws, d: [
-        "train", "--strategy", "lsa", "--rank", "3", "--corpus", ws["corpus"],
-        "--out", str(d / "m.npz")]),
-    "lsa-dense-svd": ([(np.linalg, "svd")], lambda ws, d: [
+    "lsa-svds": ([(spla, "svds")], LAPACK, _lsa_rank_3),
+    "lsa-svds-arpack": ([(spla, "svds")], spla.ArpackError(-9999), _lsa_rank_3),
+    "lsa-svds-arpack-no-convergence": ([(spla, "svds")], spla.ArpackNoConvergence(
+        "ARPACK did not converge", np.zeros(0), np.zeros((0, 0))), _lsa_rank_3),
+    "lsa-dense-svd": ([(np.linalg, "svd")], LAPACK, lambda ws, d: [
         "train", "--strategy", "lsa", "--rank", "15", "--corpus", ws["corpus"],
         "--out", str(d / "m.npz")]),
-    "spectrum": ([(np.linalg, "svd"), (np.linalg, "eigvalsh")], lambda ws, d: [
+    "spectrum": ([(np.linalg, "svd"), (np.linalg, "eigvalsh")], LAPACK, lambda ws, d: [
         "spectrum", "--corpus", ws["corpus"], "--embeddings", ws["vecs"],
         "--out", str(d / "s.csv")]),
 }
@@ -342,14 +398,18 @@ SOLVER_FAILURES = {
 
 @pytest.mark.parametrize("case", sorted(SOLVER_FAILURES))
 def test_solver_failure_exits_four(case, workspace, tmp_path, capsys, monkeypatch):
-    targets, make_argv = SOLVER_FAILURES[case]
+    targets, error, make_argv = SOLVER_FAILURES[case]
+
+    def fail(*args, **kwargs):
+        raise error
+
     for owner, name in targets:
-        monkeypatch.setattr(owner, name, _fail_lapack)
+        monkeypatch.setattr(owner, name, fail)
     capsys.readouterr()
     assert main(make_argv(workspace, tmp_path)) == 4
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.startswith("error: ") and "did not converge" in err
+    assert err.startswith("error: ") and str(error) in err
 
 
 class TestEval:

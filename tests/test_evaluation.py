@@ -4,6 +4,8 @@ import pytest
 from helpers import orthogonal_table, synth_corpus
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
+from wordspace.features import fit_feature_spec
+from wordspace.lsa import train_lsa
 from wordspace.errors import (
     DataError,
     DegenerateTestError,
@@ -11,6 +13,8 @@ from wordspace.errors import (
 )
 from wordspace.evaluation import (
     DEFAULT_SEED,
+    STRATEGIES,
+    _fit_fold,
     make_folds,
     paired_ttest,
     run_experiment,
@@ -116,6 +120,69 @@ class TestSelectHyperparams:
         plan = make_folds(corpus, seed=7)
         with pytest.raises(TrainingDataError):
             select_hyperparams("lsa", corpus, plan.folds[0], {"rank": (99,)})
+
+
+def _topic_corpus(seed, n_docs=60, n_classes=4, words_per_class=12, shared=10):
+    """Documents mixing class topic words with shared words, repeats allowed."""
+    rng = np.random.default_rng(seed)
+    docs = []
+    for i in range(n_docs):
+        c = i % n_classes
+        pool = [f"t{c}_{j}" for j in range(words_per_class)] + [f"s{j}" for j in range(shared)]
+        tokens = rng.choice(pool, size=rng.integers(3, 12)).tolist()
+        docs.append(Document(f"c{c}", tuple(tokens)))
+    return Corpus(docs)
+
+
+def _sign_aligned(basis, reference):
+    """``basis`` with each column's sign flipped to agree with ``reference``."""
+    return np.where(np.sum(basis * reference, axis=0) < 0.0, -1.0, 1.0)
+
+
+class TestLsaFoldIsOneFit:
+    """The fold's model at the selected rank equals `train_lsa` at that rank."""
+
+    # selections 10 and 4 of an ARPACK fit at rank 30; for w2v, 8-dim
+    # vectors cap the rank at 8 (the fold refits there) and the SVD is dense
+    @pytest.mark.parametrize("feature,grid,selected", [
+        ("binbow", (1, 2, 4, 10, 20, 30), 10),
+        ("tfidfbow", (1, 2, 4, 10, 20, 30), 4),
+        ("w2v", (1, 2, 3, 5, 36), 3),
+    ])
+    def test_selected_model_equals_train_lsa(self, feature, grid, selected):
+        seed = 1
+        corpus = _topic_corpus(seed)
+        rng = np.random.default_rng(seed)
+        words = sorted({t for doc in corpus for t in doc.tokens})
+        table = EmbeddingTable(words, rng.standard_normal((len(words), 8)))
+        fold = make_folds(corpus, seed=seed).folds[0]
+        model, params, _ = _fit_fold(STRATEGIES["lsa"], corpus, fold, {"rank": grid},
+                                     table=table, feature=feature, normalize=True,
+                                     seed=seed)
+        train_c = corpus.subset(fold.train)
+        ref = train_lsa(train_c, fit_feature_spec(feature, train_c, table), params["rank"],
+                        table)
+        assert model.rank == ref.rank == params["rank"] == selected
+        signs = _sign_aligned(model.basis, ref.basis)
+        np.testing.assert_allclose(model.sigma, ref.sigma, rtol=1e-10)
+        np.testing.assert_allclose(model.basis * signs, ref.basis, atol=1e-9)
+        np.testing.assert_allclose(model.doc_coords * signs, ref.doc_coords, atol=1e-9)
+
+    def test_ties_keep_the_smallest_rank(self):
+        # two orthogonal classes: every rank of the grid classifies the
+        # validation split alike, so the first grid point must win
+        docs = [Document("c0", ("a", "b")), Document("c1", ("x", "y"))] * 10
+        corpus = Corpus(docs)
+        params, _ = select_hyperparams("lsa", corpus, make_folds(corpus, seed=3).folds[0],
+                                       {"rank": (2, 1)})
+        assert params == {"rank": 1}
+
+    def test_svm_ties_keep_the_first_reg_in_grid_order(self):
+        docs = [Document("c0", ("a", "b")), Document("c1", ("x", "y"))] * 10
+        corpus = Corpus(docs)
+        fold = make_folds(corpus, seed=3).folds[0]
+        params, _ = select_hyperparams("svm", corpus, fold, {"reg": (1e-3, 1e-2, 1e-4)})
+        assert params == {"reg": 1e-3}
 
 
 class TestRunExperiment:

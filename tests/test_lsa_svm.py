@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import bow_reference, exact_cosine_1nn_maximizers
+from helpers import bow_reference, exact_cosine_1nn_maximizers, w2v_rows_by_word_loop
 from wordspace.corpus import Corpus, Document
 from wordspace.errors import (
     DegenerateQueryError,
@@ -43,6 +43,21 @@ class TestFeatureMatrix:
                                      Document("c", ("zzz",))], table)
         np.testing.assert_allclose(rows[0], [0.5, 0.5])
         np.testing.assert_array_equal(rows[1], [0.0, 0.0])
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_w2v_rows_equal_word_loop(self, normalize):
+        from wordspace.embeddings import EmbeddingTable
+
+        rng = np.random.default_rng(7)
+        words = [f"w{i}" for i in range(60)]
+        table = EmbeddingTable(words, rng.standard_normal((60, 25)))
+        pool = words + ["oov_a", "oov_b"]
+        docs = [Document("c", tuple(rng.choice(pool, size=rng.integers(0, 30)).tolist()))
+                for _ in range(200)] + [Document("c", ("oov_a",))]
+        spec = fit_feature_spec("w2v", Corpus(docs), table, normalize)
+        got = feature_matrix(spec, docs, table)
+        want = w2v_rows_by_word_loop(table, docs, normalize)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestTruncatedSvd:
