@@ -7,14 +7,8 @@ classified by canonical-angle similarity, alongside classic baselines
 cross-validation evaluation harness.
 """
 
-from .classifiers import (
-    Prediction,
-    predict_subspace,
-    train_msm,
-    train_sa,
-    train_tfmsm,
-)
-from .corpus import Corpus, Document, Vocabulary, parse_corpus
+from .classifiers import Prediction, train_msm, train_sa, train_tfmsm
+from .corpus import Corpus, Document, parse_corpus
 from .embeddings import (
     EmbeddingTable,
     filter_roman,
@@ -44,9 +38,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Corpus", "Document", "EmbeddingTable", "EvalReport", "FoldPlan",
-    "Prediction", "Subspace", "Vocabulary", "canonical_cosines",
-    "filter_roman", "load_binary", "load_text", "lookup_all", "make_folds",
-    "paired_ttest", "parse_corpus", "predict_subspace", "run_experiment",
+    "Prediction", "Subspace", "canonical_cosines", "filter_roman",
+    "load_binary", "load_text", "lookup_all", "make_folds", "paired_ttest",
+    "parse_corpus", "run_experiment",
     "save_text", "select_hyperparams", "similarity", "spectrum_report",
     "train_msm", "train_sa", "train_tfmsm", "weighted_word_subspace",
     "word_subspace",

@@ -56,7 +56,7 @@ class NaiveBayesModel:
     def strategy(self):
         return self.kind
 
-    def predict(self, tokens, table=None, **_ignored) -> Prediction:
+    def predict(self, tokens, table=None) -> Prediction:
         row = feature_matrix(self.spec, [Document("_q", tuple(tokens))])
         return make_prediction(self.classes, self._base + (row @ self._table)[0])
 
@@ -72,12 +72,6 @@ class NaiveBayesModel:
                    container_array(arrays, "log_prior", shape[1]),
                    container_array(arrays, "log_prob", *shape),
                    container_array(arrays, "log_not_prob", *shape))
-
-    def class_posteriors(self, tokens) -> np.ndarray:
-        """Normalized class posteriors for a document (sums to 1)."""
-        scores = self.predict(tokens).scores
-        shifted = np.exp(scores - np.max(scores))
-        return shifted / shifted.sum()
 
 
 def _fit(kind: str, corpus: Corpus) -> NaiveBayesModel:

@@ -98,13 +98,11 @@ def class_vectors(corpus: Corpus, table: EmbeddingTable, label: str):
 class SubspaceModel:
     """Per-class word subspaces plus query-time policies."""
 
-    def __init__(self, strategy, classes, subspaces, word_counts, *,
-                 class_dim, query_dim=None, angle_count=None, normalize=True,
-                 embed_dim=None):
+    def __init__(self, strategy, classes, subspaces, *, class_dim, query_dim=None,
+                 angle_count=None, normalize=True, embed_dim=None):
         self.strategy = strategy
         self.classes = tuple(classes)
         self.subspaces = dict(subspaces)
-        self.word_counts = dict(word_counts)
         self.class_dim = class_dim
         self.query_dim = query_dim
         self.angle_count = angle_count
@@ -157,26 +155,39 @@ class SubspaceModel:
                 subspaces[label] = stored_subspace(basis, spectrum, count)
             except FormatError as err:
                 raise FormatError(f"class {i} subspace: {err}") from None
-        counts = {label: sub.source_word_count for label, sub in subspaces.items()}
         return cls(
-            arrays["strategy"], classes, subspaces, counts,
+            arrays["strategy"], classes, subspaces,
             class_dim=hyper["class_dim"], query_dim=_int_or_none(hyper, "query_dim"),
             angle_count=_int_or_none(hyper, "angle_count"), normalize=hyper["normalize"],
             embed_dim=embed_dim,
         )
 
-    def predict(self, tokens, table: EmbeddingTable, query_dim=None,
-                angle_count=None) -> Prediction:
-        return predict_subspace(
-            self, tokens, table,
-            query_dim=self.query_dim if query_dim is None else query_dim,
-            angle_count=self.angle_count if angle_count is None else angle_count,
-        )
+    def predict(self, tokens, table: EmbeddingTable) -> Prediction:
+        """Classify a token sequence by subspace similarity.
+
+        The model's ``query_dim`` caps the query subspace dimension
+        (rank-capped); its ``angle_count`` caps the number of canonical
+        angles, None meaning every available angle, i.e. min(class dim,
+        query dim).
+        """
+        query = query_subspace(self, tokens, table, self.query_dim)
+        limits = np.minimum(self.class_dims, query.dimension)
+        if self.angle_count is None or self.angle_count >= limits.max():
+            # every angle: the sum of squared cosines is the squared Frobenius
+            # norm of each class's block of the stacked basis product
+            g = self.basis_products(query)
+            sums = np.add.reduceat(np.einsum("ij,ij->j", g, g), self.class_starts)
+            scores = np.minimum(sums / limits, 1.0)
+        else:
+            scores = np.array([
+                similarity(self.subspaces[label], query, min(limit, self.angle_count))
+                for label, limit in zip(self.classes, limits)
+            ])
+        return make_prediction(self.classes, scores)
 
 
 def _train_subspace_model(strategy, corpus, table, class_dim, normalize, weighted):
     subspaces = {}
-    word_counts = {}
     for label in corpus.classes:
         matrix, counts = class_vectors(corpus, table, label)
         if normalize:
@@ -186,10 +197,9 @@ def _train_subspace_model(strategy, corpus, table, class_dim, normalize, weighte
         else:
             sub = full_word_subspace(matrix, class_dim)
         subspaces[label] = sub
-        word_counts[label] = matrix.shape[1]
     return SubspaceModel(
-        strategy, corpus.classes, subspaces, word_counts,
-        class_dim=class_dim, normalize=normalize, embed_dim=table.dimension,
+        strategy, corpus.classes, subspaces, class_dim=class_dim, normalize=normalize,
+        embed_dim=table.dimension,
     )
 
 
@@ -222,30 +232,6 @@ def query_subspace(model: SubspaceModel, tokens, table: EmbeddingTable,
     return full_word_subspace(matrix, query_dim)
 
 
-def predict_subspace(model: SubspaceModel, tokens, table: EmbeddingTable,
-                     query_dim: int = None, angle_count: int = None) -> Prediction:
-    """Classify a token sequence by subspace similarity.
-
-    ``query_dim`` caps the query subspace dimension (rank-capped);
-    ``angle_count`` caps the number of canonical angles, which defaults
-    to every available angle, i.e. min(class dim, query dim).
-    """
-    query = query_subspace(model, tokens, table, query_dim)
-    limits = np.minimum(model.class_dims, query.dimension)
-    if angle_count is None or angle_count >= limits.max():
-        # every angle: the sum of squared cosines is the squared Frobenius
-        # norm of each class's block of the stacked basis product
-        g = model.basis_products(query)
-        sums = np.add.reduceat(np.einsum("ij,ij->j", g, g), model.class_starts)
-        scores = np.minimum(sums / limits, 1.0)
-    else:
-        scores = np.array([
-            similarity(model.subspaces[label], query, min(limit, angle_count))
-            for label, limit in zip(model.classes, limits)
-        ])
-    return make_prediction(model.classes, scores)
-
-
 class SimilarityAverageModel:
     """Mean pairwise inner product between sets of distinct unit vectors.
 
@@ -274,7 +260,7 @@ class SimilarityAverageModel:
                    container_array(arrays, "counts", len(classes)),
                    embed_dim=embed_dim, normalize=hyper["normalize"])
 
-    def predict(self, tokens, table: EmbeddingTable, **_ignored) -> Prediction:
+    def predict(self, tokens, table: EmbeddingTable) -> Prediction:
         matrix, _, _ = lookup_all(table, tokens)
         if matrix.shape[1] == 0:
             raise DegenerateQueryError("query has no in-vocabulary words")

@@ -26,6 +26,7 @@ from .errors import (
 from .evaluation import (
     DEFAULT_SEED,
     STRATEGIES,
+    check_positive,
     make_folds,
     paired_ttest,
     run_experiment,
@@ -81,17 +82,23 @@ def _grid_overrides(args):
     return grids or None
 
 
+# `wordspace train` hyperparameters, each > 0 when set
+_TRAIN_SETTINGS = ("class_dim", "query_dim", "angle_count", "rank", "reg", "epochs")
+
+
 def cmd_train(args) -> int:
     _existing_path(args.corpus)
     if args.out is None:
         raise ConfigError("train requires --out for the model file")
+    hyper = {name: getattr(args, name) for name in _TRAIN_SETTINGS}
+    for name, value in hyper.items():
+        if value is not None:  # angle_count None: every angle
+            check_positive(name, value)
+    hyper["seed"] = args.seed
     corpus = parse_corpus(args.corpus)
     strategy = STRATEGIES[args.strategy]
     feature = strategy.resolve_feature(args.feature)
     table = _load_embeddings(args) if feature == "w2v" else None
-    hyper = {"class_dim": args.class_dim, "query_dim": args.query_dim,
-             "angle_count": args.angle_count, "rank": args.rank, "reg": args.reg,
-             "epochs": args.epochs, "seed": args.seed}
     model = strategy.fit(corpus, table, feature, args.normalize_vectors == "on", hyper)
 
     model_io.save_model(model, args.out)
@@ -151,13 +158,12 @@ def cmd_eval(args) -> int:
     grids = _grid_overrides(args)
     normalize = args.normalize_vectors == "on"
 
-    reports = {}
-    for strategy in strategies:
-        report = run_experiment(
-            corpus, strategy, plan, table=table, feature=features[strategy], grids=grids,
-            normalize=normalize, seed=args.seed, threads=args.threads,
-        )
-        reports[strategy] = report
+    # every strategy runs before any report is written: a failing run writes nothing
+    reports = {strategy: run_experiment(
+        corpus, strategy, plan, table=table, feature=features[strategy], grids=grids,
+        normalize=normalize, seed=args.seed, threads=args.threads,
+    ) for strategy in strategies}
+    for strategy, report in reports.items():
         _write_text(f"{args.out}.{strategy}.kv", report.to_kv_text())
         _write_text(f"{args.out}.{strategy}.txt", report.to_table_text())
         print(f"{strategy}: mean_accuracy={report.mean_accuracy!r} "
@@ -187,8 +193,8 @@ def cmd_spectrum(args) -> int:
     corpus = parse_corpus(args.corpus)
     table = _load_embeddings(args)
     report = spectrum_report(corpus, table, args.normalize_vectors == "on")
-    _write_text(args.out, report.to_csv_text())
     kept = report.cumulative_at(args.at_dim)
+    _write_text(args.out, report.to_csv_text())
     print(f"mean_cumulative_variance@{args.at_dim}={kept!r}")
     return 0
 
@@ -208,25 +214,30 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p, with_strategy=True):
+    # flags several subcommands read; each is declared only where it is read
+    shared = {
+        "strategy": dict(choices=tuple(STRATEGIES)),
+        "feature": dict(choices=FEATURE_NAMES,
+                        help="feature scheme (defaults to the strategy's own)"),
+        "seed": dict(type=int, default=DEFAULT_SEED),
+        "threads": dict(type=int, default=1,
+                        help="worker threads (default: 1, sequential)"),
+        "out": dict(help="output path (eval: path prefix)"),
+        "normalize-vectors": dict(choices=("on", "off"), default="on",
+                                  help="unit-normalize word vectors before modeling"),
+    }
+
+    def add_shared(p, *names):
         p.add_argument("--embeddings", help="embedding file (bin or txt)")
         p.add_argument("--format", choices=("bin", "txt"),
                        help="embedding format override (default: by extension)")
         p.add_argument("--corpus", required=True,
                        help="corpus file: one 'label tokens...' document per line")
-        if with_strategy:
-            p.add_argument("--strategy", choices=tuple(STRATEGIES))
-            p.add_argument("--feature", choices=FEATURE_NAMES,
-                           help="feature scheme (defaults to the strategy's own)")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (default: 1, sequential)")
-        p.add_argument("--out", help="output path (eval: path prefix)")
-        p.add_argument("--normalize-vectors", choices=("on", "off"), default="on",
-                       help="unit-normalize word vectors before modeling")
+        for name in names:
+            p.add_argument(f"--{name}", **shared[name])
 
     p_train = sub.add_parser("train", help="train a model and save it")
-    add_shared(p_train)
+    add_shared(p_train, "strategy", "feature", "seed", "out", "normalize-vectors")
     p_train.add_argument("--class-dim", type=int, default=150,
                          help="class subspace dimension cap (msm/tfmsm)")
     p_train.add_argument("--query-dim", type=int, default=10,
@@ -241,11 +252,12 @@ def build_parser() -> argparse.ArgumentParser:
                          help="training epochs (svm)")
 
     p_classify = sub.add_parser("classify", help="classify documents with a model")
-    add_shared(p_classify, with_strategy=False)
+    add_shared(p_classify, "threads")
     p_classify.add_argument("--model", required=True, help="model container file")
 
     p_eval = sub.add_parser("eval", help="run the cross-validation experiment")
-    add_shared(p_eval)
+    add_shared(p_eval, "strategy", "feature", "seed", "threads", "out",
+               "normalize-vectors")
     p_eval.add_argument("--strategies", type=lambda s: s.split(","),
                         help="comma-separated strategy list")
     p_eval.add_argument("--ttest", action="store_true",
@@ -260,7 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated svm regularization grid")
 
     p_spec = sub.add_parser("spectrum", help="per-class eigenvalue spectra")
-    add_shared(p_spec, with_strategy=False)
+    add_shared(p_spec, "out", "normalize-vectors")
     p_spec.add_argument("--at-dim", type=int, default=150,
                         help="report mean cumulative variance at this dimension")
     return parser

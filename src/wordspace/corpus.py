@@ -47,7 +47,6 @@ class Corpus:
         self.documents = documents
         self.classes = tuple(by_class)
         self._by_class = {c: tuple(ix) for c, ix in by_class.items()}
-        self._df_cache = None
 
     def __len__(self):
         return len(self.documents)
@@ -66,45 +65,6 @@ class Corpus:
     def subset(self, indices) -> "Corpus":
         """New corpus over a selection of document positions."""
         return Corpus(self.documents[i] for i in indices)
-
-    def document_frequencies(self) -> dict:
-        """Map term -> number of documents containing it (cached)."""
-        if self._df_cache is None:
-            df = {}
-            for doc in self.documents:
-                for t in set(doc.tokens):
-                    df[t] = df.get(t, 0) + 1
-            self._df_cache = df
-        return self._df_cache
-
-
-class Vocabulary:
-    """Ordered distinct term list with a term -> index map."""
-
-    def __init__(self, terms):
-        index = {}
-        for t in terms:
-            if t in index:
-                raise DataError(f"duplicate vocabulary term {t!r}")
-            index[t] = len(index)
-        self.terms = tuple(index)
-        self.index = index
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __contains__(self, term):
-        return term in self.index
-
-    @classmethod
-    def from_corpus(cls, corpus: Corpus) -> "Vocabulary":
-        """All corpus terms in first-occurrence order."""
-        seen = {}
-        for doc in corpus:
-            for t in doc.tokens:
-                if t not in seen:
-                    seen[t] = None
-        return cls(seen)
 
 
 def parse_corpus(source) -> Corpus:

@@ -80,12 +80,21 @@ def make_folds(corpus: Corpus, seed: int, fold_count: int = FOLD_COUNT) -> FoldP
 # Per-strategy drivers: hyperparameter selection + final model for one fold.
 # ---------------------------------------------------------------------------
 
+def check_positive(name, value):
+    """``value`` of the setting ``name`` (a dimension, count, rank, epoch
+    count or regularization strength) when it is finite and > 0, so an
+    integer setting is >= 1; `ConfigError` otherwise."""
+    if not (math.isfinite(value) and value > 0):
+        raise ConfigError(f"{name} must be finite and > 0, got {value!r}")
+    return value
+
+
 def _grid_axis(strategy, grids, key):
     default = strategy.grid[key]
     values = tuple(grids.get(key, default) if grids else default)
     if not values:
         raise ConfigError(f"empty hyperparameter grid for {key!r}")
-    return values
+    return tuple(check_positive(key, v) for v in values)
 
 
 def _fixed_fold(strategy, train_c, val_docs, table, grids, feature, normalize, seed):
@@ -126,9 +135,8 @@ def _subspace_fold(strategy, train_c, val_docs, table, grids, feature, normalize
         for label, sub in full.subspaces.items()
     }
     model = classifiers.SubspaceModel(
-        strategy.name, full.classes, subspaces, full.word_counts,
-        class_dim=params["class_dim"], query_dim=params["query_dim"],
-        normalize=normalize, embed_dim=full.embed_dim,
+        strategy.name, full.classes, subspaces, class_dim=params["class_dim"],
+        query_dim=params["query_dim"], normalize=normalize, embed_dim=full.embed_dim,
     )
     return model, params, []
 
@@ -235,7 +243,8 @@ def _document_count(model, corpus, label):
 
 
 def _subspace_size(model, corpus, label):
-    return f"words={model.word_counts[label]} dim={model.subspaces[label].dimension}"
+    sub = model.subspaces[label]
+    return f"words={sub.source_word_count} dim={sub.dimension}"
 
 
 @dataclass(frozen=True)
@@ -447,8 +456,8 @@ class SpectrumReport:
     mean_cumulative: np.ndarray
 
     def cumulative_at(self, dim: int) -> float:
-        """Cross-class mean variance fraction kept by ``dim`` directions."""
-        i = min(dim, len(self.mean_cumulative)) - 1
+        """Cross-class mean variance fraction kept by ``dim`` >= 1 directions."""
+        i = min(check_positive("dim", dim), len(self.mean_cumulative)) - 1
         return float(self.mean_cumulative[i])
 
     def to_csv_text(self) -> str:

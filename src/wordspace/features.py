@@ -14,7 +14,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import Corpus, Vocabulary
+from .corpus import Corpus
 from .embeddings import lookup_all
 from .errors import ConfigError, FormatError
 from .subspace import unit_columns
@@ -71,22 +71,23 @@ class FeatureSpec:
 
 
 def fit_feature_spec(name: str, train: Corpus, table=None, normalize=True) -> FeatureSpec:
-    """Learn the featurization recipe (vocabulary, IDF table) from ``train``."""
+    """Learn the featurization recipe from ``train``: the vocabulary in
+    first-occurrence order and, for tfidfbow, the IDF table."""
     if name not in FEATURE_NAMES:
         raise ConfigError(f"unknown feature scheme {name!r}")
     if name == "w2v":
         if table is None:
             raise ConfigError("w2v features require an embedding table")
         return FeatureSpec(name, embed_dim=table.dimension, normalize=normalize)
-    vocab = Vocabulary.from_corpus(train)
-    idf_log = np.zeros(len(vocab))
+    terms = tuple(dict.fromkeys(t for doc in train for t in doc.tokens))
+    idf_log = np.zeros(len(terms))
     if name == "tfidfbow":
-        df = train.document_frequencies()
+        # document frequencies: the column sums of the presence matrix
+        presence = feature_matrix(FeatureSpec("binbow", terms=terms), train.documents)
         n = len(train)
-        idf_log = np.array(
-            [math.log10(n / df[t]) for t in vocab.terms], dtype=np.float64
-        )
-    return FeatureSpec(name, terms=vocab.terms, idf_log=idf_log, normalize=normalize)
+        idf_log = np.array([math.log10(n / df) for df in presence.sum(axis=0).A1],
+                           dtype=np.float64)
+    return FeatureSpec(name, terms=terms, idf_log=idf_log, normalize=normalize)
 
 
 def _bow_row(spec: FeatureSpec, tokens):

@@ -131,7 +131,7 @@ class LsaModel:
             scores[j] = best if np.isfinite(best) else -1.0
         return scores
 
-    def predict(self, tokens, table=None, **_ignored) -> Prediction:
+    def predict(self, tokens, table=None) -> Prediction:
         from .corpus import Document
 
         row = feature_matrix(self.spec, [Document("_q", tuple(tokens))], table)

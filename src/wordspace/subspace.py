@@ -112,8 +112,13 @@ class Subspace:
 
 
 def orthonormality_defect(basis) -> float:
-    """Largest entry of ``|B^T B - I|``; 0 for exactly orthonormal columns."""
-    return float(np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))))
+    """Largest entry of ``|B^T B - I|``; 0 for exactly orthonormal columns.
+
+    A basis with huge finite entries overflows to inf or NaN, which the
+    callers' ``<=`` tolerance tests refuse, so the overflow warnings are
+    silenced rather than printed ahead of the refusal."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.max(np.abs(basis.T @ basis - np.eye(basis.shape[1]))))
 
 
 def stored_subspace(basis, spectrum, source_word_count) -> Subspace:

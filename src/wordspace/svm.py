@@ -56,7 +56,7 @@ class LinearSvmModel:
         """Scores ``w_c . x - b_c`` for every (row, class) pair."""
         return np.asarray(feats @ self.weights.T) - self.offsets
 
-    def predict(self, tokens, table=None, **_ignored) -> Prediction:
+    def predict(self, tokens, table=None) -> Prediction:
         from .corpus import Document
 
         row = feature_matrix(self.spec, [Document("_q", tuple(tokens))], table)

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from wordspace.corpus import Corpus, Document, Vocabulary
+from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
 from wordspace.subspace import unit_columns
 
@@ -202,18 +202,21 @@ def nb_tables_by_loop(corpus):
     """Naive-Bayes ``(terms, log_prior, log_prob, log_not_prob)`` as the
     former trainer built them: its own vocabulary and a per-document
     loop over the distinct tokens for the class document frequencies."""
-    vocab = Vocabulary.from_corpus(corpus)
+    index = {}
+    for doc in corpus:
+        for t in doc.tokens:
+            index.setdefault(t, len(index))
     denom = len(corpus.classes) + len(corpus)
     class_doc_counts = np.array(
         [len(corpus.indices_of(c)) for c in corpus.classes], dtype=np.float64
     )
-    df = np.zeros((len(vocab), len(corpus.classes)), dtype=np.float64)
+    df = np.zeros((len(index), len(corpus.classes)), dtype=np.float64)
     class_pos = {c: j for j, c in enumerate(corpus.classes)}
     for doc in corpus:
         for t in set(doc.tokens):
-            df[vocab.index[t], class_pos[doc.label]] += 1.0
+            df[index[t], class_pos[doc.label]] += 1.0
     prob = np.minimum((1.0 + df) / denom, 1.0 - 1e-12)
-    return (vocab.terms, np.log((1.0 + class_doc_counts) / denom),
+    return (tuple(index), np.log((1.0 + class_doc_counts) / denom),
             np.log(prob), np.log1p(-prob))
 
 

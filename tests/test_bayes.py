@@ -88,22 +88,6 @@ class TestMnb:
             train_mnb(Corpus([Document("c0", ()), Document("c1", ())]))
 
 
-class TestPosteriorNormalization:
-    def test_posteriors_sum_to_one(self):
-        rng = np.random.default_rng(3)
-        pool = ["a", "b", "c", "d"]
-        docs = [Document(f"c{rng.integers(0, 3)}",
-                         tuple(rng.choice(pool, size=rng.integers(1, 5)).tolist()))
-                for _ in range(20)]
-        for train in (train_mvb, train_mnb):
-            model = train(Corpus(docs))
-            for _ in range(10):
-                query = tuple(rng.choice(pool, size=rng.integers(0, 6)).tolist())
-                assert model.class_posteriors(query).sum() == pytest.approx(
-                    1.0, abs=1e-12
-                )
-
-
 class TestBruteForceOracle:
     """Exact-arithmetic check of both event models on tiny corpora.
 

@@ -5,7 +5,6 @@ from helpers import orthogonal_table
 from wordspace.classifiers import (
     SimilarityAverageModel,
     make_prediction,
-    predict_subspace,
     query_subspace,
     train_msm,
     train_sa,
@@ -130,10 +129,12 @@ class TestPredictSubspace:
     def test_query_dim_and_angle_count_policies(self, ortho_table, ortho_corpus):
         model = train_msm(ortho_corpus, ortho_table)
         query = ("w0_0", "w0_1", "w1_0")
-        full = predict_subspace(model, query, ortho_table)
-        capped = predict_subspace(model, query, ortho_table, query_dim=1)
+        full = model.predict(query, ortho_table)
+        model.query_dim = 1
+        capped = model.predict(query, ortho_table)
         assert full.scores.shape == capped.scores.shape
-        one_angle = predict_subspace(model, query, ortho_table, angle_count=1)
+        model.query_dim, model.angle_count = None, 1
+        one_angle = model.predict(query, ortho_table)
         assert np.all(one_angle.scores >= full.scores - 1e-12)
 
     def test_tfmsm_prediction_uses_document_counts(self, ortho_table):
@@ -141,7 +142,8 @@ class TestPredictSubspace:
                          Document("c1", ("w1_0", "w1_1", "w1_2"))])
         model = train_tfmsm(corpus, ortho_table, class_dim=1)
         # heavy repetition of a c1 word must pull the query toward c1
-        pred = model.predict(("w1_0",) * 50 + ("w0_0",), ortho_table, query_dim=1)
+        model.query_dim = 1
+        pred = model.predict(("w1_0",) * 50 + ("w0_0",), ortho_table)
         assert pred.label == "c1"
 
 
@@ -181,8 +183,8 @@ class TestStackedScorer:
             for _ in range(30):
                 tokens = tuple(rng.choice(words, size=int(rng.integers(1, 15))))
                 for angle_count in (None, 1, 3, 12):
-                    got = predict_subspace(served, tokens, table,
-                                           angle_count=angle_count).scores
+                    served.angle_count = angle_count
+                    got = served.predict(tokens, table).scores
                     want = self.per_class(served, tokens, table, angle_count)
                     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 

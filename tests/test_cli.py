@@ -1,3 +1,4 @@
+import argparse
 import json
 import subprocess
 import sys
@@ -7,6 +8,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from helpers import orthogonal_table, synth_corpus
+from wordspace import cli
 from wordspace.cli import main
 from wordspace.embeddings import EmbeddingTable, load_text, save_text
 from wordspace.evaluation import STRATEGIES
@@ -183,6 +185,42 @@ def test_train_classify_resave_roundtrip(strategy, workspace, tmp_path, capsys):
     assert (tmp_path / "again.npz").read_bytes() == model_path.read_bytes()
 
 
+class RecordingNamespace(argparse.Namespace):
+    """Parsed arguments that note the name of every attribute read."""
+
+    def __getattribute__(self, name):
+        if not name.startswith("_"):
+            super().__getattribute__("_read").add(name)
+        return super().__getattribute__(name)
+
+
+# subcommand -> argv given the workspace and a scratch directory; msm
+# loads the embeddings, so their flags are read too
+READ_RUNS = {
+    "train": lambda ws, d: ["train", "--strategy", "msm", "--out", str(d / "m.npz")],
+    "classify": lambda ws, d: ["classify", "--model", str(d / "m.npz")],
+    "eval": lambda ws, d: ["eval", "--strategy", "msm", "--out", str(d / "r")],
+    "spectrum": lambda ws, d: ["spectrum", "--out", str(d / "s.csv")],
+}
+
+
+def test_every_declared_option_is_read(workspace, tmp_path, capsys):
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    assert set(commands) == set(READ_RUNS)
+    declared_total = 0
+    for command, make_argv in READ_RUNS.items():  # train first: classify reads its model
+        argv = make_argv(workspace, tmp_path) + [
+            "--corpus", workspace["corpus"], "--embeddings", workspace["vecs"]]
+        args = RecordingNamespace(_read=set(), **vars(parser.parse_args(argv)))
+        assert cli._HANDLERS[command](args) == 0
+        declared = {a.dest for a in commands[command]._actions if a.dest != "help"}
+        assert declared <= args._read, (command, declared - args._read)
+        declared_total += len(declared)
+    assert declared_total <= 40  # CLI values may only go down
+
+
 class TestErrorPaths:
     def test_missing_corpus_is_config_error(self, workspace):
         code = main(["train", "--strategy", "msm", "--embeddings",
@@ -291,6 +329,13 @@ def _relabel_first_class(entries):
     entries["labels"] = np.where(labels == classes[0], classes[1], labels)
 
 
+def _refused(command, *flags):
+    """``command`` with an out-of-range setting: exit 2, and no output
+    (``refused`` or, for eval, ``refused.*``) is written."""
+    return (lambda ws, d: [command, "--corpus", ws["corpus"], "--embeddings", ws["vecs"],
+                           "--out", str(d / "refused"), *flags]), 2
+
+
 # input -> (argv given the workspace and a scratch directory, exit code)
 BAD_INPUTS = {
     "corpus-is-directory": (lambda ws, d: [
@@ -354,9 +399,32 @@ BAD_INPUTS = {
     # finite weights whose scores overflow: a numerical error, not a data error
     "svm-score-overflow": _classify_doctored(
         "svm", lambda e: e.update(weights=np.full_like(e["weights"], 1e308)), code=4),
+    # B^T B overflows: refused without a numpy warning ahead of the error line
+    "msm-basis-huge": _classify_doctored(
+        "msm", lambda e: e.update(class_0_basis=1e300 * e["class_0_basis"])),
+    "train-reg-zero": _refused("train", "--strategy", "svm", "--reg", "0"),
+    "train-reg-negative": _refused("train", "--strategy", "svm", "--reg", "-1"),
+    "train-reg-nan": _refused("train", "--strategy", "svm", "--reg", "nan"),
+    "train-reg-inf": _refused("train", "--strategy", "svm", "--reg", "inf"),
+    "train-epochs-zero": _refused("train", "--strategy", "svm", "--epochs", "0"),
+    "train-class-dim-zero": _refused("train", "--strategy", "msm", "--class-dim", "0"),
+    "train-query-dim-negative": _refused("train", "--strategy", "msm", "--query-dim", "-3"),
+    "train-angle-count-zero": _refused("train", "--strategy", "msm", "--angle-count", "0"),
+    "train-rank-zero": _refused("train", "--strategy", "lsa", "--rank", "0"),
+    "eval-grid-reg-zero": _refused("eval", "--strategy", "svm", "--grid-reg", "0"),
+    "eval-grid-class-dim-negative": _refused("eval", "--strategy", "msm",
+                                             "--grid-class-dim", "-1"),
+    "eval-grid-query-dim-zero": _refused("eval", "--strategy", "msm", "--grid-query-dim", "0"),
+    "eval-grid-rank-zero": _refused("eval", "--strategy", "lsa", "--grid-rank", "0"),
+    # the msm report would be complete; the svm grid is refused in the second run
+    "eval-second-strategy-refused": _refused("eval", "--strategies", "msm,svm",
+                                             "--grid-reg", "1e-3,0"),
+    "spectrum-at-dim-zero": _refused("spectrum", "--at-dim", "0"),
+    "spectrum-at-dim-negative": _refused("spectrum", "--at-dim", "-100000"),
 }
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("case", sorted(BAD_INPUTS))
 def test_bad_input_exit_code_without_traceback(case, workspace, tmp_path, capsys):
     # run in-process: an exception escaping main() fails the test here,
@@ -368,6 +436,7 @@ def test_bad_input_exit_code_without_traceback(case, workspace, tmp_path, capsys
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("error: ")
+    assert not list(tmp_path.glob("refused*"))
 
 
 def _lsa_rank_3(ws, d):

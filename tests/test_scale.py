@@ -78,7 +78,8 @@ def test_bases_orthonormal_and_spectra_non_increasing(trainer, r8_short):
         query = query_subspace(model, tokens, table)
         assert query.dimension < table.dimension  # the Gram route's side
         _assert_subspace_invariants(query, ORTHONORMALITY_TOL)
-        scores = model.predict(tokens, table, query_dim=query.dimension).scores
+        model.query_dim = query.dimension
+        scores = model.predict(tokens, table).scores
         assert np.all((scores >= 0.0) & (scores <= 1.0))
 
 
