@@ -23,7 +23,6 @@ from .evaluation import (
     make_folds,
     paired_ttest,
     run_experiment,
-    select_hyperparams,
     spectrum_report,
 )
 from .subspace import (
@@ -41,7 +40,7 @@ __all__ = [
     "Prediction", "Subspace", "canonical_cosines", "filter_roman",
     "load_binary", "load_text", "lookup_all", "make_folds", "paired_ttest",
     "parse_corpus", "run_experiment",
-    "save_text", "select_hyperparams", "similarity", "spectrum_report",
+    "save_text", "similarity", "spectrum_report",
     "train_msm", "train_sa", "train_tfmsm", "weighted_word_subspace",
     "word_subspace",
 ]

@@ -12,19 +12,21 @@ import logging
 import sys
 from pathlib import Path
 
-from . import model_io, svm
+from . import model_io
 from .corpus import parse_corpus
 from .embeddings import load_binary, load_text
 from .errors import (
     ConfigError,
     DataError,
     DegenerateQueryError,
+    DegenerateTestError,
     DimensionMismatchError,
     EmptyCorpusError,
     NumericalError,
 )
 from .evaluation import (
     DEFAULT_SEED,
+    HYPERPARAMETERS,
     STRATEGIES,
     check_positive,
     make_folds,
@@ -69,30 +71,27 @@ def _float_list(text):
     return tuple(float(v) for v in text.split(","))
 
 
+_GRID_AXES = tuple(name for name, hp in HYPERPARAMETERS.items() if hp.grid_help)
+
+
 def _grid_overrides(args):
-    grids = {}
-    if args.grid_class_dim:
-        grids["class_dim"] = args.grid_class_dim
-    if args.grid_query_dim:
-        grids["query_dim"] = args.grid_query_dim
-    if args.grid_rank:
-        grids["rank"] = args.grid_rank
-    if args.grid_reg:
-        grids["reg"] = args.grid_reg
-    return grids or None
+    grids = {name: getattr(args, f"grid_{name}") for name in _GRID_AXES}
+    return {name: grid for name, grid in grids.items() if grid} or None
 
 
-# `wordspace train` hyperparameters, each > 0 when set
-_TRAIN_SETTINGS = ("class_dim", "query_dim", "angle_count", "rank", "reg", "epochs")
+def _check_seed(seed):
+    if seed < 0:  # what np.random.default_rng refuses
+        raise ConfigError(f"seed must be >= 0, got {seed!r}")
 
 
 def cmd_train(args) -> int:
     _existing_path(args.corpus)
     if args.out is None:
         raise ConfigError("train requires --out for the model file")
-    hyper = {name: getattr(args, name) for name in _TRAIN_SETTINGS}
+    _check_seed(args.seed)
+    hyper = {name: getattr(args, name) for name in HYPERPARAMETERS}
     for name, value in hyper.items():
-        if value is not None:  # angle_count None: every angle
+        if value is not None:  # None: unset (every canonical angle)
             check_positive(name, value)
     hyper["seed"] = args.seed
     corpus = parse_corpus(args.corpus)
@@ -110,6 +109,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
+    check_positive("threads", args.threads)
     _existing_path(args.model)
     _existing_path(args.corpus)
     model = model_io.load_model(args.model)
@@ -150,6 +150,8 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"unknown strategy {s!r}")
     if args.ttest and len(strategies) < 2:
         raise ConfigError("--ttest needs at least two strategies")
+    _check_seed(args.seed)
+    check_positive("threads", args.threads)
 
     corpus = parse_corpus(args.corpus)
     plan = make_folds(corpus, args.seed)
@@ -173,14 +175,17 @@ def cmd_eval(args) -> int:
         kv_lines = ["schema=wordspace-ttest/1"]
         txt_lines = []
         for a, b in itertools.combinations(strategies, 2):
-            result = paired_ttest(reports[a].accuracies, reports[b].accuracies)
-            kv_lines.append(f"pair.{a}.{b}.t={result.statistic!r}")
-            kv_lines.append(f"pair.{a}.{b}.p={result.p_value!r}")
-            txt_lines.append(
-                f"paired t-test {a} vs {b}: t={result.statistic:.4f} "
-                f"p={result.p_value:.4f}"
-            )
-            print(f"ttest {a} vs {b}: t={result.statistic!r} p={result.p_value!r}")
+            try:
+                result = paired_ttest(reports[a].accuracies, reports[b].accuracies)
+                t, p = result.statistic, result.p_value
+                shown, exact = f"t={t:.4f} p={p:.4f}", f"t={t!r} p={p!r}"
+            except DegenerateTestError as err:  # the pair tied on every fold
+                t = p = float("nan")
+                shown = exact = f"undefined ({err})"
+            kv_lines.append(f"pair.{a}.{b}.t={t!r}")
+            kv_lines.append(f"pair.{a}.{b}.p={p!r}")
+            txt_lines.append(f"paired t-test {a} vs {b}: {shown}")
+            print(f"ttest {a} vs {b}: {exact}")
         _write_text(f"{args.out}.ttest.kv", "\n".join(kv_lines) + "\n")
         _write_text(f"{args.out}.ttest.txt", "\n".join(txt_lines) + "\n")
     return 0
@@ -238,18 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_train = sub.add_parser("train", help="train a model and save it")
     add_shared(p_train, "strategy", "feature", "seed", "out", "normalize-vectors")
-    p_train.add_argument("--class-dim", type=int, default=150,
-                         help="class subspace dimension cap (msm/tfmsm)")
-    p_train.add_argument("--query-dim", type=int, default=10,
-                         help="query subspace dimension cap (msm/tfmsm)")
-    p_train.add_argument("--angle-count", type=int, default=None,
-                         help="canonical angles used (default: all available)")
-    p_train.add_argument("--rank", type=int, default=130,
-                         help="approximation rank (lsa)")
-    p_train.add_argument("--reg", type=float, default=svm.DEFAULT_REG,
-                         help="regularization strength (svm)")
-    p_train.add_argument("--epochs", type=int, default=svm.DEFAULT_EPOCHS,
-                         help="training epochs (svm)")
+    for name, hp in HYPERPARAMETERS.items():
+        p_train.add_argument("--" + name.replace("_", "-"), type=hp.type,
+                             default=hp.default, help=hp.help)
 
     p_classify = sub.add_parser("classify", help="classify documents with a model")
     add_shared(p_classify, "threads")
@@ -262,14 +258,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="comma-separated strategy list")
     p_eval.add_argument("--ttest", action="store_true",
                         help="paired t-test between the evaluated strategies")
-    p_eval.add_argument("--grid-class-dim", type=_int_list,
-                        help="comma-separated class-dimension grid")
-    p_eval.add_argument("--grid-query-dim", type=_int_list,
-                        help="comma-separated query-dimension grid")
-    p_eval.add_argument("--grid-rank", type=_int_list,
-                        help="comma-separated lsa rank grid")
-    p_eval.add_argument("--grid-reg", type=_float_list,
-                        help="comma-separated svm regularization grid")
+    for name in _GRID_AXES:
+        hp = HYPERPARAMETERS[name]
+        p_eval.add_argument("--grid-" + name.replace("_", "-"), help=hp.grid_help,
+                            type={int: _int_list, float: _float_list}[hp.type])
 
     p_spec = sub.add_parser("spectrum", help="per-class eigenvalue spectra")
     add_shared(p_spec, "out", "normalize-vectors")

@@ -26,7 +26,7 @@ class Document:
             raise DataError("document label must be non-empty")
         object.__setattr__(self, "tokens", tuple(self.tokens))
         for t in self.tokens:
-            if (not t) or any(c.isspace() for c in t):
+            if t.split() != [t]:  # str.split breaks at exactly what isspace() accepts
                 raise DataError(f"token {t!r} is empty or contains whitespace")
 
 

@@ -10,6 +10,8 @@ reported separately.
 `STRATEGIES` is the one table of what each strategy name means: how to
 fit it, how to select its hyperparameters on a fold, its default grid,
 which features it accepts, and which model class reads its container.
+`HYPERPARAMETERS` beside it types the settings those fits and grids
+take; the CLI declares its ``train`` and ``eval --grid-*`` flags from it.
 """
 
 import math
@@ -275,6 +277,32 @@ class Strategy:
         return feature
 
 
+@dataclass(frozen=True)
+class Hyperparameter:
+    """A ``wordspace train`` setting; a grid axis is also ``eval --grid-<name>``."""
+
+    type: type
+    default: object   # ``train`` default
+    help: str         # ``train --<name>`` help
+    grid_help: str | None = None  # ``eval --grid-<name>`` help; None: no grid axis
+
+
+# The settings `fit` reads from ``hyper`` besides the seed, in flag order
+HYPERPARAMETERS = {
+    "class_dim": Hyperparameter(int, 150, "class subspace dimension cap (msm/tfmsm)",
+                                "comma-separated class-dimension grid"),
+    "query_dim": Hyperparameter(int, 10, "query subspace dimension cap (msm/tfmsm)",
+                                "comma-separated query-dimension grid"),
+    "angle_count": Hyperparameter(int, None,
+                                  "canonical angles used (default: all available)"),
+    "rank": Hyperparameter(int, 130, "approximation rank (lsa)",
+                           "comma-separated lsa rank grid"),
+    "reg": Hyperparameter(float, svm.DEFAULT_REG, "regularization strength (svm)",
+                          "comma-separated svm regularization grid"),
+    "epochs": Hyperparameter(int, svm.DEFAULT_EPOCHS, "training epochs (svm)"),
+}
+
+
 # Dimension grids bracket the selections reported for the reference
 # corpus; entries are capped by the available rank per fold.
 _SUBSPACE_GRID = {"class_dim": (50, 100, 150, 175, 200),
@@ -300,31 +328,17 @@ STRATEGIES = {s.name: s for s in (
 )}
 
 
-def _strategy(name):
-    if name not in STRATEGIES:
-        raise ConfigError(f"unknown strategy {name!r}")
-    return STRATEGIES[name]
-
-
-def select_hyperparams(strategy, corpus, fold: Fold, grids=None, *, table=None,
-                       feature=None, normalize=True, seed=DEFAULT_SEED):
-    """Grid point maximizing validation accuracy for one fold.
-
-    Returns ``(params, notes)`` where ``notes`` lists grid points that
-    were skipped as infeasible.  Every selector counts validation hits
-    in grid order and keeps the first best point.  The dimension and
-    rank grids are sorted ascending, so ties go to the smallest class
-    dimension, then the smallest query dimension, and to the smallest
-    rank; the reg grid keeps the order it is given in.
-    """
-    entry = _strategy(strategy)
-    _, params, notes = _fit_fold(entry, corpus, fold, grids, table=table,
-                                 feature=entry.resolve_feature(feature),
-                                 normalize=normalize, seed=seed)
-    return params, notes
-
-
 def _fit_fold(strategy, corpus, fold, grids, *, table, feature, normalize, seed):
+    """``(model, params, notes)`` of the grid point maximizing validation
+    accuracy for one fold.
+
+    ``notes`` lists grid points that were skipped as infeasible.  Every
+    selector counts validation hits in grid order and keeps the first
+    best point.  The dimension and rank grids are sorted ascending, so
+    ties go to the smallest class dimension, then the smallest query
+    dimension, and to the smallest rank; the reg grid keeps the order it
+    is given in.
+    """
     train_c = corpus.subset(fold.train)
     val_docs = [corpus.documents[i] for i in fold.validation]
     return strategy.select(strategy, train_c, val_docs, table, grids, feature,
@@ -399,7 +413,9 @@ def run_experiment(corpus: Corpus, strategy: str, plan: FoldPlan, *, table=None,
                    feature=None, grids=None, normalize=True, seed=DEFAULT_SEED,
                    threads=1) -> EvalReport:
     """Train/select/test on every fold and aggregate accuracies."""
-    entry = _strategy(strategy)
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy {strategy!r}")
+    entry = STRATEGIES[strategy]
     feature = entry.resolve_feature(feature)
     accuracies = []
     params_per_fold = []

@@ -1,14 +1,12 @@
-"""Versioned on-disk container for subspaces and trained models.
+"""Versioned on-disk container for trained models.
 
 The container is an uncompressed NumPy ``.npz`` archive (a zip of
 ``.npy`` members, written without pickled objects).  Every file holds
-``format_version`` and ``kind`` entries; ``kind`` is ``"subspace"`` or
-``"model"``.  A subspace file stores the ambient dimension, the basis
-(row-major float64), the spectrum, and the source word count.  A model
-file stores the strategy tag, the class list, the per-class artifacts
-its model class lists in ``container()``, and its hyperparameters as
-``hyper_json``; the strategy table of `evaluation` names the class that
-reads them back.  See README.md for the full entry list.
+``format_version``, ``kind`` (always ``"model"``), the strategy tag, the
+class list, the per-class artifacts its model class lists in
+``container()``, and its hyperparameters as ``hyper_json``; the strategy
+table of `evaluation` names the class that reads them back.  See
+README.md for the full entry list.
 
 String sequences (tuples or lists of str) are stored as unicode arrays
 and read back as tuples; a scalar string reads back as ``str``.  Float
@@ -22,7 +20,6 @@ import numpy as np
 
 from .errors import FormatError
 from .evaluation import STRATEGIES
-from .subspace import Subspace, stored_subspace
 from .utils import container_array, container_text
 
 FORMAT_VERSION = 1
@@ -53,17 +50,19 @@ def _decoded(arr):
 _DAMAGED = (ValueError, EOFError, RuntimeError, zipfile.BadZipFile)
 
 
-def _read(path, expected_kind):
-    """Every entry of a container of ``expected_kind``, decoded."""
+def _read(path):
+    """Every entry of a model container, decoded."""
     try:
-        data = np.load(path, allow_pickle=False)
-        if not isinstance(data, np.lib.npyio.NpzFile):
-            raise FormatError("not a wordspace container file: a bare array")
-        with data:
-            arrays = {k: _decoded(data[k]) for k in data.files}
+        # our own handle: closed on every path, a refused archive included
+        with open(path, "rb") as fh:
+            data = np.load(fh, allow_pickle=False)
+            if not isinstance(data, np.lib.npyio.NpzFile):
+                raise FormatError("not a wordspace container file: a bare array")
+            with data:
+                arrays = {k: _decoded(data[k]) for k in data.files}
     except _DAMAGED as err:
         raise FormatError(f"not a wordspace container file or a damaged one: {err}") from None
-    _check(arrays, expected_kind)
+    _check(arrays)
     for name, arr in arrays.items():
         if isinstance(arr, np.ndarray) and arr.dtype.kind == "f" \
                 and not np.all(np.isfinite(arr)):
@@ -71,36 +70,15 @@ def _read(path, expected_kind):
     return arrays
 
 
-def save_subspace(sub: Subspace, path):
-    _savez_exact(path, {
-        "format_version": FORMAT_VERSION,
-        "kind": "subspace",
-        "ambient_dim": sub.ambient_dimension,
-        "basis": sub.basis,
-        "spectrum": sub.spectrum,
-        "source_word_count": sub.source_word_count,
-    })
-
-
-def load_subspace(path) -> Subspace:
-    arrays = _read(path, "subspace")
-    try:
-        return stored_subspace(
-            arrays["basis"], arrays["spectrum"], arrays["source_word_count"]
-        )
-    except KeyError as err:
-        raise FormatError(f"subspace container lacks entry {err}") from None
-
-
-def _check(arrays, expected_kind):
+def _check(arrays):
     if "format_version" not in arrays or "kind" not in arrays:
         raise FormatError("not a wordspace container file")
     version = int(container_array(arrays, "format_version"))
     if version != FORMAT_VERSION:
         raise FormatError(f"unsupported container version {version}")
     kind = arrays["kind"]
-    if not isinstance(kind, str) or kind != expected_kind:
-        raise FormatError(f"expected a {expected_kind} container, found {kind!r}")
+    if not isinstance(kind, str) or kind != "model":
+        raise FormatError(f"expected a model container, found {kind!r}")
 
 
 def save_model(model, path):
@@ -118,7 +96,7 @@ def save_model(model, path):
 
 def load_model(path):
     """Reconstruct a trained model from a container file."""
-    arrays = _read(path, "model")
+    arrays = _read(path)
     try:
         strategy = str(arrays["strategy"])
         if strategy not in STRATEGIES:

@@ -11,7 +11,7 @@ from helpers import orthogonal_table, synth_corpus
 from wordspace import cli
 from wordspace.cli import main
 from wordspace.embeddings import EmbeddingTable, load_text, save_text
-from wordspace.evaluation import STRATEGIES
+from wordspace.evaluation import HYPERPARAMETERS, STRATEGIES
 from wordspace.model_io import load_model, save_model
 
 
@@ -421,6 +421,12 @@ BAD_INPUTS = {
                                              "--grid-reg", "1e-3,0"),
     "spectrum-at-dim-zero": _refused("spectrum", "--at-dim", "0"),
     "spectrum-at-dim-negative": _refused("spectrum", "--at-dim", "-100000"),
+    "train-seed-negative": _refused("train", "--strategy", "svm", "--seed", "-1"),
+    "eval-seed-negative": _refused("eval", "--strategy", "mnb", "--seed", "-1"),
+    "eval-threads-negative": _refused("eval", "--strategy", "mnb", "--threads", "-5"),
+    "classify-threads-zero": (lambda ws, d: [
+        "classify", "--model", _doctored(d, ws, "mnb", lambda e: None),
+        "--corpus", ws["corpus"], "--threads", "0"], 2),
 }
 
 
@@ -529,11 +535,50 @@ class TestEval:
         assert (tmp_path / "cmp.mnb.kv").exists()
         assert (tmp_path / "cmp.mvb.kv").exists()
 
+    def test_ttest_pair_tied_on_every_fold_is_undefined(self, workspace, tmp_path, capsys):
+        # msm and sa both classify the orthogonal fixture perfectly on every fold
+        code = main(["eval", "--strategies", "msm,sa", "--ttest",
+                     "--embeddings", workspace["vecs"], "--corpus", workspace["corpus"],
+                     "--out", str(tmp_path / "tie")])
+        assert code == 0
+        undefined = "undefined (zero variance of per-fold differences)"
+        assert (tmp_path / "tie.ttest.kv").read_text() == (
+            "schema=wordspace-ttest/1\npair.msm.sa.t=nan\npair.msm.sa.p=nan\n")
+        assert (tmp_path / "tie.ttest.txt").read_text() == (
+            f"paired t-test msm vs sa: {undefined}\n")
+        assert f"ttest msm vs sa: {undefined}\n" in capsys.readouterr().out
+
     def test_ttest_requires_two_strategies(self, workspace):
         code = main(["eval", "--strategy", "msm", "--ttest",
                      "--embeddings", workspace["vecs"],
                      "--corpus", workspace["corpus"], "--out", "/tmp/r"])
         assert code == 2
+
+
+def test_hyperparameter_flags_come_from_the_table():
+    parser = cli.build_parser()
+    train = parser.parse_args(["train", "--corpus", "c"])
+    assert {name: getattr(train, name) for name in HYPERPARAMETERS} == {
+        name: hp.default for name, hp in HYPERPARAMETERS.items()}
+    grid_axes = {name for name, hp in HYPERPARAMETERS.items() if hp.grid_help}
+    assert grid_axes == {axis for s in STRATEGIES.values() for axis in s.grid}
+    evaluate = vars(parser.parse_args(["eval", "--corpus", "c"]))
+    assert {k[len("grid_"):] for k in evaluate if k.startswith("grid_")} == grid_axes
+
+
+GRID_AXES = [(name, axis) for name, s in STRATEGIES.items() for axis in s.grid]
+
+
+@pytest.mark.parametrize("strategy,axis", GRID_AXES)
+def test_grid_flag_sets_each_fold_selection(strategy, axis, workspace, tmp_path):
+    value = HYPERPARAMETERS[axis].type(3e-3 if axis == "reg" else 3)
+    prefix = tmp_path / "grid"
+    assert main(["eval", "--strategy", strategy, f"--grid-{axis.replace('_', '-')}",
+                 str(value), "--embeddings", workspace["vecs"],
+                 "--corpus", workspace["corpus"], "--out", str(prefix)]) == 0
+    kv = (tmp_path / f"grid.{strategy}.kv").read_text().splitlines()
+    selected = [line for line in kv if f".selected.{axis}=" in line]
+    assert selected == [f"fold.{i}.selected.{axis}={value!r}" for i in range(10)]
 
 
 class TestSpectrum:

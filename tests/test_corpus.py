@@ -1,6 +1,7 @@
 import io
 import logging
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -206,3 +207,15 @@ class TestDocumentValidation:
     def test_rejects_whitespace_token(self):
         with pytest.raises(DataError):
             Document("c", ("a b",))
+
+    def test_rejects_every_whitespace_code_point_and_the_empty_token(self):
+        spaces = [chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()]
+        assert len(spaces) == 29
+        for c in spaces:
+            for token in (c, "a" + c, c + "b", "a" + c + "b"):
+                with pytest.raises(DataError):
+                    Document("c", (token,))
+        with pytest.raises(DataError):
+            Document("c", ("",))
+        # not whitespace to str.isspace(): kept
+        assert Document("c", ("a\u200bb", "\x00")).tokens == ("a\u200bb", "\x00")

@@ -18,7 +18,6 @@ from wordspace.evaluation import (
     make_folds,
     paired_ttest,
     run_experiment,
-    select_hyperparams,
     spectrum_report,
 )
 
@@ -79,11 +78,20 @@ class TestMakeFolds:
             make_folds(corpus, seed=1)
 
 
+def _select(name, corpus, fold, grids, table=None):
+    """``(params, notes)`` of one fold's selection for strategy ``name``."""
+    strategy = STRATEGIES[name]
+    _, params, notes = _fit_fold(strategy, corpus, fold, grids, table=table,
+                                 feature=strategy.feature, normalize=True,
+                                 seed=DEFAULT_SEED)
+    return params, notes
+
+
 class TestSelectHyperparams:
     def test_single_grid_point(self, four_class_setup):
         table, corpus = four_class_setup
         plan = make_folds(corpus, seed=5)
-        params, notes = select_hyperparams(
+        params, notes = _select(
             "msm", corpus, plan.folds[0],
             {"class_dim": (3,), "query_dim": (2,)}, table=table,
         )
@@ -96,7 +104,7 @@ class TestSelectHyperparams:
         # pair must win the tie
         table, corpus = four_class_setup
         plan = make_folds(corpus, seed=5)
-        params, _ = select_hyperparams(
+        params, _ = _select(
             "msm", corpus, plan.folds[0],
             {"class_dim": (100, 50), "query_dim": (200, 25)}, table=table,
         )
@@ -109,7 +117,7 @@ class TestSelectHyperparams:
                          Document("c0", ("a", "b")), Document("c1", ("c",)),
                          Document("c0", ("a",)), Document("c1", ("b",))])
         plan = make_folds(corpus, seed=6)
-        params, notes = select_hyperparams(
+        params, notes = _select(
             "lsa", corpus, plan.folds[0], {"rank": (1, 50)},
         )
         assert params == {"rank": 1}
@@ -119,7 +127,7 @@ class TestSelectHyperparams:
         corpus = Corpus([Document("c0", ("a",)), Document("c1", ("b",))] * 5)
         plan = make_folds(corpus, seed=7)
         with pytest.raises(TrainingDataError):
-            select_hyperparams("lsa", corpus, plan.folds[0], {"rank": (99,)})
+            _select("lsa", corpus, plan.folds[0], {"rank": (99,)})
 
 
 def _topic_corpus(seed, n_docs=60, n_classes=4, words_per_class=12, shared=10):
@@ -173,15 +181,15 @@ class TestLsaFoldIsOneFit:
         # validation split alike, so the first grid point must win
         docs = [Document("c0", ("a", "b")), Document("c1", ("x", "y"))] * 10
         corpus = Corpus(docs)
-        params, _ = select_hyperparams("lsa", corpus, make_folds(corpus, seed=3).folds[0],
-                                       {"rank": (2, 1)})
+        params, _ = _select("lsa", corpus, make_folds(corpus, seed=3).folds[0],
+                            {"rank": (2, 1)})
         assert params == {"rank": 1}
 
     def test_svm_ties_keep_the_first_reg_in_grid_order(self):
         docs = [Document("c0", ("a", "b")), Document("c1", ("x", "y"))] * 10
         corpus = Corpus(docs)
         fold = make_folds(corpus, seed=3).folds[0]
-        params, _ = select_hyperparams("svm", corpus, fold, {"reg": (1e-3, 1e-2, 1e-4)})
+        params, _ = _select("svm", corpus, fold, {"reg": (1e-3, 1e-2, 1e-4)})
         assert params == {"reg": 1e-3}
 
 

@@ -9,7 +9,6 @@ from wordspace.errors import (
     SubspaceRankError,
     WeightError,
 )
-from wordspace.model_io import load_subspace, save_subspace
 from wordspace.subspace import (
     ORTHONORMALITY_TOL as GRAM_ROUTE_TOL,
     RANK_RTOL,
@@ -346,18 +345,6 @@ class TestSubspaceObject:
         assert sub.spectrum[1] == 0.0
         with pytest.raises(NumericalError):
             Subspace(np.eye(2), np.array([1.0, -1e-6]), 2)
-
-    def test_container_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(8)
-        sub = full_weighted_word_subspace(
-            rng.standard_normal((5, 4)), rng.integers(1, 5, size=4).astype(float)
-        )
-        path = tmp_path / "sub.npz"
-        save_subspace(sub, path)
-        again = load_subspace(path)
-        np.testing.assert_array_equal(again.basis, sub.basis)
-        np.testing.assert_array_equal(again.spectrum, sub.spectrum)
-        assert again.source_word_count == sub.source_word_count
 
     def test_unit_columns(self):
         X = np.array([[3.0, 0.0], [4.0, 2.0]])
