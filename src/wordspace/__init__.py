@@ -28,9 +28,9 @@ from .evaluation import (
 from .subspace import (
     Subspace,
     canonical_cosines,
+    full_weighted_word_subspace,
+    full_word_subspace,
     similarity,
-    weighted_word_subspace,
-    word_subspace,
 )
 
 __version__ = "0.1.0"
@@ -38,9 +38,8 @@ __version__ = "0.1.0"
 __all__ = [
     "Corpus", "Document", "EmbeddingTable", "EvalReport", "FoldPlan",
     "Prediction", "Subspace", "canonical_cosines", "filter_roman",
-    "load_binary", "load_text", "lookup_all", "make_folds", "paired_ttest",
-    "parse_corpus", "run_experiment",
-    "save_text", "similarity", "spectrum_report",
-    "train_msm", "train_sa", "train_tfmsm", "weighted_word_subspace",
-    "word_subspace",
+    "full_weighted_word_subspace", "full_word_subspace", "load_binary",
+    "load_text", "lookup_all", "make_folds", "paired_ttest", "parse_corpus",
+    "run_experiment", "save_text", "similarity", "spectrum_report",
+    "train_msm", "train_sa", "train_tfmsm",
 ]

@@ -186,17 +186,22 @@ class SubspaceModel:
         return make_prediction(self.classes, scores)
 
 
+def _word_subspace(matrix, counts, max_dim, normalize, weighted):
+    """The subspace of a word set, class or query alike: its word vectors
+    (unit length with ``normalize``), weighted by their ``counts`` when
+    ``weighted``, capped at ``max_dim`` dimensions."""
+    if normalize:
+        matrix = unit_columns(matrix)
+    if weighted:
+        return full_weighted_word_subspace(matrix, counts, max_dim)
+    return full_word_subspace(matrix, max_dim)
+
+
 def _train_subspace_model(strategy, corpus, table, class_dim, normalize, weighted):
     subspaces = {}
     for label in corpus.classes:
         matrix, counts = class_vectors(corpus, table, label)
-        if normalize:
-            matrix = unit_columns(matrix)
-        if weighted:
-            sub = full_weighted_word_subspace(matrix, counts, class_dim)
-        else:
-            sub = full_word_subspace(matrix, class_dim)
-        subspaces[label] = sub
+        subspaces[label] = _word_subspace(matrix, counts, class_dim, normalize, weighted)
     return SubspaceModel(
         strategy, corpus.classes, subspaces, class_dim=class_dim, normalize=normalize,
         embed_dim=table.dimension,
@@ -225,11 +230,7 @@ def query_subspace(model: SubspaceModel, tokens, table: EmbeddingTable,
     matrix, counts, _ = lookup_all(table, tokens)
     if matrix.shape[1] == 0:
         raise DegenerateQueryError("query has no in-vocabulary words")
-    if model.normalize:
-        matrix = unit_columns(matrix)
-    if model.weighted:
-        return full_weighted_word_subspace(matrix, counts, query_dim)
-    return full_word_subspace(matrix, query_dim)
+    return _word_subspace(matrix, counts, query_dim, model.normalize, model.weighted)
 
 
 class SimilarityAverageModel:

@@ -148,8 +148,15 @@ def cmd_eval(args) -> int:
     for s in strategies:
         if s not in STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}")
+        if strategies.count(s) > 1:
+            raise ConfigError(f"strategy {s!r} is listed more than once")
     if args.ttest and len(strategies) < 2:
         raise ConfigError("--ttest needs at least two strategies")
+    grids = _grid_overrides(args)
+    for axis in grids or ():
+        if not any(axis in STRATEGIES[s].grid for s in strategies):
+            raise ConfigError(f"--grid-{axis.replace('_', '-')} is a grid axis of "
+                              f"no evaluated strategy ({', '.join(strategies)})")
     _check_seed(args.seed)
     check_positive("threads", args.threads)
 
@@ -157,7 +164,6 @@ def cmd_eval(args) -> int:
     plan = make_folds(corpus, args.seed)
     features = {s: STRATEGIES[s].resolve_feature(args.feature) for s in strategies}
     table = _load_embeddings(args) if "w2v" in features.values() else None
-    grids = _grid_overrides(args)
     normalize = args.normalize_vectors == "on"
 
     # every strategy runs before any report is written: a failing run writes nothing

@@ -32,11 +32,9 @@ from .errors import (
     NumericalError,
     SubspaceRankError,
     TrainingDataError,
-    solver_errors,
 )
 from .features import fit_feature_spec, feature_matrix
 from .kernels import grid_mean_sq_cosines
-from .subspace import unit_columns
 from .utils import parallel_map
 
 DEFAULT_SEED = 42
@@ -55,20 +53,20 @@ class FoldPlan:
     folds: tuple
 
 
-def make_folds(corpus: Corpus, seed: int, fold_count: int = FOLD_COUNT) -> FoldPlan:
-    """Independent random 60/20/20 splits, one per fold.
+def make_folds(corpus: Corpus, seed: int) -> FoldPlan:
+    """``FOLD_COUNT`` independent random 60/20/20 splits.
 
     Each fold re-randomizes the whole corpus; the plan is a pure
     function of ``(len(corpus), seed)``.
     """
     n = len(corpus)
     if n < 10:
-        raise DataError(f"corpus too small for {fold_count}-fold evaluation: {n} < 10")
+        raise DataError(f"corpus too small for {FOLD_COUNT}-fold evaluation: {n} < 10")
     n_val = round(0.2 * n)
     n_test = round(0.2 * n)
     rng = np.random.default_rng(seed)
     folds = []
-    for _ in range(fold_count):
+    for _ in range(FOLD_COUNT):
         perm = rng.permutation(n)
         folds.append(Fold(
             train=np.sort(perm[n_val + n_test:]),
@@ -502,30 +500,16 @@ def _pad(arr, length, value):
     return np.concatenate([arr, np.full(length - len(arr), value)])
 
 
-def _full_spectrum(X):
-    """All min(p, N) eigenvalues of the uncentered autocorrelation matrix."""
-    p, n = X.shape
-    with solver_errors("spectrum eigensolver"):
-        if p <= n:
-            vals = np.linalg.eigvalsh(X @ X.T)[::-1] / n
-        else:
-            sing = np.linalg.svd(X, compute_uv=False)
-            vals = (sing * sing) / n
-    return np.maximum(vals, 0.0)
-
-
 def spectrum_report(corpus: Corpus, table, normalize=True) -> SpectrumReport:
-    """Full-rank spectra per class, normalized by the class maximum."""
+    """Spectra of the full-rank msm class subspaces, normalized by the
+    class maximum; each curve ends at its class's numerical rank."""
+    model = classifiers.train_msm(corpus, table, None, normalize)
     curves = []
     cumulative = []
     for label in corpus.classes:
-        matrix, _ = classifiers.class_vectors(corpus, table, label)
-        if normalize:
-            matrix = unit_columns(matrix)
-        spectrum = _full_spectrum(matrix)
-        total = float(np.sum(spectrum))
+        spectrum = model.subspaces[label].spectrum
         curves.append(spectrum / spectrum[0])
-        cumulative.append(np.cumsum(spectrum) / total)
+        cumulative.append(np.cumsum(spectrum) / np.sum(spectrum))
     length = max(len(c) for c in curves)
     padded_c = np.stack([_pad(c, length, 0.0) for c in curves])
     padded_v = np.stack([_pad(v, length, 1.0) for v in cumulative])

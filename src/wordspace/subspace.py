@@ -217,12 +217,9 @@ def _validate_weights(X, weights):
     return w
 
 
-def _fit(X, weights, dim, exact):
-    """Validate, decompose and keep the ``dim`` leading directions.
-
-    With ``exact`` a ``dim`` outside [1, rank] raises `SubspaceRankError`;
-    otherwise ``dim`` is a cap and None keeps the full selectable rank.
-    """
+def _fit(X, weights, max_dim):
+    """Validate, decompose and keep at most ``max_dim`` leading directions
+    (None keeps the full selectable rank)."""
     X = _validate_data_matrix(X)
     if weights is None:
         basis, spectrum = _spectral_basis(X, float(X.shape[1]))
@@ -230,56 +227,47 @@ def _fit(X, weights, dim, exact):
         w = _validate_weights(X, weights)
         basis, spectrum = _spectral_basis(X * np.sqrt(w), float(np.sum(w)))
     cap = basis.shape[1]
-    if exact and not 1 <= dim <= cap:
-        raise SubspaceRankError(dim, cap)
     if cap == 0:
         raise DegenerateInputError("data matrix has numerical rank zero")
-    m = cap if dim is None else max(1, min(dim, cap))
+    m = cap if max_dim is None else max(1, min(max_dim, cap))
     return Subspace(basis[:, :m], spectrum[:m], X.shape[1])
 
 
 def full_word_subspace(X: np.ndarray, max_dim: int = None) -> Subspace:
-    """Subspace at the full selectable rank (optionally capped).
-
-    Callers that sweep dimension grids build this once and slice
-    prefixes with `Subspace.truncated`.
-    """
-    return _fit(X, None, max_dim, exact=False)
-
-
-def full_weighted_word_subspace(X: np.ndarray, weights, max_dim: int = None) -> Subspace:
-    """Weighted variant of `full_word_subspace`."""
-    return _fit(X, weights, max_dim, exact=False)
-
-
-def word_subspace(X: np.ndarray, m: int) -> Subspace:
-    """Model a set of word vectors as an ``m``-dimensional subspace.
+    """Model a set of word vectors as a word subspace.
 
     Parameters
     ----------
     X : (p, N) array
         One word vector per column, all finite, none zero.
-    m : int
-        Target dimension; must not exceed the numerical rank of X.
+    max_dim : int, optional
+        Dimension cap; the subspace keeps ``min(max_dim, rank)``
+        directions, and all of the numerical rank when None.
 
     Returns
     -------
     Subspace
-        Basis of the ``m`` leading eigenvectors of the uncentered
+        Basis of the leading eigenvectors of the uncentered
         autocorrelation matrix, spectrum of matching eigenvalues.
+
+    An exactly ``m``-dimensional subspace is
+    ``full_word_subspace(X).truncated(m)``, which raises
+    `SubspaceRankError` when ``m`` exceeds the numerical rank; callers
+    that sweep dimension grids likewise build this once and slice
+    prefixes.
     """
-    return _fit(X, None, m, exact=True)
+    return _fit(X, None, max_dim)
 
 
-def weighted_word_subspace(X: np.ndarray, weights, m: int) -> Subspace:
-    """Frequency-weighted variant of `word_subspace`.
+def full_weighted_word_subspace(X: np.ndarray, weights, max_dim: int = None) -> Subspace:
+    """Frequency-weighted variant of `full_word_subspace`.
 
-    Column ``i`` is scaled by ``sqrt(weights[i])`` and the basis is
-    taken from the SVD of the scaled matrix; the spectrum is the
-    squared singular values divided by ``sum(weights)``, so integer
-    weights reproduce `word_subspace` on a column-duplicated matrix.
+    Column ``i`` is scaled by ``sqrt(weights[i])`` before the
+    decomposition, and the spectrum is the squared singular values of
+    the scaled matrix divided by ``sum(weights)``, so integer weights
+    reproduce `full_word_subspace` on a column-duplicated matrix.
     """
-    return _fit(X, weights, m, exact=True)
+    return _fit(X, weights, max_dim)
 
 
 def canonical_cosines(a: Subspace, b: Subspace) -> np.ndarray:

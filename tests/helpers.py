@@ -257,3 +257,16 @@ def w2v_rows_by_word_loop(table, docs, normalize):
                 block = unit_columns(block)
             out[i] = block.mean(axis=1)
     return out
+
+
+def spectrum_by_eigvalsh(X):
+    """A class spectrum as the former `spectrum_report` solved it: all
+    min(p, N) eigenvalues of X X^T / N, by ``eigvalsh(X X^T)`` when
+    p <= N and by the singular values of X when N < p, clamped at 0."""
+    p, n = X.shape
+    if p <= n:
+        vals = np.linalg.eigvalsh(X @ X.T)[::-1] / n
+    else:
+        sing = np.linalg.svd(X, compute_uv=False)
+        vals = (sing * sing) / n
+    return np.maximum(vals, 0.0)

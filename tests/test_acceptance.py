@@ -23,10 +23,9 @@ from wordspace.features import feature_matrix, fit_feature_spec
 from wordspace.lsa import train_lsa
 from wordspace.subspace import (
     canonical_cosines,
+    full_weighted_word_subspace,
     full_word_subspace,
     similarity,
-    weighted_word_subspace,
-    word_subspace,
 )
 
 ORTHONORMALITY_TOL = 1e-8
@@ -56,8 +55,8 @@ def test_criterion_1_numerical_properties():
         X = rng.standard_normal((p, n))
         w = rng.integers(1, 6, size=n)
         m = int(rng.integers(1, min(p, n) + 1))
-        weighted = weighted_word_subspace(X, w.astype(float), m)
-        duplicated = word_subspace(np.repeat(X, w, axis=1), m)
+        weighted = full_weighted_word_subspace(X, w.astype(float)).truncated(m)
+        duplicated = full_word_subspace(np.repeat(X, w, axis=1)).truncated(m)
         assert _orthonormality_defect(weighted) <= ORTHONORMALITY_TOL
         assert _orthonormality_defect(duplicated) <= ORTHONORMALITY_TOL
         defect = np.max(np.abs(weighted.projector() - duplicated.projector()))

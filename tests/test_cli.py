@@ -423,6 +423,11 @@ BAD_INPUTS = {
     "spectrum-at-dim-negative": _refused("spectrum", "--at-dim", "-100000"),
     "train-seed-negative": _refused("train", "--strategy", "svm", "--seed", "-1"),
     "eval-seed-negative": _refused("eval", "--strategy", "mnb", "--seed", "-1"),
+    # mnb has no grid: both axes would be ignored
+    "eval-grid-axis-of-no-strategy": _refused("eval", "--strategy", "mnb", "--grid-reg",
+                                              "1e-3", "--grid-rank", "2"),
+    # mnb twice: one report pair and an "mnb vs mnb" t-test
+    "eval-strategy-repeated": _refused("eval", "--strategies", "mnb,mnb", "--ttest"),
     "eval-threads-negative": _refused("eval", "--strategy", "mnb", "--threads", "-5"),
     "classify-threads-zero": (lambda ws, d: [
         "classify", "--model", _doctored(d, ws, "mnb", lambda e: None),
@@ -445,6 +450,36 @@ def test_bad_input_exit_code_without_traceback(case, workspace, tmp_path, capsys
     assert not list(tmp_path.glob("refused*"))
 
 
+# strategies whose models cannot score a document without in-vocabulary
+# words; the others score it as a document with no vocabulary word
+UNCLASSIFIABLE_WITHOUT_WORDS = ("msm", "tfmsm", "sa", "lsa")
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
+def test_document_without_vocabulary_words(strategy, workspace, tmp_path, capsys):
+    model_path = str(tmp_path / "m.npz")
+    rank = ["--rank", "3"] if strategy == "lsa" else []
+    assert main(["train", "--strategy", strategy, "--embeddings", workspace["vecs"],
+                 "--corpus", workspace["corpus"], "--out", model_path, *rank]) == 0
+    queries = tmp_path / "q.txt"
+    queries.write_text("c0\nc0 zzz yyy\n")  # an empty and an all-OOV document
+    capsys.readouterr()
+    assert main(["classify", "--model", model_path, "--embeddings", workspace["vecs"],
+                 "--corpus", str(queries)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    if strategy in UNCLASSIFIABLE_WITHOUT_WORDS:
+        want = f"{cli.UNCLASSIFIABLE}\tnan"
+    else:
+        model = load_model(model_path)
+        scores = {
+            "mnb": lambda: model.log_prior,
+            "mvb": lambda: model.log_prior + model.log_not_prob.sum(axis=0),
+            "svm": lambda: -model.offsets,
+        }[strategy]()
+        want = f"{model.classes[int(np.argmax(scores))]}\t{scores.max():.6f}"
+    assert lines == [f"0\t{want}", f"1\t{want}"]
+
+
 def _lsa_rank_3(ws, d):
     return ["train", "--strategy", "lsa", "--rank", "3", "--corpus", ws["corpus"],
             "--out", str(d / "m.npz")]
@@ -465,7 +500,7 @@ SOLVER_FAILURES = {
     "lsa-dense-svd": ([(np.linalg, "svd")], LAPACK, lambda ws, d: [
         "train", "--strategy", "lsa", "--rank", "15", "--corpus", ws["corpus"],
         "--out", str(d / "m.npz")]),
-    "spectrum": ([(np.linalg, "svd"), (np.linalg, "eigvalsh")], LAPACK, lambda ws, d: [
+    "spectrum": ([(np.linalg, "eigh"), (np.linalg, "svd")], LAPACK, lambda ws, d: [
         "spectrum", "--corpus", ws["corpus"], "--embeddings", ws["vecs"],
         "--out", str(d / "s.csv")]),
 }

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
-from helpers import orthogonal_table, synth_corpus
+from helpers import orthogonal_table, spectrum_by_eigvalsh, synth_corpus
+from wordspace.classifiers import class_vectors
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
 from wordspace.features import fit_feature_spec
 from wordspace.lsa import train_lsa
+from wordspace.subspace import unit_columns
 from wordspace.errors import (
     DataError,
     DegenerateTestError,
@@ -290,6 +292,42 @@ class TestSpectrumReport:
         for curve in report.curves:
             assert curve[0] == pytest.approx(1.0)
             assert np.all(np.diff(curve) <= 1e-12)
+
+    @pytest.mark.parametrize("dim", [5, 40])  # p <= N for every class; N < p
+    def test_matches_the_former_eigensolver(self, dim):
+        rng = np.random.default_rng(dim)
+        words = [f"w{i}" for i in range(30)]
+        table = EmbeddingTable(words, rng.standard_normal((30, dim)))
+        corpus = Corpus([Document(f"c{i % 3}", tuple(rng.choice(words, size=8).tolist()))
+                         for i in range(24)])
+        report = spectrum_report(corpus, table)
+        for label, curve, cumulative in zip(corpus.classes, report.curves,
+                                            report.cumulative):
+            matrix, _ = class_vectors(corpus, table, label)
+            assert (matrix.shape[0] <= matrix.shape[1]) == (dim == 5)
+            ref = spectrum_by_eigvalsh(unit_columns(matrix))
+            assert len(curve) == len(ref) == min(matrix.shape)
+            np.testing.assert_allclose(curve, ref / ref[0], rtol=1e-12)
+            np.testing.assert_allclose(cumulative, np.cumsum(ref) / np.sum(ref),
+                                       rtol=1e-12)
+
+    def test_rank_deficient_class_ends_at_its_rank(self):
+        # "a" and "b" have one vector: class c0 has two words but rank 1
+        table = EmbeddingTable(["a", "b", "x", "y"],
+                               np.array([[1.0, 2.0, 0.0], [1.0, 2.0, 0.0],
+                                         [1.0, 0.0, 0.0], [0.0, 0.0, 3.0]]))
+        corpus = Corpus([Document("c0", ("a", "b")), Document("c1", ("x", "y"))])
+        report = spectrum_report(corpus, table)
+        matrix, _ = class_vectors(corpus, table, "c0")
+        ref = spectrum_by_eigvalsh(unit_columns(matrix))
+        assert len(ref) == 2 and ref[1] <= 1e-15 * ref[0]
+        assert report.curves[0].tolist() == [1.0]
+        assert report.cumulative[0].tolist() == [1.0]
+        np.testing.assert_allclose(report.curves[1], [1.0, 1.0], rtol=1e-12)
+        rows = [row.split(",") for row in report.to_csv_text().splitlines()]
+        eig, cumvar = rows[0].index("eig_c0"), rows[0].index("cumvar_c0")
+        assert [row[eig] for row in rows[1:]] == ["1.0", "0.0"]
+        assert [row[cumvar] for row in rows[1:]] == ["1.0", "1.0"]
 
     def test_csv_layout(self):
         table = EmbeddingTable(["a", "b"], np.eye(2))

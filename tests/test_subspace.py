@@ -18,8 +18,6 @@ from wordspace.subspace import (
     full_word_subspace,
     similarity,
     unit_columns,
-    weighted_word_subspace,
-    word_subspace,
 )
 
 ORTHONORMALITY_TOL = 1e-8
@@ -38,35 +36,36 @@ def basis_subspace(basis):
 class TestWordSubspace:
     def test_rank_one_duplicates(self):
         e1 = np.array([[1.0], [0.0]])
-        sub = word_subspace(np.hstack([e1, e1]), 1)
+        sub = full_word_subspace(np.hstack([e1, e1])).truncated(1)
         assert sub.spectrum.tolist() == [1.0]
         assert abs(sub.basis[:, 0] @ e1[:, 0]) == pytest.approx(1.0)
 
     def test_two_orthogonal_vectors_full_plane(self):
-        sub = word_subspace(np.eye(2), 2)
+        sub = full_word_subspace(np.eye(2)).truncated(2)
         np.testing.assert_allclose(sub.spectrum, [0.5, 0.5], atol=1e-15)
         np.testing.assert_allclose(sub.projector(), np.eye(2), atol=1e-12)
 
     def test_duplicate_column_same_span(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal((4, 1))
-        single = word_subspace(v, 1)
-        doubled = word_subspace(np.hstack([v, v]), 1)
+        single = full_word_subspace(v).truncated(1)
+        doubled = full_word_subspace(np.hstack([v, v])).truncated(1)
         assert max_abs(single.projector() - doubled.projector()) < PROJECTOR_TOL
 
     def test_rank_cap_error(self):
         v = np.array([[1.0, 1.0], [0.0, 0.0]])
         with pytest.raises(SubspaceRankError) as err:
-            word_subspace(v, 2)
-        assert err.value.cap == 1
+            full_word_subspace(v).truncated(2)
+        assert (err.value.requested, err.value.cap) == (2, 1)
 
     def test_zero_column_error(self):
         with pytest.raises(DegenerateInputError):
-            word_subspace(np.array([[1.0, 0.0], [0.0, 0.0]]), 1)
+            full_word_subspace(np.array([[1.0, 0.0], [0.0, 0.0]])).truncated(1)
 
     def test_m_zero_rejected(self):
-        with pytest.raises(SubspaceRankError):
-            word_subspace(np.eye(2), 0)
+        with pytest.raises(SubspaceRankError) as err:
+            full_word_subspace(np.eye(2)).truncated(0)
+        assert (err.value.requested, err.value.cap) == (0, 2)
 
     def test_matches_autocorrelation_eigendecomposition(self):
         # independent route: eigenvectors of R = X X^T / N via eigh
@@ -76,7 +75,7 @@ class TestWordSubspace:
             n = int(rng.integers(1, 10))
             m = int(rng.integers(1, min(p, n) + 1))
             X = rng.standard_normal((p, n))
-            sub = word_subspace(X, m)
+            sub = full_word_subspace(X).truncated(m)
             evals, evecs = np.linalg.eigh(X @ X.T / n)
             order = np.argsort(evals)[::-1]
             oracle = evecs[:, order[:m]]
@@ -96,8 +95,8 @@ class TestWordSubspace:
     def test_projector_reproducible(self):
         rng = np.random.default_rng(2)
         X = rng.standard_normal((6, 9))
-        a = word_subspace(X, 3)
-        b = word_subspace(X.copy(), 3)
+        a = full_word_subspace(X).truncated(3)
+        b = full_word_subspace(X.copy()).truncated(3)
         assert max_abs(a.projector() - b.projector()) < PROJECTOR_TOL
 
 
@@ -205,13 +204,13 @@ class TestGramRoute:
         assert sub.dimension == 3
         assert defect(sub.basis) <= GRAM_ROUTE_TOL
         with pytest.raises(SubspaceRankError) as err:
-            word_subspace(X, 4)
-        assert err.value.cap == 3
+            full_word_subspace(X).truncated(4)
+        assert (err.value.requested, err.value.cap) == (4, 3)
 
 
 class TestWeightedWordSubspace:
     def test_hand_svd_dominant_direction(self):
-        sub = weighted_word_subspace(np.eye(2), [4.0, 1.0], 1)
+        sub = full_weighted_word_subspace(np.eye(2), [4.0, 1.0]).truncated(1)
         assert abs(sub.basis[0, 0]) == pytest.approx(1.0, abs=1e-12)
         # squared singular values (4, 1) over total weight 5
         assert sub.spectrum[0] == pytest.approx(0.8)
@@ -219,24 +218,24 @@ class TestWeightedWordSubspace:
     def test_unit_weights_match_unweighted(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((5, 7))
-        plain = word_subspace(X, 3)
-        weighted = weighted_word_subspace(X, np.ones(7), 3)
+        plain = full_word_subspace(X).truncated(3)
+        weighted = full_weighted_word_subspace(X, np.ones(7)).truncated(3)
         assert max_abs(plain.projector() - weighted.projector()) < PROJECTOR_TOL
         np.testing.assert_allclose(plain.spectrum, weighted.spectrum, rtol=1e-10)
 
     def test_single_vector(self):
         v = np.array([[3.0], [4.0]])
-        sub = weighted_word_subspace(v, [7.0], 1)
+        sub = full_weighted_word_subspace(v, [7.0]).truncated(1)
         np.testing.assert_allclose(np.abs(sub.basis[:, 0]), [0.6, 0.8], atol=1e-12)
 
     def test_weight_validation(self):
         X = np.eye(2)
         with pytest.raises(WeightError):
-            weighted_word_subspace(X, [1.0, 0.0], 1)
+            full_weighted_word_subspace(X, [1.0, 0.0]).truncated(1)
         with pytest.raises(WeightError):
-            weighted_word_subspace(X, [1.0, -2.0], 1)
+            full_weighted_word_subspace(X, [1.0, -2.0]).truncated(1)
         with pytest.raises(WeightError):
-            weighted_word_subspace(X, [1.0], 1)
+            full_weighted_word_subspace(X, [1.0]).truncated(1)
 
     def test_duplication_equivalence(self):
         rng = np.random.default_rng(4)
@@ -247,8 +246,8 @@ class TestWeightedWordSubspace:
             w = rng.integers(1, 6, size=n)
             X_dup = np.repeat(X, w, axis=1)
             m = int(rng.integers(1, min(p, n) + 1))
-            a = weighted_word_subspace(X, w.astype(float), m)
-            b = word_subspace(X_dup, m)
+            a = full_weighted_word_subspace(X, w.astype(float)).truncated(m)
+            b = full_word_subspace(X_dup).truncated(m)
             assert max_abs(a.projector() - b.projector()) < PROJECTOR_TOL
             np.testing.assert_allclose(a.spectrum, b.spectrum, rtol=1e-8)
 
