@@ -166,11 +166,17 @@ class SubspaceModel:
         """Classify a token sequence by subspace similarity.
 
         The model's ``query_dim`` caps the query subspace dimension
-        (rank-capped); its ``angle_count`` caps the number of canonical
-        angles, None meaning every available angle, i.e. min(class dim,
-        query dim).
+        (rank-capped); see `predict_query` for the scoring.
         """
-        query = query_subspace(self, tokens, table, self.query_dim)
+        return self.predict_query(query_subspace(self, tokens, table, self.query_dim))
+
+    def predict_query(self, query: Subspace) -> Prediction:
+        """Classify a query subspace built under the model's policies.
+
+        The model's ``angle_count`` caps the number of canonical angles,
+        None meaning every available angle, i.e. min(class dim, query
+        dim).
+        """
         limits = np.minimum(self.class_dims, query.dimension)
         if self.angle_count is None or self.angle_count >= limits.max():
             # every angle: the sum of squared cosines is the squared Frobenius

@@ -89,13 +89,16 @@ def cmd_train(args) -> int:
     if args.out is None:
         raise ConfigError("train requires --out for the model file")
     _check_seed(args.seed)
+    strategy = STRATEGIES[args.strategy]
     hyper = {name: getattr(args, name) for name in HYPERPARAMETERS}
     for name, value in hyper.items():
+        if name in args.given and name not in strategy.settings:
+            raise ConfigError(f"strategy {strategy.name!r} does not read "
+                              f"--{name.replace('_', '-')}")
         if value is not None:  # None: unset (every canonical angle)
             check_positive(name, value)
     hyper["seed"] = args.seed
     corpus = parse_corpus(args.corpus)
-    strategy = STRATEGIES[args.strategy]
     feature = strategy.resolve_feature(args.feature)
     table = _load_embeddings(args) if feature == "w2v" else None
     model = strategy.fit(corpus, table, feature, args.normalize_vectors == "on", hyper)
@@ -218,6 +221,15 @@ def _write_text(path, text):
         raise ConfigError(f"cannot write {path}: {err}") from None
 
 
+class _StoreGiven(argparse.Action):
+    """Store the flag's value and add its dest to ``given``, which tells a
+    flag given at its default value from one left out."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        setattr(namespace, self.dest, values)
+        namespace.given = namespace.given | {self.dest}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wordspace",
@@ -251,7 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_shared(p_train, "strategy", "feature", "seed", "out", "normalize-vectors")
     for name, hp in HYPERPARAMETERS.items():
         p_train.add_argument("--" + name.replace("_", "-"), type=hp.type,
-                             default=hp.default, help=hp.help)
+                             default=hp.default, help=hp.help, action=_StoreGiven)
+    p_train.set_defaults(given=frozenset())
 
     p_classify = sub.add_parser("classify", help="classify documents with a model")
     add_shared(p_classify, "threads")

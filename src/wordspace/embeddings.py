@@ -19,6 +19,7 @@ case folding happens here.  Tables are immutable after construction
 and safe for concurrent reads.
 """
 
+import array
 import logging
 import re
 
@@ -70,6 +71,11 @@ class EmbeddingTable:
         self._index = index
         self._matrix = matrix
         self._matrix.setflags(write=False)
+        # `lookup_all` treats a word whose vector has zero norm as out of
+        # vocabulary: it has no direction to span or to normalize
+        zero = np.einsum("ij,ij->i", matrix, matrix) == 0.0
+        self._lookup = index if not zero.any() else {
+            word: i for word, i in index.items() if not zero[i]}
 
     @property
     def dimension(self):
@@ -192,15 +198,16 @@ def load_text(source) -> EmbeddingTable:
             data = source.read()
             if isinstance(data, bytes):
                 data = data.decode("utf-8")
-            raw_lines = data.splitlines()
         else:
             with open(source, "r", encoding="utf-8") as fh:
-                raw_lines = fh.read().splitlines()
+                data = fh.read()
     except UnicodeDecodeError as err:
         raise FormatError(f"text embedding stream is not valid UTF-8: {err}") from None
+    raw_lines = data.splitlines()
+    del data
 
     words = []
-    rows = []
+    values = array.array("d")  # every component, row after row, as C doubles
     dim = None
     declared = None
     start_line = 1
@@ -229,12 +236,13 @@ def load_text(source) -> EmbeddingTable:
                 f"got {len(comps)}"
             )
         try:
-            rows.append([float(c) for c in comps])
+            values.extend(map(float, comps))
         except ValueError:
             raise FormatError(
                 f"text embedding line {lineno}: non-numeric component"
             ) from None
         words.append(word)
+    del raw_lines
 
     if declared is not None and len(words) != declared[0]:
         raise FormatError(
@@ -242,7 +250,7 @@ def load_text(source) -> EmbeddingTable:
         )
     if dim is None:
         raise FormatError("text embedding stream is empty and has no header")
-    matrix = np.asarray(rows, dtype=np.float64).reshape(len(words), dim)
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(words), dim)
     return EmbeddingTable(words, matrix)
 
 
@@ -277,6 +285,8 @@ def filter_roman(table: EmbeddingTable) -> EmbeddingTable:
 def lookup_all(table: EmbeddingTable, words):
     """Map a word multiset to a matrix of distinct in-vocabulary vectors.
 
+    A word whose vector has zero norm counts as out of vocabulary.
+
     Parameters
     ----------
     table : EmbeddingTable
@@ -295,7 +305,7 @@ def lookup_all(table: EmbeddingTable, words):
     """
     kept = {}  # table row -> occurrence count, in first-occurrence order
     oov_seen = {}
-    row_of = table._index.get
+    row_of = table._lookup.get
     for w in words:
         row = row_of(w)
         if row is None:

@@ -89,22 +89,58 @@ def check_positive(name, value):
     return value
 
 
-def _grid_axis(strategy, grids, key):
-    default = strategy.grid[key]
-    values = tuple(grids.get(key, default) if grids else default)
-    if not values:
-        raise ConfigError(f"empty hyperparameter grid for {key!r}")
-    return tuple(check_positive(key, v) for v in values)
+def _grid(strategy, grids):
+    """The strategy's validation grid: each axis from ``grids`` or the default."""
+    grid = {}
+    for key, default in strategy.grid.items():
+        values = tuple(grids.get(key, default) if grids else default)
+        if not values:
+            raise ConfigError(f"empty hyperparameter grid for {key!r}")
+        grid[key] = tuple(check_positive(key, v) for v in values)
+    return grid
 
 
-def _fixed_fold(strategy, train_c, val_docs, table, grids, feature, normalize, seed):
+class QueryCache:
+    """The query subspace of each corpus document, fitted at most once per
+    `run_experiment` call at ``max_dim``, the grid's largest query dim;
+    None for a document without in-vocabulary words.
+
+    A query subspace depends only on the document, the table and the
+    model's normalize and weighted policies, which every fold of a run
+    shares.  `_fit` slices one decomposition whatever its cap, so a
+    prefix of the cached basis is bitwise the basis a fit at that
+    smaller dim gives.  The cache holds p x min(max_dim, rank) float64
+    values per document it has seen.
+    """
+
+    def __init__(self, corpus, table, max_dim):
+        self._documents = corpus.documents
+        self._table = table
+        self._max_dim = max_dim
+        self._subspaces = {}  # corpus document index -> Subspace or None
+
+    def get(self, model, index):
+        index = int(index)
+        if index not in self._subspaces:
+            try:
+                query = classifiers.query_subspace(
+                    model, self._documents[index].tokens, self._table, self._max_dim)
+            except DegenerateQueryError:
+                query = None
+            self._subspaces[index] = query
+        return self._subspaces[index]
+
+
+def _fixed_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
+                normalize, seed):
     """A strategy without a grid: the fold's model is its plain fit."""
     return strategy.fit(train_c, table, feature, normalize, {}), {}, []
 
 
-def _subspace_fold(strategy, train_c, val_docs, table, grids, feature, normalize, seed):
-    class_dims = tuple(sorted(set(_grid_axis(strategy, grids, "class_dim"))))
-    query_dims = tuple(sorted(set(_grid_axis(strategy, grids, "query_dim"))))
+def _subspace_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
+                   normalize, seed):
+    class_dims = tuple(sorted(set(grid["class_dim"])))
+    query_dims = tuple(sorted(set(grid["query_dim"])))
     full = strategy.fit(train_c, table, feature, normalize,
                         {"class_dim": max(class_dims)})
 
@@ -114,11 +150,8 @@ def _subspace_fold(strategy, train_c, val_docs, table, grids, feature, normalize
     blocks = [(slice(start, start + dim), np.minimum(mc_arr, dim))
               for start, dim in zip(full.class_starts, full.class_dims)]
     correct = np.zeros((len(class_dims), len(query_dims)), dtype=np.int64)
-    for doc in val_docs:
-        try:
-            query = classifiers.query_subspace(full, doc.tokens, table,
-                                               max(query_dims))
-        except DegenerateQueryError:
+    for doc, query in zip(val_docs, val_queries(full)):
+        if query is None:
             continue  # counts as wrong at every grid point
         mq_caps = np.minimum(mq_arr, query.dimension)
         g = full.basis_products(query)
@@ -141,9 +174,10 @@ def _subspace_fold(strategy, train_c, val_docs, table, grids, feature, normalize
     return model, params, []
 
 
-def _lsa_fold(strategy, train_c, val_docs, table, grids, feature, normalize, seed):
+def _lsa_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
+              normalize, seed):
     spec = fit_feature_spec(feature, train_c, table, normalize)
-    ranks = tuple(sorted(set(_grid_axis(strategy, grids, "rank"))))
+    ranks = tuple(sorted(set(grid["rank"])))
     # one factorization at the largest feasible rank; lower ranks are its prefixes
     try:
         full = lsa.train_lsa(train_c, spec, min(max(ranks), len(train_c)), table)
@@ -175,9 +209,10 @@ def _lsa_fold(strategy, train_c, val_docs, table, grids, feature, normalize, see
     return models[best], {"rank": feasible[best]}, notes
 
 
-def _svm_fold(strategy, train_c, val_docs, table, grids, feature, normalize, seed):
+def _svm_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
+              normalize, seed):
     spec = fit_feature_spec(feature, train_c, table, normalize)
-    regs = _grid_axis(strategy, grids, "reg")
+    regs = grid["reg"]
     docs = list(train_c)
     feats = feature_matrix(spec, docs, table)
     labels = [d.label for d in docs]
@@ -257,6 +292,7 @@ class Strategy:
     fit: Callable       # fit at given hyperparameters (see above)
     select: Callable    # one fold: (model, selected params, notes)
     model: type         # class that reads the strategy's model container
+    settings: tuple = ()  # the `HYPERPARAMETERS` its ``fit`` reads
     summary: Callable = _document_count  # per-class line of ``wordspace train``
 
     @property
@@ -306,13 +342,15 @@ HYPERPARAMETERS = {
 _SUBSPACE_GRID = {"class_dim": (50, 100, 150, 175, 200),
                   "query_dim": (1, 5, 10, 25, 50, 100, 200)}
 
+_SUBSPACE_SETTINGS = ("class_dim", "query_dim", "angle_count")
+
 STRATEGIES = {s.name: s for s in (
     Strategy("msm", any_feature=False, grid=_SUBSPACE_GRID, fit=_fit_msm,
              select=_subspace_fold, model=classifiers.SubspaceModel,
-             summary=_subspace_size),
+             settings=_SUBSPACE_SETTINGS, summary=_subspace_size),
     Strategy("tfmsm", any_feature=False, grid=_SUBSPACE_GRID, fit=_fit_tfmsm,
              select=_subspace_fold, model=classifiers.SubspaceModel,
-             summary=_subspace_size),
+             settings=_SUBSPACE_SETTINGS, summary=_subspace_size),
     Strategy("sa", any_feature=False, grid={}, fit=_fit_sa, select=_fixed_fold,
              model=classifiers.SimilarityAverageModel),
     Strategy("mvb", any_feature=False, grid={}, fit=_fit_mvb, select=_fixed_fold,
@@ -320,27 +358,31 @@ STRATEGIES = {s.name: s for s in (
     Strategy("mnb", any_feature=False, grid={}, fit=_fit_mnb, select=_fixed_fold,
              model=bayes.NaiveBayesModel),
     Strategy("lsa", any_feature=True, grid={"rank": (10, 30, 50, 90, 130, 200)},
-             fit=_fit_lsa, select=_lsa_fold, model=lsa.LsaModel),
+             fit=_fit_lsa, select=_lsa_fold, model=lsa.LsaModel, settings=("rank",)),
     Strategy("svm", any_feature=True, grid={"reg": (1e-2, 1e-3, 1e-4, 1e-5)},
-             fit=_fit_svm, select=_svm_fold, model=svm.LinearSvmModel),
+             fit=_fit_svm, select=_svm_fold, model=svm.LinearSvmModel,
+             settings=("reg", "epochs")),
 )}
 
 
-def _fit_fold(strategy, corpus, fold, grids, *, table, feature, normalize, seed):
-    """``(model, params, notes)`` of the grid point maximizing validation
-    accuracy for one fold.
+def _fit_fold(strategy, corpus, fold, grid, queries, *, table, feature, normalize, seed):
+    """``(model, params, notes)`` of the point of ``grid`` (see `_grid`)
+    maximizing validation accuracy for one fold.
 
-    ``notes`` lists grid points that were skipped as infeasible.  Every
-    selector counts validation hits in grid order and keeps the first
-    best point.  The dimension and rank grids are sorted ascending, so
-    ties go to the smallest class dimension, then the smallest query
-    dimension, and to the smallest rank; the reg grid keeps the order it
-    is given in.
+    ``queries`` is the run's `QueryCache` for a strategy with a
+    ``query_dim`` axis, None otherwise.  ``notes`` lists grid points
+    that were skipped as infeasible.  Every selector counts validation
+    hits in grid order and keeps the first best point.  The dimension
+    and rank grids are sorted ascending, so ties go to the smallest
+    class dimension, then the smallest query dimension, and to the
+    smallest rank; the reg grid keeps the order it is given in.
     """
     train_c = corpus.subset(fold.train)
     val_docs = [corpus.documents[i] for i in fold.validation]
-    return strategy.select(strategy, train_c, val_docs, table, grids, feature,
-                           normalize, seed)
+    val_queries = None if queries is None else (
+        lambda model: [queries.get(model, i) for i in fold.validation])
+    return strategy.select(strategy, train_c, val_docs, val_queries, table, grid,
+                           feature, normalize, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -415,6 +457,9 @@ def run_experiment(corpus: Corpus, strategy: str, plan: FoldPlan, *, table=None,
         raise ConfigError(f"unknown strategy {strategy!r}")
     entry = STRATEGIES[strategy]
     feature = entry.resolve_feature(feature)
+    grid = _grid(entry, grids)
+    queries = (QueryCache(corpus, table, max(grid["query_dim"]))
+               if "query_dim" in grid else None)
     accuracies = []
     params_per_fold = []
     unclassifiable = []
@@ -425,7 +470,7 @@ def run_experiment(corpus: Corpus, strategy: str, plan: FoldPlan, *, table=None,
     for fold_idx, fold in enumerate(plan.folds):
         try:
             model, params, fold_notes = _fit_fold(
-                entry, corpus, fold, grids,
+                entry, corpus, fold, grid, queries,
                 table=table, feature=feature, normalize=normalize, seed=seed,
             )
         except ConfigError as err:
@@ -437,13 +482,20 @@ def run_experiment(corpus: Corpus, strategy: str, plan: FoldPlan, *, table=None,
         notes.extend(f"fold {fold_idx}: {n}" for n in fold_notes)
         test_docs = [corpus.documents[i] for i in fold.test]
 
-        def _classify(doc):
+        def _classify(index):
+            if queries is not None:
+                # the selected query dim is a prefix of the cached basis
+                query = queries.get(model, index)
+                if query is None:
+                    return None
+                query = query.truncated(min(model.query_dim, query.dimension))
+                return model.predict_query(query).label
             try:
-                return model.predict(doc.tokens, table).label
+                return model.predict(corpus.documents[index].tokens, table).label
             except DegenerateQueryError:
                 return None
 
-        predicted = parallel_map(_classify, test_docs, threads)
+        predicted = parallel_map(_classify, fold.test, threads)
         n_correct = sum(p == d.label for p, d in zip(predicted, test_docs))
         n_degenerate = sum(p is None for p in predicted)
         accuracies.append(n_correct / len(test_docs))

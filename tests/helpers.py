@@ -12,9 +12,12 @@ from fractions import Fraction
 
 import numpy as np
 
+from wordspace import classifiers, evaluation
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
+from wordspace.errors import DegenerateQueryError
 from wordspace.subspace import unit_columns
+from wordspace.utils import parallel_map
 
 
 def orthogonal_table(n_classes, words_per_class, extra_dims=0):
@@ -270,3 +273,44 @@ def spectrum_by_eigvalsh(X):
         sing = np.linalg.svd(X, compute_uv=False)
         vals = (sing * sing) / n
     return np.maximum(vals, 0.0)
+
+
+def report_fitting_queries_per_fold(corpus, strategy, plan, *, table, grids=None,
+                                    normalize=True, seed=evaluation.DEFAULT_SEED,
+                                    threads=1):
+    """The msm/tfmsm `run_experiment` report as it was built before the
+    run-wide query cache: each fold fits every validation query afresh at
+    the grid's largest query dim, and every test query at the selected
+    one through `SubspaceModel.predict`."""
+    entry = evaluation.STRATEGIES[strategy]
+    grid = evaluation._grid(entry, grids)
+
+    def fit_or_none(model, doc):
+        try:
+            return classifiers.query_subspace(model, doc.tokens, table,
+                                              max(grid["query_dim"]))
+        except DegenerateQueryError:
+            return None
+
+    def classify(model, doc):
+        try:
+            return model.predict(doc.tokens, table).label
+        except DegenerateQueryError:
+            return None
+
+    accuracies, params_per_fold, unclassifiable, test_sizes = [], [], [], []
+    for fold in plan.folds:
+        val_docs = [corpus.documents[i] for i in fold.validation]
+        model, params, _ = entry.select(
+            entry, corpus.subset(fold.train), val_docs,
+            lambda model: [fit_or_none(model, doc) for doc in val_docs],
+            table, grid, entry.feature, normalize, seed)
+        test_docs = [corpus.documents[i] for i in fold.test]
+        predicted = parallel_map(lambda doc: classify(model, doc), test_docs, threads)
+        accuracies.append(sum(p == d.label for p, d in zip(predicted, test_docs))
+                          / len(test_docs))
+        unclassifiable.append(sum(p is None for p in predicted))
+        params_per_fold.append(params)
+        test_sizes.append(len(test_docs))
+    return evaluation.EvalReport(strategy, entry.feature, plan.seed, np.asarray(accuracies),
+                                 params_per_fold, unclassifiable, test_sizes)

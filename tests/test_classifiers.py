@@ -198,6 +198,50 @@ class TestStackedScorer:
         assert model.stacked_basis.shape == (12, int(model.class_dims.sum()))
 
 
+def _random_setup(seed=11, dim=8, n_words=30):
+    """Random ``dim``-dim table over ``n_words`` words and a 3-class corpus."""
+    rng = np.random.default_rng(seed)
+    words = [f"v{i}" for i in range(n_words)]
+    table = EmbeddingTable(words, rng.standard_normal((n_words, dim)))
+    corpus = Corpus([Document(f"c{i % 3}", tuple(rng.choice(words, size=9).tolist()))
+                     for i in range(12)])
+    return rng, words, table, corpus
+
+
+class TestQueryPrefix:
+    """The query served at a dim is the prefix of the query fitted at a larger cap."""
+
+    # 3 and 6 distinct words: the Gram route below the 8-dim ambient space;
+    # 20: the p <= N route at ambient rank
+    @pytest.mark.parametrize("trainer", [train_msm, train_tfmsm])
+    @pytest.mark.parametrize("distinct", [3, 6, 20])
+    def test_prefix_is_bitwise_the_smaller_fit(self, trainer, distinct):
+        rng, words, table, corpus = _random_setup()
+        model = trainer(corpus, table)
+        tokens = rng.choice(words[:distinct], size=3 * distinct).tolist() + words[:distinct]
+        capped = query_subspace(model, tokens, table, 200)
+        for q in range(1, capped.dimension + 2):
+            fitted = query_subspace(model, tokens, table, q)
+            prefix = capped.truncated(min(q, capped.dimension))
+            assert prefix.basis.tobytes() == fitted.basis.tobytes()
+            assert prefix.spectrum.tobytes() == fitted.spectrum.tobytes()
+
+    @pytest.mark.parametrize("trainer", [train_msm, train_tfmsm])
+    @pytest.mark.parametrize("query_dim,angle_count", [
+        (None, None), (1, None), (3, None), (3, 2), (None, 1)])
+    def test_predict_is_predict_query_of_query_subspace(self, trainer, query_dim,
+                                                        angle_count):
+        rng, words, table, corpus = _random_setup()
+        model = trainer(corpus, table, 4)
+        model.query_dim, model.angle_count = query_dim, angle_count
+        for _ in range(5):
+            tokens = rng.choice(words + ["oov"], size=7).tolist()
+            got = model.predict(tokens, table)
+            want = model.predict_query(query_subspace(model, tokens, table, query_dim))
+            assert (got.label, got.tie) == (want.label, want.tie)
+            assert got.scores.tobytes() == want.scores.tobytes()
+
+
 class TestSimilarityAverage:
     def make_table(self):
         return EmbeddingTable(["a", "b", "c"], np.eye(3))

@@ -432,6 +432,14 @@ BAD_INPUTS = {
     "classify-threads-zero": (lambda ws, d: [
         "classify", "--model", _doctored(d, ws, "mnb", lambda e: None),
         "--corpus", ws["corpus"], "--threads", "0"], 2),
+    # a setting the strategy's fit does not read would be ignored
+    "train-mnb-rank-and-reg": _refused("train", "--strategy", "mnb", "--rank", "3",
+                                       "--reg", "5"),
+    "train-sa-query-dim": _refused("train", "--strategy", "sa", "--query-dim", "10"),
+    "train-msm-epochs": _refused("train", "--strategy", "msm", "--epochs", "3"),
+    "train-lsa-class-dim": _refused("train", "--strategy", "lsa", "--class-dim", "5"),
+    "train-svm-angle-count": _refused("train", "--strategy", "svm", "--angle-count", "1"),
+    "train-svm-rank-at-its-default": _refused("train", "--strategy", "svm", "--rank", "130"),
 }
 
 
@@ -478,6 +486,27 @@ def test_document_without_vocabulary_words(strategy, workspace, tmp_path, capsys
         }[strategy]()
         want = f"{model.classes[int(np.argmax(scores))]}\t{scores.max():.6f}"
     assert lines == [f"0\t{want}", f"1\t{want}"]
+
+
+@pytest.mark.parametrize("strategy", ["msm", "tfmsm", "sa"])
+def test_zero_vector_word_counts_as_oov(strategy, tmp_path, capsys):
+    vecs = tmp_path / "vecs.txt"
+    vecs.write_text("a 1 0\nb 0 0\nc 0 1\n")
+    corpus = tmp_path / "train.txt"
+    corpus.write_text("c0 a\nc0 a b\nc1 c\nc1 c b\n" * 3)
+    queries = tmp_path / "q.txt"
+    queries.write_text("c0 a\nc0 a b\nc1 c\nc0 b\n")
+    common = ["--embeddings", str(vecs)]
+    model_path = str(tmp_path / "m.npz")
+    assert main(["train", "--strategy", strategy, "--corpus", str(corpus),
+                 "--out", model_path, *common]) == 0
+    capsys.readouterr()
+    assert main(["classify", "--model", model_path, "--corpus", str(queries), *common]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split("\t")[1] for line in lines] == ["c0", "c0", "c1", cli.UNCLASSIFIABLE]
+    assert main(["eval", "--strategy", strategy, "--corpus", str(corpus),
+                 "--out", str(tmp_path / "r"), *common]) == 0
+    assert "mean_accuracy=1.0 " in capsys.readouterr().out
 
 
 def _lsa_rank_3(ws, d):

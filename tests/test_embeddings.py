@@ -140,6 +140,22 @@ class TestLoadText:
         table = load_text(io.StringIO("a 1.0\nb 2.0\n"))
         assert table.dimension == 1 and len(table) == 2
 
+    def test_values_are_pythons_float_of_each_component(self, tmp_path):
+        rng = np.random.default_rng(5)
+        lines = [" ".join([f"w{i}"] + [f"{v:.{rng.integers(1, 18)}g}"
+                                       for v in rng.standard_normal(7)])
+                 for i in range(50)]
+        text = "50 7\n" + "\n".join(lines) + "\n"
+        want = np.array([[float(c) for c in line.split()[1:]] for line in lines])
+        for source in (io.StringIO(text), io.BytesIO(text.encode())):
+            table = load_text(source)
+            assert table.words == tuple(line.split()[0] for line in lines)
+            assert table._matrix.tobytes() == want.tobytes()
+
+    def test_header_only_is_an_empty_table(self):
+        table = load_text(io.StringIO("0 3\n"))
+        assert len(table) == 0 and table.dimension == 3
+
     def test_roundtrip_exact(self, tmp_path):
         rng = np.random.default_rng(7)
         table = EmbeddingTable(["alpha", "beta", "x_1"], rng.standard_normal((3, 4)))
@@ -191,6 +207,22 @@ class TestLookupAll:
         assert matrix.shape == (1, 0)
         assert counts.size == 0
         assert oov == ["z"]
+
+    def test_zero_vector_word_counts_as_oov(self):
+        table = EmbeddingTable(["a", "b", "c"],
+                               np.array([[1.0, 0.0], [0.0, -0.0], [0.0, 1.0]]))
+        matrix, counts, oov = lookup_all(table, ["c", "a", "b", "a", "z"])
+        np.testing.assert_array_equal(matrix, [[0.0, 1.0], [1.0, 0.0]])
+        assert counts.tolist() == [1, 2]
+        assert oov == ["b", "z"]
+        assert "b" in table  # the table still holds the word and its vector
+        np.testing.assert_array_equal(table.vector("b"), [0.0, 0.0])
+
+    def test_vector_whose_norm_underflows_counts_as_oov(self):
+        # nonzero entries whose squares underflow: unit_columns could not scale it
+        table = EmbeddingTable(["a", "tiny"], np.array([[1.0, 0.0], [1e-200, 1e-200]]))
+        _, _, oov = lookup_all(table, ["tiny", "a"])
+        assert oov == ["tiny"]
 
     def test_empty_input(self):
         table = EmbeddingTable(["a"], np.array([[1.0]]))

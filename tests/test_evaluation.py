@@ -1,7 +1,15 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from helpers import orthogonal_table, spectrum_by_eigvalsh, synth_corpus
+from helpers import (
+    orthogonal_table,
+    report_fitting_queries_per_fold,
+    spectrum_by_eigvalsh,
+    synth_corpus,
+)
+from wordspace import classifiers
 from wordspace.classifiers import class_vectors
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
@@ -16,7 +24,10 @@ from wordspace.errors import (
 from wordspace.evaluation import (
     DEFAULT_SEED,
     STRATEGIES,
+    Fold,
+    QueryCache,
     _fit_fold,
+    _grid,
     make_folds,
     paired_ttest,
     run_experiment,
@@ -83,7 +94,10 @@ class TestMakeFolds:
 def _select(name, corpus, fold, grids, table=None):
     """``(params, notes)`` of one fold's selection for strategy ``name``."""
     strategy = STRATEGIES[name]
-    _, params, notes = _fit_fold(strategy, corpus, fold, grids, table=table,
+    grid = _grid(strategy, grids)
+    queries = (QueryCache(corpus, table, max(grid["query_dim"]))
+               if "query_dim" in grid else None)
+    _, params, notes = _fit_fold(strategy, corpus, fold, grid, queries, table=table,
                                  feature=strategy.feature, normalize=True,
                                  seed=DEFAULT_SEED)
     return params, notes
@@ -167,8 +181,8 @@ class TestLsaFoldIsOneFit:
         table = EmbeddingTable(words, rng.standard_normal((len(words), 8)))
         fold = make_folds(corpus, seed=seed).folds[0]
         model, params, _ = _fit_fold(STRATEGIES["lsa"], corpus, fold, {"rank": grid},
-                                     table=table, feature=feature, normalize=True,
-                                     seed=seed)
+                                     None, table=table, feature=feature,
+                                     normalize=True, seed=seed)
         train_c = corpus.subset(fold.train)
         ref = train_lsa(train_c, fit_feature_spec(feature, train_c, table), params["rank"],
                         table)
@@ -193,6 +207,106 @@ class TestLsaFoldIsOneFit:
         fold = make_folds(corpus, seed=3).folds[0]
         params, _ = _select("svm", corpus, fold, {"reg": (1e-3, 1e-2, 1e-4)})
         assert params == {"reg": 1e-3}
+
+
+def _cache_setup(seed=4, dim=8):
+    """A topic corpus plus two documents without a table word, and a
+    random ``dim``-dimensional table: queries below and at ambient rank."""
+    topics = _topic_corpus(seed)
+    corpus = Corpus(list(topics) + [Document("c1", ("ghost",)),
+                                    Document("c2", ("ghost", "zzz"))])
+    words = sorted({t for doc in topics for t in doc.tokens})
+    table = EmbeddingTable(words, np.random.default_rng(seed).standard_normal(
+        (len(words), dim)))
+    return table, corpus
+
+
+def _ghosts(corpus, indices):
+    return [int(i) for i in indices if corpus.documents[i].tokens[0] == "ghost"]
+
+
+class TestQueryCache:
+    """`run_experiment` fits each document's query subspace once per run."""
+
+    @pytest.mark.parametrize("strategy", ["msm", "tfmsm"])
+    def test_one_fit_per_validation_or_test_document(self, strategy, monkeypatch):
+        table, corpus = _cache_setup()
+        plan = make_folds(corpus, seed=5)
+        fits, caps = Counter(), set()
+        fit = classifiers.query_subspace
+
+        def counting(model, tokens, table, query_dim=None):
+            fits[id(tokens)] += 1
+            caps.add(query_dim)
+            return fit(model, tokens, table, query_dim)
+
+        monkeypatch.setattr(classifiers, "query_subspace", counting)
+        run_experiment(corpus, strategy, plan, table=table, threads=2,
+                       grids={"query_dim": (3, 1, 6)})
+        queried = {int(i) for f in plan.folds for i in (*f.validation, *f.test)}
+        assert max(fits.values()) == 1
+        assert sum(fits.values()) == len(queried)
+        assert caps == {6}
+
+    @pytest.mark.parametrize("strategy", ["msm", "tfmsm"])
+    @pytest.mark.parametrize("grids,normalize,threads", [
+        (None, True, 1),
+        (None, False, 2),
+        ({"class_dim": (5, 2), "query_dim": (3, 1, 6)}, True, 1),
+        ({"query_dim": (2, 4)}, True, 2),
+    ])
+    def test_report_bytes_match_fitting_per_fold(self, strategy, grids, normalize,
+                                                 threads):
+        table, corpus = _cache_setup()
+        plan = make_folds(corpus, seed=6)
+        got = run_experiment(corpus, strategy, plan, table=table, grids=grids,
+                             normalize=normalize, threads=threads)
+        want = report_fitting_queries_per_fold(corpus, strategy, plan, table=table,
+                                               grids=grids, normalize=normalize,
+                                               threads=threads)
+        assert got.to_kv_text() == want.to_kv_text()
+        assert got.to_table_text() == want.to_table_text()
+        # test queries served below the cached cap: the prefix path is taken
+        cap = max((grids or {}).get("query_dim", STRATEGIES[strategy].grid["query_dim"]))
+        assert any(p["query_dim"] < cap for p in got.params_per_fold)
+
+    @pytest.mark.parametrize("strategy", ["msm", "tfmsm"])
+    def test_degenerate_validation_document_adds_no_hit(self, strategy):
+        table, corpus = _cache_setup()
+        grid = STRATEGIES[strategy].grid
+        fold = next(f for f in make_folds(corpus, seed=7).folds
+                    if _ghosts(corpus, f.validation))
+        kept = np.array([i for i in fold.validation
+                         if i not in _ghosts(corpus, fold.validation)])
+        selections = []
+        for validation in (fold.validation, kept):
+            queries = QueryCache(corpus, table, max(grid["query_dim"]))
+            model, params, _ = _fit_fold(
+                STRATEGIES[strategy], corpus, Fold(fold.train, validation, fold.test),
+                grid, queries, table=table, feature="w2v", normalize=True,
+                seed=DEFAULT_SEED)
+            selections.append((params, model.stacked_basis.tobytes()))
+        assert selections[0] == selections[1]
+
+    @pytest.mark.parametrize("strategy", ["msm", "tfmsm"])
+    def test_degenerate_test_document_is_unclassifiable(self, strategy):
+        table, corpus = _cache_setup()
+        plan = make_folds(corpus, seed=8)
+        report = run_experiment(corpus, strategy, plan, table=table)
+        in_test = [len(_ghosts(corpus, fold.test)) for fold in plan.folds]
+        assert any(in_test)
+        assert report.unclassifiable == in_test
+        for acc, n_ghost, fold in zip(report.accuracies, in_test, plan.folds):
+            assert acc <= 1.0 - n_ghost / len(fold.test) + 1e-12
+
+    def test_document_index_keys_the_cache(self):
+        table, corpus = _cache_setup()
+        model = classifiers.train_msm(corpus, table)
+        queries = QueryCache(corpus, table, 4)
+        first = queries.get(model, np.int64(3))
+        assert queries.get(model, 3) is first
+        assert first.dimension <= 4
+        assert queries.get(model, len(corpus) - 1) is None
 
 
 class TestRunExperiment:

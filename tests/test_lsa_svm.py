@@ -45,6 +45,16 @@ class TestFeatureMatrix:
         np.testing.assert_array_equal(rows[1], [0.0, 0.0])
 
     @pytest.mark.parametrize("normalize", [True, False])
+    def test_w2v_mean_leaves_out_zero_vector_words(self, normalize):
+        from wordspace.embeddings import EmbeddingTable
+
+        table = EmbeddingTable(["a", "b"], np.array([[2.0, 0.0], [0.0, 0.0]]))
+        spec = fit_feature_spec("w2v", Corpus([Document("c", ("a",))]), table, normalize)
+        rows = feature_matrix(spec, [Document("c", ("a", "b")), Document("c", ("b",))],
+                              table)
+        np.testing.assert_array_equal(rows, [[1.0 if normalize else 2.0, 0.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("normalize", [True, False])
     def test_w2v_rows_equal_word_loop(self, normalize):
         from wordspace.embeddings import EmbeddingTable
 
