@@ -90,11 +90,12 @@ def cmd_train(args) -> int:
         raise ConfigError("train requires --out for the model file")
     _check_seed(args.seed)
     strategy = STRATEGIES[args.strategy]
-    hyper = {name: getattr(args, name) for name in HYPERPARAMETERS}
-    for name, value in hyper.items():
+    for name in (*HYPERPARAMETERS, "seed"):
         if name in args.given and name not in strategy.settings:
             raise ConfigError(f"strategy {strategy.name!r} does not read "
                               f"--{name.replace('_', '-')}")
+    hyper = {name: getattr(args, name) for name in HYPERPARAMETERS}
+    for name, value in hyper.items():
         if value is not None:  # None: unset (every canonical angle)
             check_positive(name, value)
     hyper["seed"] = args.seed
@@ -227,7 +228,7 @@ class _StoreGiven(argparse.Action):
 
     def __call__(self, parser, namespace, values, option_string=None):
         setattr(namespace, self.dest, values)
-        namespace.given = namespace.given | {self.dest}
+        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -242,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
         "strategy": dict(choices=tuple(STRATEGIES)),
         "feature": dict(choices=FEATURE_NAMES,
                         help="feature scheme (defaults to the strategy's own)"),
-        "seed": dict(type=int, default=DEFAULT_SEED),
+        "seed": dict(type=int, default=DEFAULT_SEED, action=_StoreGiven),
         "threads": dict(type=int, default=1,
                         help="worker threads (default: 1, sequential)"),
         "out": dict(help="output path (eval: path prefix)"),

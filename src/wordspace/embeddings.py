@@ -45,7 +45,8 @@ class EmbeddingTable:
     words : sequence of str
         Unique, non-empty keys (case-sensitive).
     matrix : (n, dimension) array
-        One row per word; all entries must be finite.
+        One row per word; all entries must be finite, and so must each
+        row's squared norm.
     """
 
     def __init__(self, words, matrix):
@@ -71,9 +72,16 @@ class EmbeddingTable:
         self._index = index
         self._matrix = matrix
         self._matrix.setflags(write=False)
-        # `lookup_all` treats a word whose vector has zero norm as out of
-        # vocabulary: it has no direction to span or to normalize
-        zero = np.einsum("ij,ij->i", matrix, matrix) == 0.0
+        # a squared norm that overflows would normalize the word to zero;
+        # `lookup_all` treats a word whose squared norm is zero, or
+        # underflows to zero, as out of vocabulary: it has no usable
+        # direction to span or to normalize
+        sq_norms = np.einsum("ij,ij->i", matrix, matrix)
+        huge = np.flatnonzero(np.isinf(sq_norms))
+        if huge.size:
+            raise FormatError(f"vector of word {words[huge[0]]!r} is too large: "
+                              "its squared norm overflows")
+        zero = sq_norms == 0.0
         self._lookup = index if not zero.any() else {
             word: i for word, i in index.items() if not zero[i]}
 
@@ -285,7 +293,9 @@ def filter_roman(table: EmbeddingTable) -> EmbeddingTable:
 def lookup_all(table: EmbeddingTable, words):
     """Map a word multiset to a matrix of distinct in-vocabulary vectors.
 
-    A word whose vector has zero norm counts as out of vocabulary.
+    A word whose vector has zero norm counts as out of vocabulary, and so
+    does one whose squared norm underflows to zero (every component
+    below about 1.5e-162 in magnitude).
 
     Parameters
     ----------

@@ -220,8 +220,8 @@ def _svm_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
     val_labels = np.asarray([d.label for d in val_docs], dtype=object)
     classes = np.asarray(train_c.classes, dtype=object)
 
-    models = [svm.fit_linear_svm(feats, labels, train_c.classes, spec, reg=reg, seed=seed)
-              for reg in regs]
+    # one pass trains every reg: they share the seed, so the visiting order
+    models = svm.fit_linear_svm(feats, labels, train_c.classes, spec, regs=regs, seed=seed)
     hits = [np.sum(classes[np.argmax(m.decision_matrix(val_feats), axis=1)] == val_labels)
             for m in models]
     best = int(np.argmax(hits))
@@ -292,7 +292,7 @@ class Strategy:
     fit: Callable       # fit at given hyperparameters (see above)
     select: Callable    # one fold: (model, selected params, notes)
     model: type         # class that reads the strategy's model container
-    settings: tuple = ()  # the `HYPERPARAMETERS` its ``fit`` reads
+    settings: tuple = ()  # the `HYPERPARAMETERS` (and "seed") its ``fit`` reads
     summary: Callable = _document_count  # per-class line of ``wordspace train``
 
     @property
@@ -361,7 +361,7 @@ STRATEGIES = {s.name: s for s in (
              fit=_fit_lsa, select=_lsa_fold, model=lsa.LsaModel, settings=("rank",)),
     Strategy("svm", any_feature=True, grid={"reg": (1e-2, 1e-3, 1e-4, 1e-5)},
              fit=_fit_svm, select=_svm_fold, model=svm.LinearSvmModel,
-             settings=("reg", "epochs")),
+             settings=("reg", "epochs", "seed")),
 )}
 
 

@@ -5,17 +5,18 @@ Each class gets a binary hinge-loss problem minimizing
     reg * ||w||^2 / 2  +  mean_i max(0, 1 - y_i (w . x_i - b))
 
 by stochastic subgradient descent with the 1/(reg * t) step schedule,
-a fixed epoch budget and a seeded sample order shared by all classes,
-so one pass trains every class.  The bias is learned
-as an augmented always-one feature, so it is (weakly) regularized
-together with ``w``.  Prediction is the argmax of ``w_c . x - b_c``.
+a fixed epoch budget and a seeded sample order shared by all classes
+and all strengths, so one pass trains every class at every ``reg`` of a
+grid.  The bias is learned as an augmented always-one feature, so it is
+(weakly) regularized together with ``w``.  Prediction is the argmax of
+``w_c . x - b_c``.
 """
 
 import numpy as np
 import scipy.sparse as sp
 
 from .classifiers import Prediction, make_prediction
-from .errors import TrainingDataError
+from .errors import NumericalError, TrainingDataError
 from .features import FeatureSpec, feature_matrix
 from .kernels import hinge_sgd
 from .utils import container_array
@@ -63,9 +64,11 @@ class LinearSvmModel:
         return make_prediction(self.classes, self.decision_matrix(row)[0])
 
 
-def fit_linear_svm(feats, labels, classes, spec: FeatureSpec, *,
-                   reg=DEFAULT_REG, epochs=DEFAULT_EPOCHS, seed=0) -> LinearSvmModel:
-    """Train one-vs-rest scorers on a prebuilt feature matrix."""
+def fit_linear_svm(feats, labels, classes, spec: FeatureSpec, *, regs=(DEFAULT_REG,),
+                   epochs=DEFAULT_EPOCHS, seed=0) -> list:
+    """One-vs-rest scorers on a prebuilt feature matrix, one model per
+    strength in ``regs``, in order; `NumericalError` names a strength
+    whose weights are not finite (one too small for its step sizes)."""
     classes = tuple(classes)
     if len(classes) < 2:
         raise TrainingDataError("linear SVM training needs at least 2 classes")
@@ -75,11 +78,17 @@ def fit_linear_svm(feats, labels, classes, spec: FeatureSpec, *,
     order = np.stack([rng.permutation(n) for _ in range(epochs)]).astype(np.int64)
     y = np.where(np.asarray(labels, dtype=object)[:, None]
                  == np.asarray(classes, dtype=object)[None, :], 1.0, -1.0)
-    w_aug = hinge_sgd(csr.data, csr.indices.astype(np.int64),
-                      csr.indptr.astype(np.int64), y, float(reg), int(epochs),
-                      order, d)
-    return LinearSvmModel(classes, np.ascontiguousarray(w_aug[:d].T), -w_aug[d], spec,
-                          reg=reg, epochs=epochs, seed=seed)
+    # an overflowing step is reported below, not as a numpy warning
+    with np.errstate(all="ignore"):
+        w_aug = hinge_sgd(csr.data, csr.indices.astype(np.int64),
+                          csr.indptr.astype(np.int64), y, regs, int(epochs), order, d)
+    models = []
+    for reg, w in zip(regs, w_aug):
+        if not np.all(np.isfinite(w)):
+            raise NumericalError(f"svm weights at reg={reg!r} are not finite")
+        models.append(LinearSvmModel(classes, np.ascontiguousarray(w[:d].T), -w[d], spec,
+                                     reg=reg, epochs=epochs, seed=seed))
+    return models
 
 
 def train_svm(corpus, spec: FeatureSpec, table=None, *,
@@ -87,5 +96,6 @@ def train_svm(corpus, spec: FeatureSpec, table=None, *,
     """Featurize ``corpus`` and train the one-vs-rest scorers."""
     docs = list(corpus)
     feats = feature_matrix(spec, docs, table)
-    return fit_linear_svm(feats, [doc.label for doc in docs], corpus.classes,
-                          spec, reg=reg, epochs=epochs, seed=seed)
+    [model] = fit_linear_svm(feats, [doc.label for doc in docs], corpus.classes,
+                             spec, regs=(reg,), epochs=epochs, seed=seed)
+    return model

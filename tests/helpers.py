@@ -11,11 +11,14 @@ import math
 from fractions import Fraction
 
 import numpy as np
+import scipy.sparse as sp
 
 from wordspace import classifiers, evaluation
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
 from wordspace.errors import DegenerateQueryError
+from wordspace.features import feature_matrix, fit_feature_spec
+from wordspace.svm import DEFAULT_EPOCHS, LinearSvmModel
 from wordspace.subspace import unit_columns
 from wordspace.utils import parallel_map
 
@@ -314,3 +317,62 @@ def report_fitting_queries_per_fold(corpus, strategy, plan, *, table, grids=None
         test_sizes.append(len(test_docs))
     return evaluation.EvalReport(strategy, entry.feature, plan.seed, np.asarray(accuracies),
                                  params_per_fold, unclassifiable, test_sizes)
+
+
+def hinge_sgd_one_reg(data, indices, indptr, labels, lam, epochs, order, n_features):
+    """The class-batched Pegasos kernel as it was before it took a grid of
+    strengths: one pass at the single strength ``lam``, returning the
+    augmented (n_features + 1, n_classes) weight matrix."""
+    labels = np.asarray(labels, dtype=np.float64)
+    u = np.zeros((n_features + 1, labels.shape[1]), dtype=np.float64)
+    scale = 1.0
+    step = 0
+    for e in range(epochs):
+        for i in order[e]:
+            step += 1
+            lr = 1.0 / (lam * (step + 1))
+            lo, hi = indptr[i], indptr[i + 1]
+            cols = indices[lo:hi]
+            vals = data[lo:hi]
+            score = scale * (vals @ u[cols] + u[n_features])
+            y = labels[i]
+            scale *= 1.0 - lr * lam
+            hit = y * score < 1.0
+            if hit.any():
+                g = np.where(hit, lr * y / scale, 0.0)
+                u[cols] += np.outer(vals, g)
+                u[n_features] += g
+            if scale < 1e-100:
+                u *= scale
+                scale = 1.0
+    return u * scale
+
+
+def svm_fold_per_reg(train_c, val_docs, table, regs, feature, normalize, seed):
+    """``(model, {"reg": reg})`` of one svm fold as the selector built it
+    before the strengths were batched: one `hinge_sgd_one_reg` pass per
+    reg, each with the seed's visiting orders, and the first reg with the
+    most validation hits."""
+    spec = fit_feature_spec(feature, train_c, table, normalize)
+    docs = list(train_c)
+    csr = sp.csr_matrix(feature_matrix(spec, docs, table), dtype=np.float64)
+    n, d = csr.shape
+    rng = np.random.default_rng(seed)
+    order = np.stack([rng.permutation(n) for _ in range(DEFAULT_EPOCHS)]).astype(np.int64)
+    y = np.where(np.asarray([doc.label for doc in docs], dtype=object)[:, None]
+                 == np.asarray(train_c.classes, dtype=object)[None, :], 1.0, -1.0)
+    val_feats = feature_matrix(spec, val_docs, table)
+    val_labels = np.asarray([doc.label for doc in val_docs], dtype=object)
+    classes = np.asarray(train_c.classes, dtype=object)
+    models, hits = [], []
+    for reg in regs:
+        w = hinge_sgd_one_reg(csr.data, csr.indices.astype(np.int64),
+                              csr.indptr.astype(np.int64), y, float(reg), DEFAULT_EPOCHS,
+                              order, d)
+        model = LinearSvmModel(train_c.classes, np.ascontiguousarray(w[:d].T), -w[d], spec,
+                               reg=reg, epochs=DEFAULT_EPOCHS, seed=seed)
+        predicted = classes[np.argmax(model.decision_matrix(val_feats), axis=1)]
+        models.append(model)
+        hits.append(np.sum(predicted == val_labels))
+    best = int(np.argmax(hits))
+    return models[best], {"reg": regs[best]}

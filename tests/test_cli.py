@@ -329,11 +329,25 @@ def _relabel_first_class(entries):
     entries["labels"] = np.where(labels == classes[0], classes[1], labels)
 
 
-def _refused(command, *flags):
-    """``command`` with an out-of-range setting: exit 2, and no output
-    (``refused`` or, for eval, ``refused.*``) is written."""
+def _refused(command, *flags, code=2):
+    """``command`` with a setting it refuses: exit ``code`` (by default 2,
+    out of range), and no output (``refused`` or, for eval,
+    ``refused.*``) is written."""
     return (lambda ws, d: [command, "--corpus", ws["corpus"], "--embeddings", ws["vecs"],
-                           "--out", str(d / "refused"), *flags]), 2
+                           "--out", str(d / "refused"), *flags]), code
+
+
+def _huge_rows_train(strategy):
+    """``train`` with a text table of 40 words in 8 dims, every other row
+    scaled by 1e160: finite values whose squared norms overflow."""
+    rows = np.random.default_rng(7).standard_normal((40, 8))
+    rows[::2] *= 1e160
+    words = [f"w{c}_{i}" for c in range(4) for i in range(4)] + [f"x{j}" for j in range(24)]
+    text = "".join(f"{w} {' '.join(repr(float(v)) for v in row)}\n"
+                   for w, row in zip(words, rows))
+    return (lambda ws, d: [
+        "train", "--strategy", strategy, "--corpus", ws["corpus"], "--embeddings",
+        _write(d / "huge.txt", text.encode()), "--out", str(d / "refused")], 3)
 
 
 # input -> (argv given the workspace and a scratch directory, exit code)
@@ -440,6 +454,20 @@ BAD_INPUTS = {
     "train-lsa-class-dim": _refused("train", "--strategy", "lsa", "--class-dim", "5"),
     "train-svm-angle-count": _refused("train", "--strategy", "svm", "--angle-count", "1"),
     "train-svm-rank-at-its-default": _refused("train", "--strategy", "svm", "--rank", "130"),
+    "train-mnb-seed": _refused("train", "--strategy", "mnb", "--seed", "7"),
+    "train-msm-seed-at-its-default": _refused("train", "--strategy", "msm", "--seed", "42"),
+    # a reg so small that its Pegasos step sizes overflow: no NaN model is written
+    "train-svm-reg-subnormal": _refused("train", "--strategy", "svm", "--reg", "1e-310",
+                                        code=4),
+    "train-svm-reg-smallest-subnormals": _refused("train", "--strategy", "svm", "--reg",
+                                                  "1e-320", code=4),
+    "eval-svm-grid-reg-subnormal": _refused("eval", "--strategy", "svm", "--grid-reg",
+                                            "1e-320", code=4),
+    "eval-svm-grid-mixes-subnormal-reg": _refused("eval", "--strategy", "svm", "--grid-reg",
+                                                  "1e-3,1e-320", code=4),
+    # refused at load, not left to normalize to a zero vector or tie every class
+    "embeddings-norm-overflows-msm": _huge_rows_train("msm"),
+    "embeddings-norm-overflows-sa": _huge_rows_train("sa"),
 }
 
 

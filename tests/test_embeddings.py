@@ -279,6 +279,15 @@ class TestTableValidation:
         with pytest.raises(DataError):
             EmbeddingTable(["a"], np.array([[np.inf]]))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_rejects_row_whose_squared_norm_overflows(self):
+        # finite entries, but the norm overflows and x / inf would be 0
+        with pytest.raises(FormatError, match="'big'"):
+            EmbeddingTable(["a", "big"], np.array([[1.0, 0.0], [1e160, -1e160]]))
+        with pytest.raises(FormatError, match="'big'"):
+            load_text(io.StringIO("a 1.0 0.0\nbig 3e154 0.0\n"))
+        EmbeddingTable(["edge"], np.array([[1.3e154]]))  # 1.69e308 still fits
+
     def test_rejects_duplicate(self):
         with pytest.raises(DuplicateWordError):
             EmbeddingTable(["a", "a"], np.eye(2))

@@ -7,6 +7,7 @@ from helpers import (
     orthogonal_table,
     report_fitting_queries_per_fold,
     spectrum_by_eigvalsh,
+    svm_fold_per_reg,
     synth_corpus,
 )
 from wordspace import classifiers
@@ -15,6 +16,7 @@ from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
 from wordspace.features import fit_feature_spec
 from wordspace.lsa import train_lsa
+from wordspace.model_io import save_model
 from wordspace.subspace import unit_columns
 from wordspace.errors import (
     DataError,
@@ -207,6 +209,37 @@ class TestLsaFoldIsOneFit:
         fold = make_folds(corpus, seed=3).folds[0]
         params, _ = _select("svm", corpus, fold, {"reg": (1e-3, 1e-2, 1e-4)})
         assert params == {"reg": 1e-3}
+
+
+class TestSvmFoldIsOnePass:
+    """One batched pass per fold selects the reg, and writes the model
+    bytes, that one pass per reg did."""
+
+    @pytest.mark.parametrize("feature,regs,n_classes", [
+        ("binbow", (1e-2, 1e-3, 1e-4, 1e-5), 4),
+        ("tfidfbow", (1e-4, 1.0, 1e-2), 3),     # unsorted, three classes
+        ("tfbow", (1e-3, 1e-5, 1e-3), 5),      # a duplicated reg
+        ("w2v", (1e-5, 1e-2), 3),               # dense rows
+    ])
+    def test_same_selection_and_model_bytes_as_per_reg_passes(
+            self, feature, regs, n_classes, tmp_path):
+        seed = 2
+        corpus = _topic_corpus(seed, n_classes=n_classes)
+        words = sorted({t for doc in corpus for t in doc.tokens})
+        table = EmbeddingTable(words, np.random.default_rng(seed).standard_normal(
+            (len(words), 6)))
+        for i, fold in enumerate(make_folds(corpus, seed=seed).folds[:4]):
+            model, params, _ = _fit_fold(STRATEGIES["svm"], corpus, fold, {"reg": regs},
+                                         None, table=table, feature=feature,
+                                         normalize=True, seed=seed)
+            want, want_params = svm_fold_per_reg(
+                corpus.subset(fold.train), [corpus.documents[j] for j in fold.validation],
+                table, regs, feature, True, seed)
+            assert params == want_params
+            save_model(model, tmp_path / f"got{i}.npz")
+            save_model(want, tmp_path / f"want{i}.npz")
+            assert (tmp_path / f"got{i}.npz").read_bytes() == \
+                (tmp_path / f"want{i}.npz").read_bytes()
 
 
 def _cache_setup(seed=4, dim=8):

@@ -1,16 +1,20 @@
-"""Parser fuzzing through ``cli.main``.
+"""Parser and setting fuzzing through ``cli.main``.
 
 Every input file the command line reads (corpus, text and binary
 embeddings, model containers) is fed in truncated, with flipped bytes,
 or as another kind of file altogether.  Whatever the damage, ``main``
 must return one of the documented exit codes and print an ``error:``
-line, never let an exception escape.  Examples are derandomized, so the
-suite sees the same inputs on every run.
+line, never let an exception escape.  The svm regularization strength
+runs from subnormal values to 1e300, where the step sizes
+overflow or the weights underflow: the exit code is documented and no
+numpy warning is raised.  Examples are derandomized, so the suite sees
+the same inputs on every run.
 """
 
 import contextlib
 import io
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -148,3 +152,47 @@ def test_model_entries(good, strategy):
     _fuzz(good, strategy, lambda g, p: [
         "classify", "--model", p, "--corpus", g["corpus"], "--embeddings", g["txt"]],
         inputs=doctored(entries, others))
+
+
+# positive floats whose exponents run evenly from -323 to 299
+REGS = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99), st.integers(-323, 299))
+
+
+def _run_warning_free(argv):
+    """`_run` with every warning raised as an exception, so one escapes ``main``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return _run(argv)
+
+
+def test_svm_reg(good):
+    model = good["root"] / "svm-reg.npz"
+
+    @FUZZ
+    @given(REGS)
+    def check(reg):
+        code, err = _run_warning_free([
+            "train", "--strategy", "svm", "--corpus", good["corpus"], "--reg", repr(reg),
+            "--out", model])
+        assert code in (0, 2, 4)
+        assert code == 0 or err.startswith("error: ")
+        if code == 0:
+            code, err = _run_warning_free([
+                "classify", "--model", model, "--corpus", good["corpus"]])
+            assert code in (0, 4)
+            assert code == 0 or err.startswith("error: ")
+
+    check()
+
+
+def test_svm_grid_reg(good):
+    @FUZZ
+    @given(st.lists(REGS, min_size=1, max_size=3))
+    def check(regs):
+        code, err = _run_warning_free([
+            "eval", "--strategy", "svm", "--corpus", good["corpus"],
+            "--grid-reg", ",".join(map(repr, regs)), "--out", good["root"] / "svm-grid"])
+        assert code in (0, 2, 4)
+        assert code == 0 or err.startswith("error: ")
+
+    check()

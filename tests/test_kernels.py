@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from helpers import hinge_sgd_one_reg
 from wordspace import kernels
 
 
@@ -73,7 +74,7 @@ class TestHingeSgd:
         rng = np.random.default_rng(2)
         for _ in range(100):
             data, indices, indptr, labels, lam, epochs, order, d = random_sgd_case(rng)
-            got = kernels.hinge_sgd(data, indices, indptr, labels, lam, epochs, order, d)
+            [got] = kernels.hinge_sgd(data, indices, indptr, labels, [lam], epochs, order, d)
             assert got.shape == (d + 1, labels.shape[1])
             for c in range(labels.shape[1]):
                 want = per_class_pegasos(data, indices, indptr, labels[:, c], lam,
@@ -85,9 +86,45 @@ class TestHingeSgd:
         labels = np.array([[1.0, -1.0], [-1.0, 1.0]])
         rng = np.random.default_rng(0)
         order = np.stack([rng.permutation(2) for _ in range(30)]).astype(np.int64)
-        w = kernels.hinge_sgd(X.data, X.indices.astype(np.int64),
-                              X.indptr.astype(np.int64), labels, 1e-2, 30, order, 1)
+        [w] = kernels.hinge_sgd(X.data, X.indices.astype(np.int64),
+                                X.indptr.astype(np.int64), labels, [1e-2], 30, order, 1)
         assert w[0, 0] > 0.0 > w[0, 1]
         for c, sign in ((0, 1.0), (1, -1.0)):
             assert np.sign(w[0, c] * 1.0 + w[1, c]) == sign
             assert np.sign(w[0, c] * -1.0 + w[1, c]) == -sign
+
+
+class TestRegBatchedParity:
+    """Each strength's block of one batched pass is bitwise the former
+    single-strength kernel's weights."""
+
+    @pytest.mark.parametrize("lams", [
+        (1e-2, 1e-3, 1e-4, 1e-5),   # the default eval grid
+        (1e-4, 1.0, 1e-2, 3e-3),    # unsorted
+        (1e-3, 1e-5, 1e-3),         # a duplicated strength
+        (1e-4,),                    # the train path
+    ])
+    def test_every_block_equals_the_single_reg_kernel(self, lams):
+        rng = np.random.default_rng(len(lams))
+        for _ in range(40):
+            # class counts on both sides of the BLAS kernels' 4-column unroll
+            data, indices, indptr, labels, _, epochs, order, d = random_sgd_case(rng)
+            got = kernels.hinge_sgd(data, indices, indptr, labels, lams, epochs, order, d)
+            assert got.shape == (len(lams), d + 1, labels.shape[1])
+            for r, lam in enumerate(lams):
+                want = hinge_sgd_one_reg(data, indices, indptr, labels, lam, epochs,
+                                         order, d)
+                assert np.array_equal(got[r], want)
+
+    def test_non_finite_block_leaves_the_others_unchanged(self):
+        # a subnormal strength overflows its first step size; the other
+        # blocks keep their own rates and scales
+        rng = np.random.default_rng(9)
+        data, indices, indptr, labels, _, epochs, order, d = random_sgd_case(rng)
+        with np.errstate(all="ignore"):
+            got = kernels.hinge_sgd(data, indices, indptr, labels, (1e-3, 1e-310, 1e-2),
+                                    epochs, order, d)
+        assert not np.all(np.isfinite(got[1]))
+        for r, lam in ((0, 1e-3), (2, 1e-2)):
+            want = hinge_sgd_one_reg(data, indices, indptr, labels, lam, epochs, order, d)
+            assert np.array_equal(got[r], want)

@@ -6,6 +6,7 @@ from helpers import bow_reference, exact_cosine_1nn_maximizers, w2v_rows_by_word
 from wordspace.corpus import Corpus, Document
 from wordspace.errors import (
     DegenerateQueryError,
+    NumericalError,
     SubspaceRankError,
     TrainingDataError,
 )
@@ -171,7 +172,7 @@ class TestSvm:
         X = np.array([[1.0], [-1.0], [0.8], [-1.2]])
         labels = ["pos", "neg", "pos", "neg"]
         spec = binbow_spec(["f0"])
-        model = fit_linear_svm(X, labels, ("pos", "neg"), spec, seed=0)
+        [model] = fit_linear_svm(X, labels, ("pos", "neg"), spec, seed=0)
         scores = model.decision_matrix(X)
         preds = [model.classes[j] for j in np.argmax(scores, axis=1)]
         assert preds == labels
@@ -197,9 +198,9 @@ class TestSvm:
             labels[0] = "a" if labels[0] == "b" else "b"
         spec3 = binbow_spec(["f0", "f1", "f2"])
         spec4 = binbow_spec(["f0", "f1", "f2", "f2dup"])
-        base = fit_linear_svm(X, labels, ("a", "b"), spec3, seed=1)
-        dup = fit_linear_svm(np.hstack([X, X[:, 2:3]]), labels, ("a", "b"),
-                             spec4, seed=1)
+        [base] = fit_linear_svm(X, labels, ("a", "b"), spec3, seed=1)
+        [dup] = fit_linear_svm(np.hstack([X, X[:, 2:3]]), labels, ("a", "b"),
+                               spec4, seed=1)
         base_pred = np.argmax(base.decision_matrix(X), axis=1)
         dup_pred = np.argmax(dup.decision_matrix(np.hstack([X, X[:, 2:3]])), axis=1)
         np.testing.assert_array_equal(base_pred, dup_pred)
@@ -209,10 +210,31 @@ class TestSvm:
         X = rng.standard_normal((10, 4))
         labels = ["a" if i % 2 else "b" for i in range(10)]
         spec = binbow_spec(["f0", "f1", "f2", "f3"])
-        m1 = fit_linear_svm(X, labels, ("a", "b"), spec, seed=7)
-        m2 = fit_linear_svm(X, labels, ("a", "b"), spec, seed=7)
+        [m1] = fit_linear_svm(X, labels, ("a", "b"), spec, seed=7)
+        [m2] = fit_linear_svm(X, labels, ("a", "b"), spec, seed=7)
         np.testing.assert_array_equal(m1.weights, m2.weights)
         np.testing.assert_array_equal(m1.offsets, m2.offsets)
+
+    def test_one_model_per_reg_in_grid_order(self):
+        rng = np.random.default_rng(6)
+        X = rng.standard_normal((14, 3))
+        labels = ["a" if x[0] > 0 else "b" for x in X]
+        spec = binbow_spec(["f0", "f1", "f2"])
+        regs = (1e-2, 1e-4, 1e-2)
+        models = fit_linear_svm(X, labels, ("a", "b"), spec, regs=regs, seed=3)
+        assert [m.reg for m in models] == list(regs)
+        for reg, model in zip(regs, models):
+            [alone] = fit_linear_svm(X, labels, ("a", "b"), spec, regs=(reg,), seed=3)
+            np.testing.assert_array_equal(model.weights, alone.weights)
+            np.testing.assert_array_equal(model.offsets, alone.offsets)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("tiny", [1e-310, 5e-324])
+    def test_non_finite_weights_name_their_reg(self, tiny):
+        X = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        with pytest.raises(NumericalError, match=f"reg={tiny!r}"):
+            fit_linear_svm(X, ["a", "b", "a"], ("a", "b"), binbow_spec(["f0", "f1"]),
+                           regs=(1e-3, tiny))
 
     def test_corpus_training_and_roundtrip(self, tmp_path):
         corpus = Corpus([Document("c0", ("up", "up")), Document("c1", ("down",)),
