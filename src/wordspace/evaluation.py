@@ -107,10 +107,12 @@ class QueryCache:
 
     A query subspace depends only on the document, the table and the
     model's normalize and weighted policies, which every fold of a run
-    shares.  `_fit` slices one decomposition whatever its cap, so a
-    prefix of the cached basis is bitwise the basis a fit at that
-    smaller dim gives.  The cache holds p x min(max_dim, rank) float64
-    values per document it has seen.
+    shares.  When ``max_dim`` is too large for the partial eigensolve
+    (as the default grid's 200 is on 300-d vectors), a prefix of the
+    cached basis is bitwise the uncapped fit cut to that dim; a fresh
+    fit at a small dim may solve only its leading eigenpairs and agree
+    with the prefix to roundoff.  The cache holds p x min(max_dim, rank)
+    float64 values per document it has seen.
     """
 
     def __init__(self, corpus, table, max_dim):

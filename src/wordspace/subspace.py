@@ -21,6 +21,7 @@ squared cosines, a number in [0, 1].
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
     DegenerateInputError,
@@ -50,6 +51,20 @@ ORTHONORMALITY_TOL = 1e-12
 # ORTHONORMALITY_TOL; a basis off by more than this was not written by
 # this package, and the min(..., 1) clip of the scores would hide it.
 LOAD_ORTHONORMALITY_TOL = 1e-10
+
+# A capped fit solves only its leading eigenpairs when the eigenproblem's
+# order is at least this many times the cap (see `_leading_eigh`).
+PARTIAL_SOLVE_RATIO = 8
+
+# Two eigenvalues of a partial solve closer than this fraction of the
+# largest count as tied, and the full solve is taken instead.
+TIE_RTOL = 1e-8
+
+# Largest binary exponent of a data matrix's longest column norm for
+# which the matrix is decomposed as it is; X X^T of a longer or shorter
+# one could overflow or lose its small eigenvalues to underflow, so
+# `_fit` rescales it.
+SAFE_EXPONENT = 200
 
 # Spectrum entries may come out of the solver as tiny negatives; they
 # are clamped to zero down to this magnitude and rejected beyond it.
@@ -98,10 +113,6 @@ class Subspace:
     def dimension(self):
         return self.basis.shape[1]
 
-    def projector(self) -> np.ndarray:
-        """Basis-independent representation ``B @ B.T``."""
-        return self.basis @ self.basis.T
-
     def truncated(self, m: int) -> "Subspace":
         """Subspace of the ``m`` leading directions (m <= dimension)."""
         if not 1 <= m <= self.dimension:
@@ -148,21 +159,24 @@ def unit_columns(X: np.ndarray) -> np.ndarray:
 
 
 def _validate_data_matrix(X):
+    """The p x N float64 data matrix and its column norms."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 1:
         raise DegenerateInputError("need a p x N matrix with N >= 1 columns")
     if not np.all(np.isfinite(X)):
         raise DegenerateInputError("data matrix contains non-finite values")
-    if np.any(np.linalg.norm(X, axis=0) == 0.0):
+    norms = np.linalg.norm(X, axis=0)
+    if np.any(norms == 0.0):
         raise DegenerateInputError("data matrix contains a zero-norm column")
-    return X
+    return X, norms
 
 
-def _spectral_basis(X, normalizer):
+def _spectral_basis(X, normalizer, max_dim=None):
     """Leading left singular directions of X with spectrum sigma^2 / normalizer.
 
-    Returns only the selectable directions (spectrum above RANK_RTOL of
-    its largest entry), non-increasing.  All three routes give the
+    Returns the selectable directions (spectrum above RANK_RTOL of its
+    largest entry), non-increasing; with a small ``max_dim``, only those
+    among the ``max_dim + 1`` leading ones.  All routes give the
     eigenvectors of the (weighted) autocorrelation matrix:
 
     - p <= N: ``eigh(X @ X.T)``;
@@ -172,17 +186,19 @@ def _spectral_basis(X, normalizer):
       directions keep the column order of X (first word first);
     - N < p when that ``B`` is off orthonormal by more than
       ORTHONORMALITY_TOL: an economy SVD of X followed by a QR that
-      rebuilds exact orthonormality.
+      rebuilds exact orthonormality;
+    - either eigenproblem with a small ``max_dim``: only its leading
+      eigenpairs are solved (`_leading_eigh`).
 
     A LAPACK failure is raised as `NumericalError`.
     """
     p, n = X.shape
     with solver_errors("subspace eigensolver"):
         if p <= n:
-            evals, evecs = np.linalg.eigh(X @ X.T)
+            evals, evecs = _leading_eigh(X @ X.T, max_dim)
             order = np.argsort(evals)[::-1]
             return _selectable(evecs[:, order], evals[order] / normalizer)
-        evals, evecs = np.linalg.eigh(X.T @ X)
+        evals, evecs = _leading_eigh(X.T @ X, max_dim)
         order = np.argsort(-evals, kind="stable")
         evals = evals[order]
         spectrum = evals / normalizer
@@ -193,6 +209,51 @@ def _spectral_basis(X, normalizer):
         basis, sing, _ = np.linalg.svd(X, full_matrices=False)
         basis, _ = np.linalg.qr(basis)
     return _selectable(basis, (sing * sing) / normalizer)
+
+
+def _leading_eigh(A, cap):
+    """Eigenpairs of the symmetric ``A`` in ascending order: every one, or
+    only the ``cap + 1`` largest when ``cap`` is small next to the order
+    ``n`` of ``A`` (``PARTIAL_SOLVE_RATIO * cap <= n``).
+
+    The partial solve is LAPACK ``syevr`` on an index range.  Its cost
+    grows with the number of eigenpairs it keeps, the full solve's does
+    not.  Times in ms on the benchmark's seed-1 tfmsm query matrices
+    (median over 8 matrices of each order, best of 9 runs; 2-core VM,
+    one BLAS thread), against ``k = cap``:
+
+    ========  =====  =====  =====  =====  =====  =====
+    n         full   k=1    k=5    k=10   k=20   k=40
+    ========  =====  =====  =====  =====  =====  =====
+    40-50     0.26   0.13   0.20   0.29   0.47
+    75-85     0.71   0.28   0.43   0.51   0.78   1.40
+    115-125   0.96   0.38   0.59   0.83   1.27   2.17
+    300       7.17   2.49   3.18   3.86   4.97   7.36
+    ========  =====  =====  =====  =====  =====  =====
+
+    The two break even between ``n = 5 * cap`` and ``n = 9 * cap``
+    (repeated runs on the shared VM differ by up to a third).
+
+    Tied leading directions span a subspace, not a basis: the full solve
+    lists them in the order `_spectral_basis` documents (first word
+    first on the Gram route), the partial one in an order of its own.
+    So when any two of the ``cap + 1`` computed eigenvalues, the larger
+    of them selectable, differ by at most TIE_RTOL times the largest,
+    the partial result is dropped for the full solve.  The partial route thus returns only when the kept directions
+    are each unique, and then matches the full solve to roundoff; the
+    ``(cap + 1)``-th eigenvalue is solved to see that the last kept
+    direction is.
+    """
+    n = A.shape[0]
+    if cap is not None and 1 <= cap <= n // PARTIAL_SOLVE_RATIO:
+        # syevr, scipy's default for a standard problem
+        evals, evecs = scipy.linalg.eigh(A, subset_by_index=[n - cap - 1, n - 1],
+                                         check_finite=False)
+        top = evals[-1]
+        selectable = evals[1:] > RANK_RTOL * top
+        if not np.any(selectable & (np.diff(evals) <= TIE_RTOL * top)):
+            return evals, evecs
+    return np.linalg.eigh(A)
 
 
 def _selectable(basis, spectrum):
@@ -219,13 +280,28 @@ def _validate_weights(X, weights):
 
 def _fit(X, weights, max_dim):
     """Validate, decompose and keep at most ``max_dim`` leading directions
-    (None keeps the full selectable rank)."""
-    X = _validate_data_matrix(X)
-    if weights is None:
-        basis, spectrum = _spectral_basis(X, float(X.shape[1]))
-    else:
+    (None keeps the full selectable rank).
+
+    A fit capped well below the eigenproblem's order solves only its
+    leading eigenpairs (`_leading_eigh`): it agrees with
+    ``_fit(X, weights, None).truncated(m)`` to roundoff, and bitwise
+    whenever the full solve is taken.  A (weighted) matrix whose longest
+    column has a norm outside 2^-SAFE_EXPONENT .. 2^SAFE_EXPONENT is
+    decomposed scaled by a power of two, which is exact, so that its
+    products neither overflow nor underflow; the spectrum is scaled back.
+    """
+    X, norms = _validate_data_matrix(X)
+    normalizer = float(X.shape[1])
+    if weights is not None:
         w = _validate_weights(X, weights)
-        basis, spectrum = _spectral_basis(X * np.sqrt(w), float(np.sum(w)))
+        root = np.sqrt(w)
+        X, norms, normalizer = X * root, norms * root, float(np.sum(w))
+    _, exponent = np.frexp(np.max(norms))
+    if abs(exponent) <= SAFE_EXPONENT:
+        basis, spectrum = _spectral_basis(X, normalizer, max_dim)
+    else:
+        basis, spectrum = _spectral_basis(np.ldexp(X, -exponent), normalizer, max_dim)
+        spectrum = np.ldexp(spectrum, 2 * exponent)
     cap = basis.shape[1]
     if cap == 0:
         raise DegenerateInputError("data matrix has numerical rank zero")
@@ -242,7 +318,9 @@ def full_word_subspace(X: np.ndarray, max_dim: int = None) -> Subspace:
         One word vector per column, all finite, none zero.
     max_dim : int, optional
         Dimension cap; the subspace keeps ``min(max_dim, rank)``
-        directions, and all of the numerical rank when None.
+        directions, and all of the numerical rank when None.  A cap
+        far below ``min(p, N)`` solves only the leading eigenpairs
+        (see `_fit`).
 
     Returns
     -------

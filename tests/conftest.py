@@ -1,4 +1,5 @@
 import pytest
+import scipy.linalg
 
 CRITERION_NAMES = {
     "test_criterion_1_numerical_properties": "1 numerical property suite",
@@ -10,6 +11,20 @@ CRITERION_NAMES = {
 }
 
 _results = {}
+
+
+@pytest.fixture
+def partial_solves(monkeypatch):
+    """Count the partial eigensolves (scipy's ``eigh`` on an index range)."""
+    calls = []
+    real = scipy.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        calls.append(kwargs["subset_by_index"])
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigh", counting)
+    return calls
 
 
 @pytest.hookimpl(hookwrapper=True)

@@ -86,6 +86,11 @@ def bow_reference(doc, terms, scheme, train_docs):
     return weights
 
 
+def projector(sub):
+    """Basis-independent representation ``B @ B.T`` of a subspace."""
+    return sub.basis @ sub.basis.T
+
+
 def random_subspace_basis(rng, p, m):
     """Orthonormal basis of a uniformly random m-dim subspace in R^p."""
     q, _ = np.linalg.qr(rng.standard_normal((p, m)))
@@ -278,26 +283,35 @@ def spectrum_by_eigvalsh(X):
     return np.maximum(vals, 0.0)
 
 
+def query_by_full_solve(model, tokens, table, query_dim=None):
+    """The query subspace as `query_subspace` fitted it when every fit
+    solved all eigenpairs: the uncapped fit cut to ``query_dim``.  A
+    capped fit may solve only its leading eigenpairs, which agrees with
+    this to roundoff."""
+    query = classifiers.query_subspace(model, tokens, table)
+    return query if query_dim is None else query.truncated(min(query_dim, query.dimension))
+
+
 def report_fitting_queries_per_fold(corpus, strategy, plan, *, table, grids=None,
                                     normalize=True, seed=evaluation.DEFAULT_SEED,
                                     threads=1):
     """The msm/tfmsm `run_experiment` report as it was built before the
     run-wide query cache: each fold fits every validation query afresh at
     the grid's largest query dim, and every test query at the selected
-    one through `SubspaceModel.predict`."""
+    one, both by `query_by_full_solve`."""
     entry = evaluation.STRATEGIES[strategy]
     grid = evaluation._grid(entry, grids)
 
     def fit_or_none(model, doc):
         try:
-            return classifiers.query_subspace(model, doc.tokens, table,
-                                              max(grid["query_dim"]))
+            return query_by_full_solve(model, doc.tokens, table, max(grid["query_dim"]))
         except DegenerateQueryError:
             return None
 
     def classify(model, doc):
         try:
-            return model.predict(doc.tokens, table).label
+            return model.predict_query(
+                query_by_full_solve(model, doc.tokens, table, model.query_dim)).label
         except DegenerateQueryError:
             return None
 

@@ -59,7 +59,7 @@ def test_criterion_1_numerical_properties():
         duplicated = full_word_subspace(np.repeat(X, w, axis=1)).truncated(m)
         assert _orthonormality_defect(weighted) <= ORTHONORMALITY_TOL
         assert _orthonormality_defect(duplicated) <= ORTHONORMALITY_TOL
-        defect = np.max(np.abs(weighted.projector() - duplicated.projector()))
+        defect = np.max(np.abs(helpers.projector(weighted) - helpers.projector(duplicated)))
         assert defect <= PROJECTOR_TOL
 
     # canonical-cosine oracle + similarity properties, 200 instances

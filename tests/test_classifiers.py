@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import orthogonal_table
+from helpers import orthogonal_table, projector, query_by_full_solve
 from wordspace.classifiers import (
     SimilarityAverageModel,
     make_prediction,
@@ -58,8 +58,8 @@ class TestTrainMsm:
         a = train_msm(plain, ortho_table)
         b = train_msm(doubled, ortho_table)
         for label in a.classes:
-            assert max_abs(a.subspaces[label].projector()
-                           - b.subspaces[label].projector()) < PROJECTOR_TOL
+            assert max_abs(projector(a.subspaces[label])
+                           - projector(b.subspaces[label])) < PROJECTOR_TOL
 
     def test_class_dim_policy_caps_by_rank(self, ortho_table, ortho_corpus):
         model = train_msm(ortho_corpus, ortho_table, class_dim=50)
@@ -75,8 +75,8 @@ class TestTrainTfmsm:
         plain = train_msm(corpus, ortho_table)
         weighted = train_tfmsm(corpus, ortho_table)
         for label in plain.classes:
-            assert max_abs(plain.subspaces[label].projector()
-                           - weighted.subspaces[label].projector()) < PROJECTOR_TOL
+            assert max_abs(projector(plain.subspaces[label])
+                           - projector(weighted.subspaces[label])) < PROJECTOR_TOL
 
     def test_dominant_word_aligns_first_direction(self, ortho_table):
         docs = [Document("c0", ("w0_0",) * 100 + ("w0_1", "w0_2")),
@@ -209,7 +209,8 @@ def _random_setup(seed=11, dim=8, n_words=30):
 
 
 class TestQueryPrefix:
-    """The query served at a dim is the prefix of the query fitted at a larger cap."""
+    """The query served at a dim is the prefix of the query fitted at a larger cap,
+    and a fit capped at that dim agrees with it to roundoff."""
 
     # 3 and 6 distinct words: the Gram route below the 8-dim ambient space;
     # 20: the p <= N route at ambient rank
@@ -221,10 +222,13 @@ class TestQueryPrefix:
         tokens = rng.choice(words[:distinct], size=3 * distinct).tolist() + words[:distinct]
         capped = query_subspace(model, tokens, table, 200)
         for q in range(1, capped.dimension + 2):
-            fitted = query_subspace(model, tokens, table, q)
+            reference = query_by_full_solve(model, tokens, table, q)
             prefix = capped.truncated(min(q, capped.dimension))
-            assert prefix.basis.tobytes() == fitted.basis.tobytes()
-            assert prefix.spectrum.tobytes() == fitted.spectrum.tobytes()
+            assert prefix.basis.tobytes() == reference.basis.tobytes()
+            assert prefix.spectrum.tobytes() == reference.spectrum.tobytes()
+            fitted = query_subspace(model, tokens, table, q)
+            assert fitted.dimension == reference.dimension
+            assert max_abs(projector(fitted) - projector(reference)) <= 1e-12
 
     @pytest.mark.parametrize("trainer", [train_msm, train_tfmsm])
     @pytest.mark.parametrize("query_dim,angle_count", [

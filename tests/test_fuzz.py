@@ -1,4 +1,4 @@
-"""Parser and setting fuzzing through ``cli.main``.
+"""Parser, setting and numeric-core fuzzing.
 
 Every input file the command line reads (corpus, text and binary
 embeddings, model containers) is fed in truncated, with flipped bytes,
@@ -7,8 +7,11 @@ must return one of the documented exit codes and print an ``error:``
 line, never let an exception escape.  The svm regularization strength
 runs from subnormal values to 1e300, where the step sizes
 overflow or the weights underflow: the exit code is documented and no
-numpy warning is raised.  Examples are derandomized, so the suite sees
-the same inputs on every run.
+numpy warning is raised.  The subspace fit itself takes word matrices
+with fewer, as many and more words than dimensions, duplicated and
+nearly duplicated words, TF weights up to 1e12 and scales from 1e-150
+to 1e150.  Examples are derandomized, so the suite sees the same inputs
+on every run.
 """
 
 import contextlib
@@ -21,9 +24,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import orthogonal_table, synth_corpus
+from helpers import orthogonal_table, projector, synth_corpus
 from wordspace.cli import main
 from wordspace.embeddings import save_text
+from wordspace.subspace import (
+    ORTHONORMALITY_TOL,
+    full_weighted_word_subspace,
+    full_word_subspace,
+    orthonormality_defect,
+)
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=50,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -196,3 +205,58 @@ def test_svm_grid_reg(good):
         assert code == 0 or err.startswith("error: ")
 
     check()
+
+
+@st.composite
+def word_matrices(draw):
+    """``(X, weights, cap)``: a p x N word matrix with N below, at or above
+    p, some words repeated exactly or up to a 1e-6 nudge, scaled by 10^-150
+    to 10^150, with TF weights from 1 to 1e12 or none, and a dimension cap."""
+    p = draw(st.integers(1, 40))
+    n = draw(st.sampled_from((max(1, p // 3), p, 3 * p)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((p, n))
+    for _ in range(draw(st.integers(0, n // 2))):
+        i, j = rng.integers(n, size=2)
+        X[:, j] = X[:, i] * (1.0 + draw(st.sampled_from((0.0, 1e-12, 1e-9, 1e-6)))
+                             * rng.standard_normal(p))
+    X *= 10.0 ** draw(st.integers(-150, 150))
+    weights = None
+    if draw(st.booleans()):
+        weights = 10.0 ** rng.uniform(0.0, 12.0, size=n)
+    # half the caps small enough for the partial eigensolve
+    order = min(p, n)
+    cap = draw(st.one_of(st.integers(1, max(1, order // 8)), st.integers(1, order)))
+    return X, weights, cap
+
+
+def _fit_warning_free(X, weights, cap=None):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if weights is None:
+            return full_word_subspace(X, cap)
+        return full_weighted_word_subspace(X, weights, cap)
+
+
+# Relative gap between the last kept eigenvalue and the next (or 0) above
+# which the kept subspace counts as well separated: both solves then find
+# it to within about eps / SEPARATED.
+SEPARATED = 1e-5
+
+
+@FUZZ
+@given(word_matrices())
+def test_subspace_fit(case):
+    X, weights, cap = case
+    full = _fit_warning_free(X, weights)
+    capped = _fit_warning_free(X, weights, cap)
+    for sub in (full, capped):
+        assert orthonormality_defect(sub.basis) <= ORTHONORMALITY_TOL
+        assert np.all(np.diff(sub.spectrum) <= 0.0)
+        assert sub.spectrum[-1] > 0.0
+    m = capped.dimension
+    assert m == min(cap, full.dimension)
+    boundary = full.spectrum[m] if m < full.dimension else 0.0
+    if full.spectrum[m - 1] - boundary > SEPARATED * full.spectrum[0]:
+        reference = full.truncated(m)
+        assert np.max(np.abs(projector(capped) - projector(reference))) <= 1e-10

@@ -5,7 +5,9 @@ shipped; this runs the paper's protocol on the short input shape of
 ``perfbench/gen.py`` instead: 8 classes in R8 proportions, 256
 documents, 300-d vectors with a planted subspace per class.  The
 embedding table keeps only the corpus's words; the ~60k filler rows
-are never looked up, so the results are those of the full table.
+are never looked up, so the results are those of the full table.  The
+long shape (documents of 600-1100 tokens) checks the serving fit of
+``classify`` at ambient rank.
 """
 
 import os
@@ -24,6 +26,7 @@ from wordspace.evaluation import (
     run_experiment,
     spectrum_report,
 )
+from helpers import projector, query_by_full_solve
 from wordspace.subspace import ORTHONORMALITY_TOL
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
@@ -40,15 +43,20 @@ FLOORS = {"msm": 0.90, "tfmsm": 0.90, "sa": 0.80}
 STREAM_QUERIES = 150
 
 
-@pytest.fixture(scope="module")
-def r8_short():
-    data = gen.generate(workloads.SHORT, SEED)
+def _inputs(shape, stream_queries):
+    """The shape's seed-1 table (the corpus's words only), corpus and stream."""
+    data = gen.generate(shape, SEED)
     used = {t for docs in (data.corpus, data.stream) for _, toks in docs for t in toks}
     keep = [i for i, w in enumerate(data.words) if w in used]
     table = EmbeddingTable([data.words[i] for i in keep], data.vectors[keep])
     corpus = Corpus([Document(label, tuple(toks)) for label, toks in data.corpus])
-    stream = [tuple(toks) for _, toks in data.stream[:STREAM_QUERIES]]
+    stream = [tuple(toks) for _, toks in data.stream[:stream_queries]]
     return table, corpus, stream
+
+
+@pytest.fixture(scope="module")
+def r8_short():
+    return _inputs(workloads.SHORT, STREAM_QUERIES)
 
 
 @pytest.mark.parametrize("strategy", sorted(FLOORS))
@@ -93,3 +101,19 @@ def test_spectrum_curves(r8_short):
         assert np.all(np.diff(curve) <= 0.0)
         assert np.all(np.diff(cumulative) >= -1e-15)
         assert cumulative[-1] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_long_queries_solve_only_the_served_directions(partial_solves):
+    # the benchmark's serving model: tfmsm at class dim 150, query dim 10;
+    # a long query has p = 300 <= N and takes the partial eigensolve
+    table, corpus, stream = _inputs(workloads.LONG, 30)
+    model = train_tfmsm(corpus, table, workloads.SUBSPACE_SERVING["class_dim"])
+    model.query_dim = workloads.SUBSPACE_SERVING["query_dim"]
+    for tokens in stream:
+        query = query_subspace(model, tokens, table, model.query_dim)
+        reference = query_by_full_solve(model, tokens, table, model.query_dim)
+        assert query.dimension == reference.dimension == model.query_dim
+        assert np.max(np.abs(projector(query) - projector(reference))) <= 1e-12
+        _assert_subspace_invariants(query, ORTHONORMALITY_TOL)
+        assert model.predict(tokens, table).label == model.predict_query(reference).label
+    assert len(partial_solves) == 2 * len(stream)  # one fit in each comparison

@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
-from helpers import cosines_by_eigensolver, random_subspace_basis
+from helpers import cosines_by_eigensolver, projector, random_subspace_basis
+from wordspace.cli import main
+from wordspace.embeddings import EmbeddingTable, save_text
 from wordspace.errors import (
     DegenerateInputError,
     DimensionMismatchError,
@@ -11,11 +14,13 @@ from wordspace.errors import (
 )
 from wordspace.subspace import (
     ORTHONORMALITY_TOL as GRAM_ROUTE_TOL,
+    PARTIAL_SOLVE_RATIO,
     RANK_RTOL,
     Subspace,
     canonical_cosines,
     full_weighted_word_subspace,
     full_word_subspace,
+    orthonormality_defect,
     similarity,
     unit_columns,
 )
@@ -43,14 +48,14 @@ class TestWordSubspace:
     def test_two_orthogonal_vectors_full_plane(self):
         sub = full_word_subspace(np.eye(2)).truncated(2)
         np.testing.assert_allclose(sub.spectrum, [0.5, 0.5], atol=1e-15)
-        np.testing.assert_allclose(sub.projector(), np.eye(2), atol=1e-12)
+        np.testing.assert_allclose(projector(sub), np.eye(2), atol=1e-12)
 
     def test_duplicate_column_same_span(self):
         rng = np.random.default_rng(0)
         v = rng.standard_normal((4, 1))
         single = full_word_subspace(v).truncated(1)
         doubled = full_word_subspace(np.hstack([v, v])).truncated(1)
-        assert max_abs(single.projector() - doubled.projector()) < PROJECTOR_TOL
+        assert max_abs(projector(single) - projector(doubled)) < PROJECTOR_TOL
 
     def test_rank_cap_error(self):
         v = np.array([[1.0, 1.0], [0.0, 0.0]])
@@ -79,7 +84,7 @@ class TestWordSubspace:
             evals, evecs = np.linalg.eigh(X @ X.T / n)
             order = np.argsort(evals)[::-1]
             oracle = evecs[:, order[:m]]
-            assert max_abs(sub.projector() - oracle @ oracle.T) < PROJECTOR_TOL
+            assert max_abs(projector(sub) - oracle @ oracle.T) < PROJECTOR_TOL
             np.testing.assert_allclose(sub.spectrum, evals[order[:m]], atol=1e-10)
 
     def test_orthonormality_invariant(self):
@@ -97,7 +102,7 @@ class TestWordSubspace:
         X = rng.standard_normal((6, 9))
         a = full_word_subspace(X).truncated(3)
         b = full_word_subspace(X.copy()).truncated(3)
-        assert max_abs(a.projector() - b.projector()) < PROJECTOR_TOL
+        assert max_abs(projector(a) - projector(b)) < PROJECTOR_TOL
 
 
 def svd_qr_subspace(X, weights=None):
@@ -153,7 +158,7 @@ class TestGramRoute:
                    else full_weighted_word_subspace(X, w))
             basis, spectrum = svd_qr_subspace(X, w)
             assert sub.dimension == basis.shape[1]
-            assert max_abs(sub.projector() - basis @ basis.T) <= 1e-10
+            assert max_abs(projector(sub) - basis @ basis.T) <= 1e-10
             np.testing.assert_allclose(sub.spectrum, spectrum, rtol=1e-10)
 
     def test_near_cap_matrices_stay_orthonormal(self):
@@ -208,6 +213,127 @@ class TestGramRoute:
         assert (err.value.requested, err.value.cap) == (4, 3)
 
 
+def fit(X, weights=None, cap=None):
+    if weights is None:
+        return full_word_subspace(X, cap)
+    return full_weighted_word_subspace(X, weights, cap)
+
+
+def route_caps(X):
+    """Every cap whose fit of X solves only its leading eigenpairs."""
+    return range(1, min(X.shape) // PARTIAL_SOLVE_RATIO + 1)
+
+
+class TestPartialSolve:
+    """A fit capped well below the eigenproblem's order solves only the
+    leading eigenpairs; it must agree with the full solve cut to the cap."""
+
+    @pytest.mark.parametrize("p,n", [(300, 40), (300, 90), (300, 150), (300, 400),
+                                     (8, 20), (16, 9), (24, 60), (40, 17)])
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_matches_the_full_solve(self, p, n, weighted, partial_solves):
+        rng = np.random.default_rng(p * 1000 + n)
+        X = unit_columns(rng.standard_normal((p, n)))
+        w = rng.integers(1, 9, size=n).astype(float) if weighted else None
+        full = fit(X, w)
+        caps = route_caps(X)
+        assert len(caps) >= 1
+        for cap in caps:
+            capped = fit(X, w, cap)
+            reference = full.truncated(cap)
+            assert capped.dimension == cap
+            assert max_abs(projector(capped) - projector(reference)) <= 1e-12
+            assert max_abs(capped.spectrum - reference.spectrum) <= 1e-12 * full.spectrum[0]
+            assert orthonormality_defect(capped.basis) <= GRAM_ROUTE_TOL
+        assert len(partial_solves) == len(caps)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_rank_deficient_set_keeps_its_rank(self, weighted, partial_solves):
+        # rank 3 of 40 words: the cap of 5 keeps 3 directions
+        rng = np.random.default_rng(30)
+        v = unit_columns(rng.standard_normal((300, 3)))
+        X = v[:, rng.integers(3, size=40)]
+        w = rng.integers(1, 9, size=40).astype(float) if weighted else None
+        capped, full = fit(X, w, 5), fit(X, w)
+        assert partial_solves == [[34, 39]]
+        assert capped.dimension == full.dimension == 3
+        assert max_abs(projector(capped) - projector(full)) <= 1e-12
+        assert max_abs(capped.spectrum - full.spectrum) <= 1e-12 * full.spectrum[0]
+
+    @pytest.mark.parametrize("case", [
+        "orthonormal-words", "orthonormal-words-equal-weights", "eye-8", "eye-300",
+        "duplicated-orthonormal-words", "duplicated-words-rank-below-cap"])
+    def test_ties_take_the_full_solve(self, case, partial_solves):
+        # tied leading eigenvalues: the partial solve is dropped, and the
+        # fit is bitwise the full solve's, tied directions first word first
+        rng = np.random.default_rng(31)
+        w = None
+        if case.startswith("orthonormal-words"):
+            X = np.eye(300)[:, rng.permutation(300)[:48]]
+            if case.endswith("equal-weights"):
+                w = np.full(48, 3.0)
+        elif case.startswith("eye"):
+            X = np.eye(int(case.split("-")[1]))
+        elif case == "duplicated-orthonormal-words":
+            X = np.tile(np.eye(300)[:, rng.permutation(300)[:24]], 2)
+        else:
+            # rank 4 of 40 words, all four directions tied
+            X = np.tile(np.eye(300)[:, rng.permutation(300)[:4]], 10)
+        full = fit(X, w)
+        for cap in route_caps(X):
+            capped = fit(X, w, cap)
+            reference = full.truncated(min(cap, full.dimension))
+            assert capped.basis.tobytes() == reference.basis.tobytes()
+            assert capped.spectrum.tobytes() == reference.spectrum.tobytes()
+        assert len(partial_solves) == len(route_caps(X)) >= 1
+
+    @pytest.mark.parametrize("command", ["train", "classify"])
+    def test_solver_failure_exits_four(self, command, tmp_path, capsys, monkeypatch):
+        # 8-dim words and documents of 10 distinct words: a class or query
+        # capped at 1 dimension takes the partial solve
+        rng = np.random.default_rng(32)
+        words = [f"w{i}" for i in range(30)]
+        save_text(EmbeddingTable(words, rng.standard_normal((30, 8))), tmp_path / "v.txt")
+        (tmp_path / "c.txt").write_text("".join(
+            f"c{i % 2} {' '.join(rng.permutation(words)[:10])}\n" for i in range(6)))
+        files = ["--corpus", str(tmp_path / "c.txt"), "--embeddings", str(tmp_path / "v.txt")]
+        train = ["train", "--strategy", "msm", "--class-dim", "1", "--query-dim", "1",
+                 *files, "--out", str(tmp_path / "m.npz")]
+        if command == "classify":
+            assert main(train) == 0
+        error = np.linalg.LinAlgError("did not converge")
+
+        def fail(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(scipy.linalg, "eigh", fail)
+        capsys.readouterr()
+        argv = train if command == "train" else [
+            "classify", "--model", str(tmp_path / "m.npz"), *files]
+        assert main(argv) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.startswith("error: ") and str(error) in err
+
+
+class TestExtremeScales:
+    """Matrices with entries far from 1 are decomposed scaled by a power of two."""
+
+    # 2^-490 to 2^490: a word's squared norm stays a normal float
+    @pytest.mark.parametrize("scale", [2.0 ** -490, 1e-150, 1e150, 2.0 ** 490])
+    @pytest.mark.parametrize("shape", [(40, 12), (12, 40)])
+    def test_matches_the_unscaled_fit(self, scale, shape):
+        rng = np.random.default_rng(33)
+        X = rng.standard_normal(shape)
+        w = 10.0 ** rng.uniform(0.0, 12.0, size=shape[1])
+        for weights in (None, w):
+            want = fit(X, weights)
+            got = fit(X * scale, weights)
+            assert got.dimension == want.dimension
+            assert max_abs(projector(got) - projector(want)) <= 1e-12
+            np.testing.assert_allclose(got.spectrum / scale ** 2, want.spectrum, rtol=1e-12)
+
+
 class TestWeightedWordSubspace:
     def test_hand_svd_dominant_direction(self):
         sub = full_weighted_word_subspace(np.eye(2), [4.0, 1.0]).truncated(1)
@@ -220,7 +346,7 @@ class TestWeightedWordSubspace:
         X = rng.standard_normal((5, 7))
         plain = full_word_subspace(X).truncated(3)
         weighted = full_weighted_word_subspace(X, np.ones(7)).truncated(3)
-        assert max_abs(plain.projector() - weighted.projector()) < PROJECTOR_TOL
+        assert max_abs(projector(plain) - projector(weighted)) < PROJECTOR_TOL
         np.testing.assert_allclose(plain.spectrum, weighted.spectrum, rtol=1e-10)
 
     def test_single_vector(self):
@@ -248,7 +374,7 @@ class TestWeightedWordSubspace:
             m = int(rng.integers(1, min(p, n) + 1))
             a = full_weighted_word_subspace(X, w.astype(float)).truncated(m)
             b = full_word_subspace(X_dup).truncated(m)
-            assert max_abs(a.projector() - b.projector()) < PROJECTOR_TOL
+            assert max_abs(projector(a) - projector(b)) < PROJECTOR_TOL
             np.testing.assert_allclose(a.spectrum, b.spectrum, rtol=1e-8)
 
 
