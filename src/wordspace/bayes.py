@@ -13,8 +13,9 @@ leaves the argmax unchanged).  Scoring happens in log space; query
 words outside the training vocabulary are ignored.
 
 Documents are read through `features`: the vocabulary and the presence
-counts come from the binbow scheme, and a query is one binbow (mvb) or
-tfbow (mnb) row over ``terms`` times one table.
+counts come from the binbow scheme, and a query is its binbow (mvb) or
+tfbow (mnb) row over ``terms``, as ``(cols, vals)`` arrays, times one
+table through `kernels.row_product` (no sparse matrix per query).
 """
 
 from dataclasses import dataclass
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .classifiers import DEFAULT_FEATURES, Prediction, make_prediction
-from .corpus import Corpus, Document
+from .corpus import Corpus
 from .errors import TrainingDataError
-from .features import FeatureSpec, feature_matrix, fit_feature_spec
+from .features import FeatureSpec, bow_row, feature_matrix, fit_feature_spec
+from .kernels import row_product
 from .utils import container_array, container_text
 
 # Smoothed probabilities are < 1 by construction, but log1p(-P) still
@@ -57,8 +59,10 @@ class NaiveBayesModel:
         return self.kind
 
     def predict(self, tokens, table=None) -> Prediction:
-        row = feature_matrix(self.spec, [Document("_q", tuple(tokens))])
-        return make_prediction(self.classes, self._base + (row @ self._table)[0])
+        # a non-finite score is refused by make_prediction, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = self._base + row_product(*bow_row(self.spec, tokens), self._table)
+        return make_prediction(self.classes, scores)
 
     def container(self):
         return {}, {"terms": self.terms, "log_prior": self.log_prior,

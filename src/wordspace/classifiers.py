@@ -263,9 +263,11 @@ class SimilarityAverageModel:
     @classmethod
     def from_container(cls, hyper, arrays):
         classes, embed_dim = arrays["classes"], _embed_dim(hyper)
+        counts = container_array(arrays, "counts", len(classes))
+        if not np.all(counts >= 1):  # a class has at least one word
+            raise FormatError("sa counts must be at least 1")
         return cls(classes, container_array(arrays, "sums", len(classes), embed_dim),
-                   container_array(arrays, "counts", len(classes)),
-                   embed_dim=embed_dim, normalize=hyper["normalize"])
+                   counts, embed_dim=embed_dim, normalize=hyper["normalize"])
 
     def predict(self, tokens, table: EmbeddingTable) -> Prediction:
         matrix, _, _ = lookup_all(table, tokens)

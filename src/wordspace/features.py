@@ -111,6 +111,29 @@ def _bow_row(spec: FeatureSpec, tokens):
     return cols, vals
 
 
+def bow_row(spec: FeatureSpec, tokens):
+    """One document's bag-of-words row as ``(cols, vals)`` numpy arrays:
+    its nonzero weights, in the order `feature_matrix` stores them."""
+    cols, vals = _bow_row(spec, tokens)
+    return np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=np.float64)
+
+
+def dense_row(spec: FeatureSpec, tokens, table=None):
+    """One document's feature row as a dense vector of ``spec.width``
+    entries, bitwise its row of `feature_matrix`."""
+    vec = np.zeros(spec.width, dtype=np.float64)
+    if spec.name != "w2v":
+        cols, vals = bow_row(spec, tokens)
+        vec[cols] = vals
+        return vec
+    if table is None:
+        raise ConfigError("w2v featurization requires an embedding table")
+    block, _, _ = lookup_all(table, tokens)
+    if block.shape[1]:
+        vec[:] = (unit_columns(block) if spec.normalize else block).mean(axis=1)
+    return vec
+
+
 def feature_matrix(spec: FeatureSpec, docs, table=None):
     """Featurize documents; rows align with ``docs``.
 
@@ -119,13 +142,9 @@ def feature_matrix(spec: FeatureSpec, docs, table=None):
     an all-zero row.
     """
     if spec.name == "w2v":
-        if table is None:
-            raise ConfigError("w2v featurization requires an embedding table")
         out = np.zeros((len(docs), spec.embed_dim), dtype=np.float64)
         for i, doc in enumerate(docs):
-            block, _, _ = lookup_all(table, doc.tokens)
-            if block.shape[1]:
-                out[i] = (unit_columns(block) if spec.normalize else block).mean(axis=1)
+            out[i] = dense_row(spec, doc.tokens, table)
         return out
 
     data, indices, indptr = [], [], [0]

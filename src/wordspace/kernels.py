@@ -1,11 +1,11 @@
-"""Numeric kernels for the two loop-bound steps.
+"""Numeric kernels for the steps that are not a single BLAS/LAPACK call.
 
 The per-sample hinge-loss subgradient updates of the one-vs-rest linear
-SVM and the sweep over (class-dim, query-dim) hyperparameter grids are
-the package's only steps that are not a single BLAS/LAPACK call.  The
-grid sweep is one array expression; the hinge SGD is one Python pass
-over the samples that updates every class at every regularization
-strength of a grid at once.
+SVM, the sweep over (class-dim, query-dim) hyperparameter grids and the
+product of one sparse document row with a dense table are the package's
+only such steps.  The grid sweep and the row product are one array
+expression each; the hinge SGD is one Python pass over the samples that
+updates every class at every regularization strength of a grid at once.
 """
 
 import numpy as np
@@ -35,6 +35,22 @@ def grid_mean_sq_cosines(sq_gram, class_dims, query_dims):
     mc = np.asarray(class_dims, dtype=np.int64)
     mq = np.asarray(query_dims, dtype=np.int64)
     return np.minimum(prefix[np.ix_(mc - 1, mq - 1)] / np.minimum.outer(mc, mq), 1.0)
+
+
+def row_product(cols, vals, table):
+    """``row @ table`` for the sparse row with ``vals`` at columns ``cols``.
+
+    ``table`` is (n_features, n_outputs); the result has length
+    n_outputs.  The products are summed from zero in the row's own
+    column order, as scipy's CSR x dense product sums them, so the
+    result is bitwise that product (an empty row gives zeros).  Overflow
+    follows IEEE rules; callers that refuse non-finite results silence
+    the warnings.
+    """
+    out = np.zeros(table.shape[1])
+    if cols.size:
+        out += np.cumsum(vals[:, None] * table[cols], axis=0)[-1]
+    return out
 
 
 def hinge_sgd(data, indices, indptr, labels, lams, epochs, order, n_features):

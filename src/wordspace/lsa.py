@@ -13,6 +13,12 @@ between ``U_k.T @ d`` vectors).  With ``k`` equal to the full rank this
 reproduces exact-cosine nearest neighbor on the raw feature vectors,
 because the training vectors lie in the span of ``U_k`` and the
 query's out-of-span component shrinks every cosine by the same factor.
+
+A query's feature row fills a dense vector (a bag-of-words row through
+its ``(cols, vals)`` arrays, with no sparse matrix per query) that one
+``basis.T @ vec`` product projects.  A container is refused unless its
+singular values are positive and non-increasing, its basis orthonormal
+and its weighted document norms finite.
 """
 
 import numpy as np
@@ -23,12 +29,13 @@ from .classifiers import Prediction, make_prediction
 from .errors import (
     DegenerateQueryError,
     FormatError,
+    NonFiniteScoreError,
     SubspaceRankError,
     TrainingDataError,
     solver_errors,
 )
-from .features import FeatureSpec, feature_matrix
-from .subspace import RANK_RTOL
+from .features import FeatureSpec, dense_row, feature_matrix
+from .subspace import LOAD_ORTHONORMALITY_TOL, RANK_RTOL, orthonormality_defect
 from .utils import container_array, container_text
 
 
@@ -75,9 +82,11 @@ class LsaModel:
         self.doc_coords = doc_coords  # (n_docs, k) = diag(1/sigma) U^T d
         self.spec = spec
         self.embed_dim = spec.embed_dim if spec.name == "w2v" else None
-        # weighted coordinates used for the cosine; norms precomputed
+        # weighted coordinates used for the cosine; norms precomputed (an
+        # overflow is refused by from_container, not warned about)
         self._weighted = doc_coords * sigma
-        self._norms = np.linalg.norm(self._weighted, axis=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._norms = np.linalg.norm(self._weighted, axis=1)
         self._class_members = {
             c: np.flatnonzero(np.asarray(self.labels, dtype=object) == c)
             for c in self.classes
@@ -101,10 +110,17 @@ class LsaModel:
         labels = container_text(arrays, "labels")
         if set(labels) != set(arrays["classes"]):
             raise FormatError("lsa labels must name every class and only those")
-        return cls(arrays["classes"], labels, basis,
-                   container_array(arrays, "sigma", rank),
-                   container_array(arrays, "doc_coords", len(labels), rank),
-                   spec)
+        sigma = container_array(arrays, "sigma", rank)
+        if not (np.all(sigma > 0.0) and np.all(np.diff(sigma) <= 0.0)):
+            raise FormatError("lsa sigma must be positive and non-increasing")
+        defect = orthonormality_defect(basis)
+        if not defect <= LOAD_ORTHONORMALITY_TOL:  # NaN too: an overflowing basis
+            raise FormatError(f"lsa basis is not orthonormal: max |B^T B - I| = {defect:.3g}")
+        model = cls(arrays["classes"], labels, basis, sigma,
+                    container_array(arrays, "doc_coords", len(labels), rank), spec)
+        if not np.all(np.isfinite(model._norms)):
+            raise FormatError("lsa weighted document norms are not finite")
+        return model
 
     def truncated(self, k: int) -> "LsaModel":
         """The rank-``k`` model (k <= rank): the leading ``k`` columns of
@@ -115,13 +131,18 @@ class LsaModel:
     def class_scores_from_projection(self, projection):
         """Per-class best cosine given ``U.T @ d`` coordinates (length
         >= rank; extra trailing entries from a wider factorization are
-        ignored).  Returns None for a zero projection."""
+        ignored).  Returns None for a zero projection; a projection whose
+        entries or cosine denominators are not finite is a
+        `NonFiniteScoreError`."""
         weighted_q = np.asarray(projection, dtype=np.float64)[: self.rank]
         qnorm = np.linalg.norm(weighted_q)
         if qnorm == 0.0:
             return None
         sims = self._weighted @ weighted_q
         denom = self._norms * qnorm
+        # the stored norms are finite: an overflow here is the query's
+        if not np.all(np.isfinite(denom)):
+            raise NonFiniteScoreError("lsa query projection is not finite")
         sims = np.divide(
             sims, denom, out=np.full_like(sims, -np.inf), where=denom > 0.0
         )
@@ -132,11 +153,10 @@ class LsaModel:
         return scores
 
     def predict(self, tokens, table=None) -> Prediction:
-        from .corpus import Document
-
-        row = feature_matrix(self.spec, [Document("_q", tuple(tokens))], table)
-        vec = row.toarray()[0] if sp.issparse(row) else row[0]
-        scores = self.class_scores_from_projection(self.basis.T @ vec)
+        # a non-finite projection is refused, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            vec = dense_row(self.spec, tokens, table)
+            scores = self.class_scores_from_projection(self.basis.T @ vec)
         if scores is None:
             raise DegenerateQueryError("query has a zero projection")
         return make_prediction(self.classes, scores)

@@ -9,7 +9,9 @@ a fixed epoch budget and a seeded sample order shared by all classes
 and all strengths, so one pass trains every class at every ``reg`` of a
 grid.  The bias is learned as an augmented always-one feature, so it is
 (weakly) regularized together with ``w``.  Prediction is the argmax of
-``w_c . x - b_c``.
+``w_c . x - b_c``; a bag-of-words query is scored from its ``(cols,
+vals)`` row through `kernels.row_product`, with no sparse matrix per
+query, and a w2v query from its dense row.
 """
 
 import numpy as np
@@ -17,8 +19,8 @@ import scipy.sparse as sp
 
 from .classifiers import Prediction, make_prediction
 from .errors import NumericalError, TrainingDataError
-from .features import FeatureSpec, feature_matrix
-from .kernels import hinge_sgd
+from .features import FeatureSpec, bow_row, dense_row, feature_matrix
+from .kernels import hinge_sgd, row_product
 from .utils import container_array
 
 DEFAULT_REG = 1e-4
@@ -58,10 +60,13 @@ class LinearSvmModel:
         return np.asarray(feats @ self.weights.T) - self.offsets
 
     def predict(self, tokens, table=None) -> Prediction:
-        from .corpus import Document
-
-        row = feature_matrix(self.spec, [Document("_q", tuple(tokens))], table)
-        return make_prediction(self.classes, self.decision_matrix(row)[0])
+        # a non-finite score is refused by make_prediction, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            if self.spec.name == "w2v":
+                scores = self.decision_matrix(dense_row(self.spec, tokens, table)[None])[0]
+            else:
+                scores = row_product(*bow_row(self.spec, tokens), self.weights.T) - self.offsets
+        return make_prediction(self.classes, scores)
 
 
 def fit_linear_svm(feats, labels, classes, spec: FeatureSpec, *, regs=(DEFAULT_REG,),

@@ -14,6 +14,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from wordspace import classifiers, evaluation
+from wordspace.bayes import NaiveBayesModel
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
 from wordspace.errors import DegenerateQueryError
@@ -331,6 +332,16 @@ def report_fitting_queries_per_fold(corpus, strategy, plan, *, table, grids=None
         test_sizes.append(len(test_docs))
     return evaluation.EvalReport(strategy, entry.feature, plan.seed, np.asarray(accuracies),
                                  params_per_fold, unclassifiable, test_sizes)
+
+
+def scores_by_one_row_matrix(model, tokens):
+    """Class scores of a bag-of-words naive-Bayes or svm model as its
+    `predict` computed them before the row kernel: a one-row scipy CSR
+    matrix from `feature_matrix` times the model's table or weights."""
+    row = feature_matrix(model.spec, [Document("_q", tuple(tokens))])
+    if isinstance(model, NaiveBayesModel):
+        return model._base + (row @ model._table)[0]
+    return model.decision_matrix(row)[0]
 
 
 def hinge_sgd_one_reg(data, indices, indptr, labels, lam, epochs, order, n_features):

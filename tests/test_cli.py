@@ -413,6 +413,32 @@ BAD_INPUTS = {
     # finite weights whose scores overflow: a numerical error, not a data error
     "svm-score-overflow": _classify_doctored(
         "svm", lambda e: e.update(weights=np.full_like(e["weights"], 1e308)), code=4),
+    "mnb-score-overflow": _classify_doctored(
+        "mnb", lambda e: e.update(log_prob=np.full_like(e["log_prob"], -1e308)), code=4),
+    # count * idf overflows in the row weights, then in the scores
+    "svm-tfidf-weight-overflow": _classify_doctored(
+        "svm", lambda e: e.update(spec_idf_log=np.full_like(e["spec_idf_log"], 1e308)),
+        code=4, flags=("--feature", "tfidfbow")),
+    "lsa-tfidf-weight-overflow": _classify_doctored(
+        "lsa", lambda e: e.update(spec_idf_log=np.full_like(e["spec_idf_log"], 1e308)),
+        code=4, flags=("--rank", "3", "--feature", "tfidfbow")),
+    # would score every class -1 without a word
+    "lsa-sigma-zero": _classify_doctored(
+        "lsa", lambda e: e.update(sigma=np.zeros_like(e["sigma"])), flags=("--rank", "3")),
+    "lsa-sigma-increasing": _classify_doctored(
+        "lsa", lambda e: e.update(sigma=e["sigma"][::-1].copy()), flags=("--rank", "3")),
+    "lsa-basis-not-orthonormal": _classify_doctored(
+        "lsa", lambda e: e.update(basis=2.0 * e["basis"]), flags=("--rank", "3")),
+    "lsa-basis-huge": _classify_doctored(
+        "lsa", lambda e: e.update(basis=1e300 * e["basis"]), flags=("--rank", "3")),
+    # the weighted document norms overflow
+    "lsa-doc-coords-huge": _classify_doctored(
+        "lsa", lambda e: e.update(doc_coords=1e300 * e["doc_coords"]), flags=("--rank", "3")),
+    # would negate every score, or divide by zero
+    "sa-counts-negative": _classify_doctored(
+        "sa", lambda e: e.update(counts=np.full_like(e["counts"], -1))),
+    "sa-counts-zero": _classify_doctored(
+        "sa", lambda e: e.update(counts=np.zeros_like(e["counts"]))),
     # B^T B overflows: refused without a numpy warning ahead of the error line
     "msm-basis-huge": _classify_doctored(
         "msm", lambda e: e.update(class_0_basis=1e300 * e["class_0_basis"])),

@@ -10,8 +10,11 @@ overflow or the weights underflow: the exit code is documented and no
 numpy warning is raised.  The subspace fit itself takes word matrices
 with fewer, as many and more words than dimensions, duplicated and
 nearly duplicated words, TF weights up to 1e12 and scales from 1e-150
-to 1e150.  Examples are derandomized, so the suite sees the same inputs
-on every run.
+to 1e150; class and query subspaces fitted from such matrices score
+in [0, 1], as per-class `similarity` does.  The bag-of-words baselines
+score drawn documents (empty, out-of-vocabulary, repeated words) bitwise
+as a one-row scipy matrix does.  Examples are derandomized, so the suite
+sees the same inputs on every run.
 """
 
 import contextlib
@@ -24,15 +27,21 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import orthogonal_table, projector, synth_corpus
+from helpers import orthogonal_table, projector, scores_by_one_row_matrix, synth_corpus
+from wordspace.bayes import train_mnb, train_mvb
+from wordspace.classifiers import SubspaceModel
 from wordspace.cli import main
+from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import save_text
+from wordspace.features import dense_row, feature_matrix, fit_feature_spec
 from wordspace.subspace import (
     ORTHONORMALITY_TOL,
     full_weighted_word_subspace,
     full_word_subspace,
     orthonormality_defect,
+    similarity,
 )
+from wordspace.svm import train_svm
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=50,
                 suppress_health_check=[HealthCheck.too_slow])
@@ -208,11 +217,12 @@ def test_svm_grid_reg(good):
 
 
 @st.composite
-def word_matrices(draw):
-    """``(X, weights, cap)``: a p x N word matrix with N below, at or above
-    p, some words repeated exactly or up to a 1e-6 nudge, scaled by 10^-150
-    to 10^150, with TF weights from 1 to 1e12 or none, and a dimension cap."""
-    p = draw(st.integers(1, 40))
+def word_matrices(draw, dims=st.integers(1, 40)):
+    """``(X, weights, cap)``: a p x N word matrix (p drawn from ``dims``)
+    with N below, at or above p, some words repeated exactly or up to a
+    1e-6 nudge, scaled by 10^-150 to 10^150, with TF weights from 1 to
+    1e12 or none, and a dimension cap."""
+    p = draw(dims)
     n = draw(st.sampled_from((max(1, p // 3), p, 3 * p)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.standard_normal((p, n))
@@ -260,3 +270,59 @@ def test_subspace_fit(case):
     if full.spectrum[m - 1] - boundary > SEPARATED * full.spectrum[0]:
         reference = full.truncated(m)
         assert np.max(np.abs(projector(capped) - projector(reference))) <= 1e-10
+
+
+# two to four word matrices in one ambient dimension: classes, then a query
+SHARED_DIM_MATRICES = st.integers(1, 40).flatmap(
+    lambda p: st.lists(word_matrices(st.just(p)), min_size=2, max_size=4))
+
+
+@FUZZ
+@given(SHARED_DIM_MATRICES, st.integers(1, 40))
+def test_predict_query_scores_are_similarities(cases, angle_count):
+    *class_cases, query_case = cases
+    subspaces = {f"c{i}": _fit_warning_free(*case) for i, case in enumerate(class_cases)}
+    query = _fit_warning_free(*query_case)
+    limits = [min(sub.dimension, query.dimension) for sub in subspaces.values()]
+    # every angle, and fewer than the widest class pair has
+    for t in (None, min(angle_count, max(limits) - 1)):
+        if t == 0:
+            continue
+        model = SubspaceModel("msm", tuple(subspaces), subspaces, class_dim=None,
+                              angle_count=t)
+        scores = model.predict_query(query).scores
+        assert np.all((scores >= 0.0) & (scores <= 1.0))
+        want = [similarity(sub, query, limit if t is None else min(limit, t))
+                for sub, limit in zip(subspaces.values(), limits)]
+        assert np.max(np.abs(scores - want)) <= 1e-12
+
+
+@pytest.fixture(scope="module")
+def baselines():
+    """Bag-of-words baselines trained on a corpus in which the word
+    ``the`` is in every document, so its tfidf weight is 0."""
+    corpus = synth_corpus(3, 5, docs_per_class=6, tokens_per_doc=5,
+                          rng=np.random.default_rng(11))
+    corpus = Corpus([Document(d.label, ("the",) + d.tokens) for d in corpus])
+    specs = [fit_feature_spec(name, corpus) for name in ("binbow", "tfbow", "tfidfbow")]
+    assert specs[2].idf_log[specs[2].index["the"]] == 0.0
+    models = [train_mvb(corpus), train_mnb(corpus),
+              *(train_svm(corpus, spec, reg=1e-3) for spec in specs)]
+    return models, specs
+
+
+def test_baseline_rows_equal_one_row_matrix(baselines):
+    models, specs = baselines
+    words = list(specs[0].terms) + ["oov", "zzz"]
+
+    @FUZZ
+    @given(st.lists(st.sampled_from(words), max_size=30))
+    def check(tokens):
+        for model in models:
+            want = scores_by_one_row_matrix(model, tokens)
+            assert model.predict(tokens).scores.tobytes() == want.tobytes()
+        for spec in specs:  # the dense row lsa projects
+            want = feature_matrix(spec, [Document("_q", tuple(tokens))]).toarray()[0]
+            assert dense_row(spec, tokens).tobytes() == want.tobytes()
+
+    check()
