@@ -115,10 +115,6 @@ class SubspaceModel:
         # GEMM gives the basis products of all classes with a query
         self.stacked_basis = np.hstack(bases)
 
-    @property
-    def weighted(self):
-        return self.strategy == "tfmsm"
-
     def basis_products(self, query: Subspace) -> np.ndarray:
         """``query.basis.T @ class_basis`` of every class side by side, in
         class order: columns ``class_starts[c]`` to ``class_starts[c] +
@@ -168,15 +164,19 @@ class SubspaceModel:
         The model's ``query_dim`` caps the query subspace dimension
         (rank-capped); see `predict_query` for the scoring.
         """
-        return self.predict_query(query_subspace(self, tokens, table, self.query_dim))
+        return self.predict_query(query_subspace(
+            tokens, table, self.query_dim, strategy=self.strategy, normalize=self.normalize))
 
     def predict_query(self, query: Subspace) -> Prediction:
         """Classify a query subspace built under the model's policies.
 
-        The model's ``angle_count`` caps the number of canonical angles,
-        None meaning every available angle, i.e. min(class dim, query
-        dim).
+        A query wider than the model's ``query_dim`` is cut to its
+        leading ``query_dim`` directions.  The model's ``angle_count``
+        caps the number of canonical angles, None meaning every
+        available angle, i.e. min(class dim, query dim).
         """
+        if self.query_dim is not None and query.dimension > self.query_dim:
+            query = query.truncated(self.query_dim)
         limits = np.minimum(self.class_dims, query.dimension)
         if self.angle_count is None or self.angle_count >= limits.max():
             # every angle: the sum of squared cosines is the squared Frobenius
@@ -192,22 +192,22 @@ class SubspaceModel:
         return make_prediction(self.classes, scores)
 
 
-def _word_subspace(matrix, counts, max_dim, normalize, weighted):
-    """The subspace of a word set, class or query alike: its word vectors
-    (unit length with ``normalize``), weighted by their ``counts`` when
-    ``weighted``, capped at ``max_dim`` dimensions."""
+def _word_subspace(matrix, counts, max_dim, normalize, strategy):
+    """The ``strategy`` subspace of a word set, class or query alike: its
+    word vectors (unit length with ``normalize``), weighted by their
+    ``counts`` for tfmsm, capped at ``max_dim`` dimensions."""
     if normalize:
         matrix = unit_columns(matrix)
-    if weighted:
+    if strategy == "tfmsm":
         return full_weighted_word_subspace(matrix, counts, max_dim)
     return full_word_subspace(matrix, max_dim)
 
 
-def _train_subspace_model(strategy, corpus, table, class_dim, normalize, weighted):
+def _train_subspace_model(strategy, corpus, table, class_dim, normalize):
     subspaces = {}
     for label in corpus.classes:
         matrix, counts = class_vectors(corpus, table, label)
-        subspaces[label] = _word_subspace(matrix, counts, class_dim, normalize, weighted)
+        subspaces[label] = _word_subspace(matrix, counts, class_dim, normalize, strategy)
     return SubspaceModel(
         strategy, corpus.classes, subspaces, class_dim=class_dim, normalize=normalize,
         embed_dim=table.dimension,
@@ -221,22 +221,23 @@ def train_msm(corpus: Corpus, table: EmbeddingTable, class_dim: int = None,
     ``class_dim`` is a policy upper bound: every class uses
     ``min(class_dim, numerical rank)`` dimensions (full rank if None).
     """
-    return _train_subspace_model("msm", corpus, table, class_dim, normalize, False)
+    return _train_subspace_model("msm", corpus, table, class_dim, normalize)
 
 
 def train_tfmsm(corpus: Corpus, table: EmbeddingTable, class_dim: int = None,
                 normalize: bool = True) -> SubspaceModel:
     """As `train_msm` but each word is weighted by its class frequency."""
-    return _train_subspace_model("tfmsm", corpus, table, class_dim, normalize, True)
+    return _train_subspace_model("tfmsm", corpus, table, class_dim, normalize)
 
 
-def query_subspace(model: SubspaceModel, tokens, table: EmbeddingTable,
-                   query_dim: int = None) -> Subspace:
-    """Build the query document's subspace under the model's policies."""
+def query_subspace(tokens, table: EmbeddingTable, query_dim: int = None, *,
+                   strategy, normalize) -> Subspace:
+    """The query document's subspace under the policies of a ``strategy``
+    (msm or tfmsm) model that does or does not ``normalize`` its vectors."""
     matrix, counts, _ = lookup_all(table, tokens)
     if matrix.shape[1] == 0:
         raise DegenerateQueryError("query has no in-vocabulary words")
-    return _word_subspace(matrix, counts, query_dim, model.normalize, model.weighted)
+    return _word_subspace(matrix, counts, query_dim, normalize, strategy)
 
 
 class SimilarityAverageModel:

@@ -2,13 +2,14 @@
 
 Subcommands: ``train``, ``classify``, ``eval``, ``spectrum``.  All
 diagnostics go to stderr; data goes to stdout or to the files named by
-``--out``.  Exit codes: 0 success, 2 configuration error, 3 data
-error, 4 numerical error.
+``--out``.  Exit codes: 0 success, 2 configuration error (an output
+that cannot be written among them), 3 data error, 4 numerical error.
 """
 
 import argparse
 import itertools
 import logging
+import signal
 import sys
 from pathlib import Path
 
@@ -205,6 +206,7 @@ def cmd_spectrum(args) -> int:
     _existing_path(args.corpus)
     if args.out is None:
         raise ConfigError("spectrum requires --out for the CSV file")
+    check_positive("at_dim", args.at_dim)
     corpus = parse_corpus(args.corpus)
     table = _load_embeddings(args)
     report = spectrum_report(corpus, table, args.normalize_vectors == "on")
@@ -215,11 +217,7 @@ def cmd_spectrum(args) -> int:
 
 
 def _write_text(path, text):
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as err:
-        raise ConfigError(f"cannot write {path}: {err}") from None
+    Path(path).write_text(text, encoding="utf-8")
 
 
 class _StoreGiven(argparse.Action):
@@ -308,7 +306,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return _HANDLERS[args.command](args)
-    except ConfigError as err:
+    except (ConfigError, OSError) as err:  # an OSError names the path it could not open
         print(f"error: {err}", file=sys.stderr)
         return 2
     except DataError as err:
@@ -320,6 +318,9 @@ def main(argv=None) -> int:
 
 
 def entry():
+    if hasattr(signal, "SIGPIPE"):
+        # a reader that goes early ends the process, as it ends any Unix filter
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main())
 
 

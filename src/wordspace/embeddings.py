@@ -96,9 +96,6 @@ class EmbeddingTable:
     def __len__(self):
         return len(self._words)
 
-    def __contains__(self, word):
-        return word in self._index
-
     def vector(self, word):
         """Return a read-only view of the vector stored for ``word``."""
         return self._matrix[self._index[word]]
@@ -151,12 +148,17 @@ def load_binary(source) -> EmbeddingTable:
     count, dim = _parse_header_tokens(header.split(), "binary embedding stream")
 
     words = []
-    vectors = np.empty((count, dim), dtype=np.float64)
+    pos = newline + 1
+    record_bytes = 4 * dim
+    # rows only for the records the bytes can hold, at 4 * dim + 2 bytes or
+    # more each (a one-byte word, the space, the vector): a header that
+    # declares more fails as truncated at the first record past them, and
+    # without one row that fits, no array of its dim is asked for
+    rows = min(count, (len(buf) - pos) // (record_bytes + 2))
+    vectors = np.empty((rows, dim if rows or not count else 0), dtype=np.float64)
     seen = set()
     replaced = set()  # raw bytes of the words that decode with U+FFFD
     dropped = 0
-    pos = newline + 1
-    record_bytes = 4 * dim
     for i in range(count):
         while pos < len(buf) and buf[pos] == 0x0A:  # consume newlines between records
             pos += 1

@@ -100,37 +100,26 @@ def _grid(strategy, grids):
     return grid
 
 
-class QueryCache:
-    """The query subspace of each corpus document, fitted at most once per
-    `run_experiment` call at ``max_dim``, the grid's largest query dim;
-    None for a document without in-vocabulary words.
+def _fit_queries(corpus, table, strategy, normalize, max_dim):
+    """The query subspace of every corpus document, in corpus order, at
+    ``max_dim``, the grid's largest query dim (None for a document
+    without in-vocabulary words): it depends only on the document, the
+    table and the strategy's policies, which every fold shares.
 
-    A query subspace depends only on the document, the table and the
-    model's normalize and weighted policies, which every fold of a run
-    shares.  When ``max_dim`` is too large for the partial eigensolve
-    (as the default grid's 200 is on 300-d vectors), a prefix of the
-    cached basis is bitwise the uncapped fit cut to that dim; a fresh
-    fit at a small dim may solve only its leading eigenpairs and agree
-    with the prefix to roundoff.  The cache holds p x min(max_dim, rank)
-    float64 values per document it has seen.
+    A model cuts a wider query to its own ``query_dim``.  When
+    ``max_dim`` is too large for the partial eigensolve (as the default
+    grid's 200 is on 300-d vectors), that cut is bitwise the uncapped
+    fit cut to that dim; a fresh fit at a small dim may solve only its
+    leading eigenpairs and agree with the cut to roundoff.
     """
-
-    def __init__(self, corpus, table, max_dim):
-        self._documents = corpus.documents
-        self._table = table
-        self._max_dim = max_dim
-        self._subspaces = {}  # corpus document index -> Subspace or None
-
-    def get(self, model, index):
-        index = int(index)
-        if index not in self._subspaces:
-            try:
-                query = classifiers.query_subspace(
-                    model, self._documents[index].tokens, self._table, self._max_dim)
-            except DegenerateQueryError:
-                query = None
-            self._subspaces[index] = query
-        return self._subspaces[index]
+    queries = []
+    for doc in corpus.documents:
+        try:
+            queries.append(classifiers.query_subspace(
+                doc.tokens, table, max_dim, strategy=strategy, normalize=normalize))
+        except DegenerateQueryError:
+            queries.append(None)
+    return queries
 
 
 def _fixed_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
@@ -152,7 +141,7 @@ def _subspace_fold(strategy, train_c, val_docs, val_queries, table, grid, featur
     blocks = [(slice(start, start + dim), np.minimum(mc_arr, dim))
               for start, dim in zip(full.class_starts, full.class_dims)]
     correct = np.zeros((len(class_dims), len(query_dims)), dtype=np.int64)
-    for doc, query in zip(val_docs, val_queries(full)):
+    for doc, query in zip(val_docs, val_queries):
         if query is None:
             continue  # counts as wrong at every grid point
         mq_caps = np.minimum(mq_arr, query.dimension)
@@ -371,7 +360,7 @@ def _fit_fold(strategy, corpus, fold, grid, queries, *, table, feature, normaliz
     """``(model, params, notes)`` of the point of ``grid`` (see `_grid`)
     maximizing validation accuracy for one fold.
 
-    ``queries`` is the run's `QueryCache` for a strategy with a
+    ``queries`` is the run's `_fit_queries` list for a strategy with a
     ``query_dim`` axis, None otherwise.  ``notes`` lists grid points
     that were skipped as infeasible.  Every selector counts validation
     hits in grid order and keeps the first best point.  The dimension
@@ -381,8 +370,7 @@ def _fit_fold(strategy, corpus, fold, grid, queries, *, table, feature, normaliz
     """
     train_c = corpus.subset(fold.train)
     val_docs = [corpus.documents[i] for i in fold.validation]
-    val_queries = None if queries is None else (
-        lambda model: [queries.get(model, i) for i in fold.validation])
+    val_queries = None if queries is None else [queries[i] for i in fold.validation]
     return strategy.select(strategy, train_c, val_docs, val_queries, table, grid,
                            feature, normalize, seed)
 
@@ -460,7 +448,7 @@ def run_experiment(corpus: Corpus, strategy: str, plan: FoldPlan, *, table=None,
     entry = STRATEGIES[strategy]
     feature = entry.resolve_feature(feature)
     grid = _grid(entry, grids)
-    queries = (QueryCache(corpus, table, max(grid["query_dim"]))
+    queries = (_fit_queries(corpus, table, strategy, normalize, max(grid["query_dim"]))
                if "query_dim" in grid else None)
     accuracies = []
     params_per_fold = []
@@ -486,12 +474,8 @@ def run_experiment(corpus: Corpus, strategy: str, plan: FoldPlan, *, table=None,
 
         def _classify(index):
             if queries is not None:
-                # the selected query dim is a prefix of the cached basis
-                query = queries.get(model, index)
-                if query is None:
-                    return None
-                query = query.truncated(min(model.query_dim, query.dimension))
-                return model.predict_query(query).label
+                query = queries[index]
+                return None if query is None else model.predict_query(query).label
             try:
                 return model.predict(corpus.documents[index].tokens, table).label
             except DegenerateQueryError:

@@ -20,9 +20,7 @@ from .errors import ConfigError, FormatError
 from .subspace import unit_columns
 from .utils import container_array, container_text
 
-# CLI feature names -> bag-of-words weighting schemes.
 FEATURE_NAMES = ("binbow", "tfbow", "tfidfbow", "w2v")
-_BOW_SCHEME = {"binbow": "binary", "tfbow": "tf", "tfidfbow": "tfidf"}
 
 
 @dataclass

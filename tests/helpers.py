@@ -257,10 +257,11 @@ def w2v_rows_by_word_loop(table, docs, normalize):
     """w2v feature rows as the former per-word loop built them: the
     mean of the distinct in-vocabulary (unit) word vectors."""
     out = np.zeros((len(docs), table.dimension), dtype=np.float64)
+    vocab = set(table.words)
     for i, doc in enumerate(docs):
         vecs, seen = [], set()
         for t in doc.tokens:
-            if t in table and t not in seen:
+            if t in vocab and t not in seen:
                 seen.add(t)
                 vecs.append(table.vector(t))
         if vecs:
@@ -284,12 +285,17 @@ def spectrum_by_eigvalsh(X):
     return np.maximum(vals, 0.0)
 
 
-def query_by_full_solve(model, tokens, table, query_dim=None):
+def policies(model):
+    """The query policies of a subspace model, as `query_subspace` takes them."""
+    return {"strategy": model.strategy, "normalize": model.normalize}
+
+
+def query_by_full_solve(tokens, table, query_dim=None, **policy):
     """The query subspace as `query_subspace` fitted it when every fit
     solved all eigenpairs: the uncapped fit cut to ``query_dim``.  A
     capped fit may solve only its leading eigenpairs, which agrees with
     this to roundoff."""
-    query = classifiers.query_subspace(model, tokens, table)
+    query = classifiers.query_subspace(tokens, table, **policy)
     return query if query_dim is None else query.truncated(min(query_dim, query.dimension))
 
 
@@ -297,22 +303,23 @@ def report_fitting_queries_per_fold(corpus, strategy, plan, *, table, grids=None
                                     normalize=True, seed=evaluation.DEFAULT_SEED,
                                     threads=1):
     """The msm/tfmsm `run_experiment` report as it was built before the
-    run-wide query cache: each fold fits every validation query afresh at
+    run-wide query list: each fold fits every validation query afresh at
     the grid's largest query dim, and every test query at the selected
     one, both by `query_by_full_solve`."""
     entry = evaluation.STRATEGIES[strategy]
     grid = evaluation._grid(entry, grids)
+    policy = {"strategy": strategy, "normalize": normalize}
 
-    def fit_or_none(model, doc):
+    def fit_or_none(doc):
         try:
-            return query_by_full_solve(model, doc.tokens, table, max(grid["query_dim"]))
+            return query_by_full_solve(doc.tokens, table, max(grid["query_dim"]), **policy)
         except DegenerateQueryError:
             return None
 
     def classify(model, doc):
         try:
-            return model.predict_query(
-                query_by_full_solve(model, doc.tokens, table, model.query_dim)).label
+            return model.predict_query(query_by_full_solve(
+                doc.tokens, table, model.query_dim, **policy)).label
         except DegenerateQueryError:
             return None
 
@@ -321,7 +328,7 @@ def report_fitting_queries_per_fold(corpus, strategy, plan, *, table, grids=None
         val_docs = [corpus.documents[i] for i in fold.validation]
         model, params, _ = entry.select(
             entry, corpus.subset(fold.train), val_docs,
-            lambda model: [fit_or_none(model, doc) for doc in val_docs],
+            [fit_or_none(doc) for doc in val_docs],
             table, grid, entry.feature, normalize, seed)
         test_docs = [corpus.documents[i] for i in fold.test]
         predicted = parallel_map(lambda doc: classify(model, doc), test_docs, threads)

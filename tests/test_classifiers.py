@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import orthogonal_table, projector, query_by_full_solve
+from helpers import orthogonal_table, policies, projector, query_by_full_solve
 from wordspace.classifiers import (
     SimilarityAverageModel,
     make_prediction,
@@ -152,7 +152,7 @@ class TestStackedScorer:
 
     @staticmethod
     def per_class(model, tokens, table, angle_count=None):
-        query = query_subspace(model, tokens, table, model.query_dim)
+        query = query_subspace(tokens, table, model.query_dim, **policies(model))
         out = []
         for label in model.classes:
             sub = model.subspaces[label]
@@ -220,13 +220,13 @@ class TestQueryPrefix:
         rng, words, table, corpus = _random_setup()
         model = trainer(corpus, table)
         tokens = rng.choice(words[:distinct], size=3 * distinct).tolist() + words[:distinct]
-        capped = query_subspace(model, tokens, table, 200)
+        capped = query_subspace(tokens, table, 200, **policies(model))
         for q in range(1, capped.dimension + 2):
-            reference = query_by_full_solve(model, tokens, table, q)
+            reference = query_by_full_solve(tokens, table, q, **policies(model))
             prefix = capped.truncated(min(q, capped.dimension))
             assert prefix.basis.tobytes() == reference.basis.tobytes()
             assert prefix.spectrum.tobytes() == reference.spectrum.tobytes()
-            fitted = query_subspace(model, tokens, table, q)
+            fitted = query_subspace(tokens, table, q, **policies(model))
             assert fitted.dimension == reference.dimension
             assert max_abs(projector(fitted) - projector(reference)) <= 1e-12
 
@@ -241,7 +241,22 @@ class TestQueryPrefix:
         for _ in range(5):
             tokens = rng.choice(words + ["oov"], size=7).tolist()
             got = model.predict(tokens, table)
-            want = model.predict_query(query_subspace(model, tokens, table, query_dim))
+            want = model.predict_query(query_subspace(tokens, table, query_dim, **policies(model)))
+            assert (got.label, got.tie) == (want.label, want.tie)
+            assert got.scores.tobytes() == want.scores.tobytes()
+
+    @pytest.mark.parametrize("trainer", [train_msm, train_tfmsm])
+    @pytest.mark.parametrize("query_dim,angle_count", [(1, None), (3, None), (3, 2)])
+    def test_predict_query_cuts_a_wider_query(self, trainer, query_dim, angle_count):
+        rng, words, table, corpus = _random_setup()
+        model = trainer(corpus, table, 4)
+        model.query_dim, model.angle_count = query_dim, angle_count
+        for _ in range(5):
+            query = query_subspace(rng.choice(words, size=9).tolist(), table,
+                                   **policies(model))
+            assert query.dimension > query_dim
+            got = model.predict_query(query)
+            want = model.predict_query(query.truncated(query_dim))
             assert (got.label, got.tie) == (want.label, want.tie)
             assert got.scores.tobytes() == want.scores.tobytes()
 

@@ -1,7 +1,9 @@
 import argparse
 import json
+import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -356,6 +358,20 @@ BAD_INPUTS = {
         "train", "--strategy", "mnb", "--corpus", str(d), "--out", str(d / "m.npz")], 2),
     "model-is-directory": (lambda ws, d: [
         "classify", "--model", str(d), "--corpus", ws["corpus"]], 2),
+    "train-out-is-directory": (lambda ws, d: [
+        "train", "--strategy", "mnb", "--corpus", ws["corpus"], "--out", str(d)], 2),
+    "train-out-missing-dir": (lambda ws, d: [
+        "train", "--strategy", "mnb", "--corpus", ws["corpus"],
+        "--out", str(d / "missing" / "refused")], 2),
+    # headers numpy would refuse to allocate: the one record present is truncated
+    "bin-embeddings-count-huge": (lambda ws, d: [
+        "train", "--strategy", "sa", "--corpus", ws["corpus"], "--embeddings",
+        _write(d / "v.bin", b"1000000000000000000 300\nw0_0 " + bytes(8)),
+        "--out", str(d / "refused")], 3),
+    "bin-embeddings-dim-huge": (lambda ws, d: [
+        "train", "--strategy", "sa", "--corpus", ws["corpus"], "--embeddings",
+        _write(d / "v.bin", b"1 10000000000000000000\nw0_0 " + bytes(8)),
+        "--out", str(d / "refused")], 3),
     "corpus-not-utf8": (lambda ws, d: [
         "train", "--strategy", "mnb", "--corpus", _write(d / "c.txt", b"c0 caf\xe9 x\n"),
         "--out", str(d / "m.npz")], 3),
@@ -461,6 +477,11 @@ BAD_INPUTS = {
                                              "--grid-reg", "1e-3,0"),
     "spectrum-at-dim-zero": _refused("spectrum", "--at-dim", "0"),
     "spectrum-at-dim-negative": _refused("spectrum", "--at-dim", "-100000"),
+    # refused before the embeddings are read, so their damage is never reported
+    "spectrum-at-dim-zero-before-embeddings": (lambda ws, d: [
+        "spectrum", "--corpus", ws["corpus"], "--embeddings",
+        _write(d / "v.txt", b"not a table\n"), "--out", str(d / "refused"),
+        "--at-dim", "0"], 2),
     "train-seed-negative": _refused("train", "--strategy", "svm", "--seed", "-1"),
     "eval-seed-negative": _refused("eval", "--strategy", "mnb", "--seed", "-1"),
     # mnb has no grid: both axes would be ignored
@@ -734,6 +755,23 @@ class TestConsoleEntry:
         )
         assert result.returncode == 0, result.stderr
         assert "strategy=sa" in result.stdout
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+    def test_reader_closing_early_ends_classify_by_sigpipe(self, workspace, tmp_path):
+        model = str(tmp_path / "m.npz")
+        assert main(["train", "--strategy", "mnb", "--corpus", workspace["corpus"],
+                     "--out", model]) == 0
+        docs = tmp_path / "docs.txt"  # far more output than a pipe buffer holds
+        docs.write_text(Path(workspace["corpus"]).read_text() * 250)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "wordspace", "classify", "--model", model,
+             "--corpus", str(docs)], stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        proc.stdout.readline()
+        proc.stdout.close()  # as `| head -1` does
+        with proc.stderr:
+            err = proc.stderr.read()
+        assert proc.wait(timeout=120) == -signal.SIGPIPE
+        assert b"Traceback" not in err
 
     def test_import_leaves_scipy_stats_unloaded(self):
         result = subprocess.run(

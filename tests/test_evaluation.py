@@ -27,8 +27,8 @@ from wordspace.evaluation import (
     DEFAULT_SEED,
     STRATEGIES,
     Fold,
-    QueryCache,
     _fit_fold,
+    _fit_queries,
     _grid,
     make_folds,
     paired_ttest,
@@ -97,7 +97,7 @@ def _select(name, corpus, fold, grids, table=None):
     """``(params, notes)`` of one fold's selection for strategy ``name``."""
     strategy = STRATEGIES[name]
     grid = _grid(strategy, grids)
-    queries = (QueryCache(corpus, table, max(grid["query_dim"]))
+    queries = (_fit_queries(corpus, table, name, True, max(grid["query_dim"]))
                if "query_dim" in grid else None)
     _, params, notes = _fit_fold(strategy, corpus, fold, grid, queries, table=table,
                                  feature=strategy.feature, normalize=True,
@@ -262,23 +262,22 @@ class TestQueryCache:
     """`run_experiment` fits each document's query subspace once per run."""
 
     @pytest.mark.parametrize("strategy", ["msm", "tfmsm"])
-    def test_one_fit_per_validation_or_test_document(self, strategy, monkeypatch):
+    def test_one_fit_per_corpus_document(self, strategy, monkeypatch):
         table, corpus = _cache_setup()
         plan = make_folds(corpus, seed=5)
         fits, caps = Counter(), set()
         fit = classifiers.query_subspace
 
-        def counting(model, tokens, table, query_dim=None):
+        def counting(tokens, table, query_dim=None, **policies):
             fits[id(tokens)] += 1
             caps.add(query_dim)
-            return fit(model, tokens, table, query_dim)
+            return fit(tokens, table, query_dim, **policies)
 
         monkeypatch.setattr(classifiers, "query_subspace", counting)
         run_experiment(corpus, strategy, plan, table=table, threads=2,
                        grids={"query_dim": (3, 1, 6)})
-        queried = {int(i) for f in plan.folds for i in (*f.validation, *f.test)}
         assert max(fits.values()) == 1
-        assert sum(fits.values()) == len(queried)
+        assert sum(fits.values()) == len(corpus)
         assert caps == {6}
 
     @pytest.mark.parametrize("strategy", ["msm", "tfmsm"])
@@ -313,7 +312,7 @@ class TestQueryCache:
                          if i not in _ghosts(corpus, fold.validation)])
         selections = []
         for validation in (fold.validation, kept):
-            queries = QueryCache(corpus, table, max(grid["query_dim"]))
+            queries = _fit_queries(corpus, table, strategy, True, max(grid["query_dim"]))
             model, params, _ = _fit_fold(
                 STRATEGIES[strategy], corpus, Fold(fold.train, validation, fold.test),
                 grid, queries, table=table, feature="w2v", normalize=True,
@@ -332,14 +331,19 @@ class TestQueryCache:
         for acc, n_ghost, fold in zip(report.accuracies, in_test, plan.folds):
             assert acc <= 1.0 - n_ghost / len(fold.test) + 1e-12
 
-    def test_document_index_keys_the_cache(self):
+    @pytest.mark.parametrize("strategy", ["msm", "tfmsm"])
+    def test_list_is_indexed_by_corpus_position(self, strategy):
         table, corpus = _cache_setup()
-        model = classifiers.train_msm(corpus, table)
-        queries = QueryCache(corpus, table, 4)
-        first = queries.get(model, np.int64(3))
-        assert queries.get(model, 3) is first
-        assert first.dimension <= 4
-        assert queries.get(model, len(corpus) - 1) is None
+        queries = _fit_queries(corpus, table, strategy, True, 4)
+        assert len(queries) == len(corpus)
+        for doc, query in zip(corpus.documents, queries):
+            if doc.tokens[0] == "ghost":
+                assert query is None
+            else:
+                assert 1 <= query.dimension <= 4
+                want = classifiers.query_subspace(doc.tokens, table, 4,
+                                                  strategy=strategy, normalize=True)
+                assert query.basis.tobytes() == want.basis.tobytes()
 
 
 class TestRunExperiment:

@@ -26,7 +26,7 @@ from wordspace.evaluation import (
     run_experiment,
     spectrum_report,
 )
-from helpers import projector, query_by_full_solve
+from helpers import policies, projector, query_by_full_solve
 from wordspace.subspace import ORTHONORMALITY_TOL
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "perfbench"))
@@ -85,7 +85,7 @@ def test_bases_orthonormal_and_spectra_non_increasing(trainer, r8_short):
     for label in model.classes:
         _assert_subspace_invariants(model.subspaces[label], 1e-12)
     for tokens in stream:
-        query = query_subspace(model, tokens, table)
+        query = query_subspace(tokens, table, **policies(model))
         assert query.dimension < table.dimension  # the Gram route's side
         _assert_subspace_invariants(query, ORTHONORMALITY_TOL)
         model.query_dim = query.dimension
@@ -110,8 +110,8 @@ def test_long_queries_solve_only_the_served_directions(partial_solves):
     model = train_tfmsm(corpus, table, workloads.SUBSPACE_SERVING["class_dim"])
     model.query_dim = workloads.SUBSPACE_SERVING["query_dim"]
     for tokens in stream:
-        query = query_subspace(model, tokens, table, model.query_dim)
-        reference = query_by_full_solve(model, tokens, table, model.query_dim)
+        query = query_subspace(tokens, table, model.query_dim, **policies(model))
+        reference = query_by_full_solve(tokens, table, model.query_dim, **policies(model))
         assert query.dimension == reference.dimension == model.query_dim
         assert np.max(np.abs(projector(query) - projector(reference))) <= 1e-12
         _assert_subspace_invariants(query, ORTHONORMALITY_TOL)
