@@ -60,6 +60,8 @@ def _load_embeddings(args):
     if fmt is None:
         fmt = "bin" if path.endswith(".bin") else "txt"
     table = load_binary(path) if fmt == "bin" else load_text(path)
+    if len(table) == 0:  # no run can use it: every document would be out of vocabulary
+        raise DataError(f"embedding file has no words: {path}")
     log.info("loaded %d vectors of dimension %d", len(table), table.dimension)
     return table
 
@@ -147,9 +149,9 @@ def cmd_eval(args) -> int:
     _existing_path(args.corpus)
     if args.out is None:
         raise ConfigError("eval requires --out as a report path prefix")
-    strategies = list(args.strategies) if args.strategies else [args.strategy]
-    if not strategies or strategies == [None]:
-        raise ConfigError("eval requires --strategy or --strategies")
+    if (args.strategy is None) == (args.strategies is None):
+        raise ConfigError("eval requires exactly one of --strategy and --strategies")
+    strategies = args.strategies or [args.strategy]
     for s in strategies:
         if s not in STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}")

@@ -120,6 +120,8 @@ def _parse_header_tokens(tokens, where):
         raise FormatError(
             f"malformed header in {where}: count must be >= 0 and dimension >= 1"
         )
+    if dim > np.iinfo(np.intp).max // 8:  # numpy cannot describe one float64 row
+        raise FormatError(f"malformed header in {where}: dimension {dim} is too large")
     return count, dim
 
 

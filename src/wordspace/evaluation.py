@@ -29,9 +29,9 @@ from .errors import (
     DataError,
     DegenerateQueryError,
     DegenerateTestError,
-    NumericalError,
     SubspaceRankError,
     TrainingDataError,
+    WordspaceError,
 )
 from .features import fit_feature_spec, feature_matrix
 from .kernels import grid_mean_sq_cosines
@@ -136,8 +136,11 @@ def _subspace_fold(strategy, train_c, val_docs, val_queries, table, grid, featur
                         {"class_dim": max(class_dims)})
 
     classes = np.asarray(full.classes, dtype=object)
-    mc_arr = np.asarray(class_dims, dtype=np.int64)
-    mq_arr = np.asarray(query_dims, dtype=np.int64)
+    # capped first, as int64 cannot hold every grid value: a class has at most
+    # max(class_dims) directions and a query at most embed_dim
+    mc_arr = np.asarray([min(d, int(full.class_dims.max())) for d in class_dims],
+                        dtype=np.int64)
+    mq_arr = np.asarray([min(d, full.embed_dim) for d in query_dims], dtype=np.int64)
     blocks = [(slice(start, start + dim), np.minimum(mc_arr, dim))
               for start, dim in zip(full.class_starts, full.class_dims)]
     correct = np.zeros((len(class_dims), len(query_dims)), dtype=np.int64)
@@ -169,14 +172,8 @@ def _lsa_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
               normalize, seed):
     spec = fit_feature_spec(feature, train_c, table, normalize)
     ranks = tuple(sorted(set(grid["rank"])))
-    # one factorization at the largest feasible rank; lower ranks are its prefixes
-    try:
-        full = lsa.train_lsa(train_c, spec, min(max(ranks), len(train_c)), table)
-    except SubspaceRankError as err:
-        if err.cap < 1:
-            raise TrainingDataError(
-                f"every grid rank exceeds the numerical rank {err.cap}") from None
-        full = lsa.train_lsa(train_c, spec, err.cap, table)
+    # one factorization, capped at the numerical rank; lower ranks are its prefixes
+    full = lsa.train_lsa(train_c, spec, max(ranks), table)
     feasible = [k for k in ranks if k <= full.rank]
     notes = [f"rank={k} infeasible (numerical rank {full.rank})"
              for k in ranks if k > full.rank]
@@ -255,7 +252,10 @@ def _fit_mnb(corpus, table, feature, normalize, hyper):
 
 def _fit_lsa(corpus, table, feature, normalize, hyper):
     spec = fit_feature_spec(feature, corpus, table, normalize)
-    return lsa.train_lsa(corpus, spec, hyper["rank"], table)
+    model = lsa.train_lsa(corpus, spec, hyper["rank"], table)
+    if model.rank < hyper["rank"]:
+        raise SubspaceRankError(hyper["rank"], model.rank)
+    return model
 
 
 def _fit_svm(corpus, table, feature, normalize, hyper):
@@ -463,12 +463,9 @@ def run_experiment(corpus: Corpus, strategy: str, plan: FoldPlan, *, table=None,
                 entry, corpus, fold, grid, queries,
                 table=table, feature=feature, normalize=normalize, seed=seed,
             )
-        except ConfigError as err:
-            raise ConfigError(f"fold {fold_idx}: {err}") from err
-        except DataError as err:
-            raise DataError(f"fold {fold_idx}: {err}") from err
-        except NumericalError as err:
-            raise NumericalError(f"fold {fold_idx}: {err}") from err
+        except WordspaceError as err:
+            err.args = (f"fold {fold_idx}: {err}",)
+            raise
         notes.extend(f"fold {fold_idx}: {n}" for n in fold_notes)
         test_docs = [corpus.documents[i] for i in fold.test]
 

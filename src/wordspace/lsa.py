@@ -1,7 +1,7 @@
 """Latent-semantic-analysis nearest-neighbor classifier.
 
 The training feature matrix (terms x documents) is factorized once by
-singular value decomposition and truncated to the ``k`` leading
+singular value decomposition and truncated to at most ``k`` leading
 triplets.  Every document d is stored through the projection
 
     coords(d) = diag(1/sigma_k) @ U_k.T @ d
@@ -35,17 +35,17 @@ from .errors import (
     solver_errors,
 )
 from .features import FeatureSpec, dense_row, feature_matrix
-from .subspace import LOAD_ORTHONORMALITY_TOL, RANK_RTOL, orthonormality_defect
+from .subspace import LOAD_ORTHONORMALITY_TOL, _selectable_rank, orthonormality_defect
 from .utils import container_array, container_text
 
 
 def truncated_svd(X, k: int):
-    """Top-``k`` singular triplets of ``X`` (descending).
+    """The leading ``min(k, numerical rank)`` singular triplets of ``X``
+    (descending, possibly none), the rank cut as a subspace fit cuts it.
 
     Dense LAPACK for small or nearly-full requests, ARPACK with a fixed
-    deterministic start vector otherwise.  Raises ``SubspaceRankError``
-    when ``k`` exceeds the numerical rank and `NumericalError` when
-    LAPACK fails.
+    deterministic start vector otherwise.  Raises `NumericalError` when
+    the solver fails.
     """
     n_min = min(X.shape)
     if k < 1:
@@ -61,12 +61,8 @@ def truncated_svd(X, k: int):
             dense = X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
             u, s, _ = np.linalg.svd(dense, full_matrices=False)
             u, s = u[:, :k], s[:k]
-    if s.size < k or s[0] == 0.0 or s[-1] <= RANK_RTOL * s[0]:
-        rank = 0 if s.size == 0 or s[0] == 0.0 else int(
-            np.count_nonzero(s > RANK_RTOL * s[0])
-        )
-        raise SubspaceRankError(k, rank)
-    return u, s
+    rank = _selectable_rank(s)
+    return u[:, :rank], s[:rank]
 
 
 class LsaModel:
@@ -163,7 +159,8 @@ class LsaModel:
 
 
 def train_lsa(corpus, spec: FeatureSpec, k: int, table=None) -> LsaModel:
-    """Factorize the training term-document matrix at rank ``k``."""
+    """Factorize the training term-document matrix at rank ``k``, or at
+    its numerical rank when that is lower (possibly 0)."""
     docs = list(corpus)
     feats = feature_matrix(spec, docs, table)
     X = feats.T if sp.issparse(feats) else feats.T.copy()  # terms x documents

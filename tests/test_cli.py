@@ -256,6 +256,27 @@ class TestErrorPaths:
                      "--out", "/tmp/x.npz"])
         assert code == 4
 
+    @pytest.mark.parametrize("command,flags,code,message", [
+        ("train", ("--strategy", "lsa", "--rank", "9999"), 4,
+         "requested subspace dimension 9999 exceeds the rank cap 16"),
+        ("train", ("--strategy", "lsa", "--feature", "tfidfbow", "--rank", "1"), 4,
+         "requested subspace dimension 1 exceeds the rank cap 0"),
+        ("eval", ("--strategies", "lsa", "--feature", "tfidfbow"), 3,
+         "fold 0: every grid rank exceeds the numerical rank 0"),
+    ], ids=["train-past-rank", "train-rank-zero", "eval-rank-zero"])
+    def test_lsa_rank_cap_messages(self, workspace, tmp_path, capsys, command, flags,
+                                   code, message):
+        # the tfidfbow cases read a corpus whose one word is in every document:
+        # its tfidf weight is 0, and so is the numerical rank
+        corpus = workspace["corpus"]
+        if "tfidfbow" in flags:
+            corpus = _write(tmp_path / "c.txt", b"c0 a a\nc1 a a\n" * 10)
+        capsys.readouterr()
+        assert main([command, *flags, "--corpus", corpus,
+                     "--out", str(tmp_path / "refused")]) == code
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not list(tmp_path.glob("refused*"))
+
 
 def _doctored(root, ws, strategy, change, flags=()):
     """A ``strategy`` container written by ``train``, then ``change``d."""
@@ -372,6 +393,22 @@ BAD_INPUTS = {
         "train", "--strategy", "sa", "--corpus", ws["corpus"], "--embeddings",
         _write(d / "v.bin", b"1 10000000000000000000\nw0_0 " + bytes(8)),
         "--out", str(d / "refused")], 3),
+    # headers whose dimension numpy cannot describe a float64 row of, and a
+    # table with no words, which no run can use
+    "bin-embeddings-empty-dim-huge": (lambda ws, d: [
+        "train", "--strategy", "sa", "--corpus", ws["corpus"], "--embeddings",
+        _write(d / "v.bin", b"0 10000000000000000000\n"), "--out", str(d / "refused")], 3),
+    "text-embeddings-empty-dim-huge": (lambda ws, d: [
+        "train", "--strategy", "sa", "--corpus", ws["corpus"], "--embeddings",
+        _write(d / "v.txt", b"0 10000000000000000000\n"), "--out", str(d / "refused")], 3),
+    "bin-embeddings-empty-dim-past-a-row": (lambda ws, d: [
+        "train", "--strategy", "svm", "--feature", "w2v", "--corpus", ws["corpus"],
+        "--embeddings", _write(d / "v.bin", b"0 4611686018427387904\n"),
+        "--out", str(d / "refused")], 3),
+    # of the model's dimension: it would label every document unclassifiable
+    "classify-embeddings-no-words": (lambda ws, d: [
+        "classify", "--model", _doctored(d, ws, "msm", lambda e: None), "--corpus",
+        ws["corpus"], "--embeddings", _write(d / "v.txt", b"0 16\n")], 3),
     "corpus-not-utf8": (lambda ws, d: [
         "train", "--strategy", "mnb", "--corpus", _write(d / "c.txt", b"c0 caf\xe9 x\n"),
         "--out", str(d / "m.npz")], 3),
@@ -482,6 +519,20 @@ BAD_INPUTS = {
         "spectrum", "--corpus", ws["corpus"], "--embeddings",
         _write(d / "v.txt", b"not a table\n"), "--out", str(d / "refused"),
         "--at-dim", "0"], 2),
+    "train-without-out": (lambda ws, d: [
+        "train", "--strategy", "mnb", "--corpus", ws["corpus"]], 2),
+    "eval-without-out": (lambda ws, d: [
+        "eval", "--strategy", "mnb", "--corpus", ws["corpus"]], 2),
+    "spectrum-without-out": (lambda ws, d: [
+        "spectrum", "--corpus", ws["corpus"], "--embeddings", ws["vecs"]], 2),
+    "train-msm-without-embeddings": (lambda ws, d: [
+        "train", "--strategy", "msm", "--corpus", ws["corpus"],
+        "--out", str(d / "refused")], 2),
+    "eval-strategies-unknown": _refused("eval", "--strategies", "bogus"),
+    "eval-without-strategy": _refused("eval"),
+    # only the --strategies list would run
+    "eval-strategy-and-strategies": _refused("eval", "--strategy", "msm",
+                                             "--strategies", "mnb"),
     "train-seed-negative": _refused("train", "--strategy", "svm", "--seed", "-1"),
     "eval-seed-negative": _refused("eval", "--strategy", "mnb", "--seed", "-1"),
     # mnb has no grid: both axes would be ignored
@@ -686,6 +737,28 @@ class TestEval:
         assert (tmp_path / "tie.ttest.txt").read_text() == (
             f"paired t-test msm vs sa: {undefined}\n")
         assert f"ttest msm vs sa: {undefined}\n" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("axis,grid", [("class-dim", "2,{}"), ("query-dim", "1,{}")],
+                             ids=["class-dim", "query-dim"])
+    def test_grid_value_past_int64_caps_like_any_large_value(self, tmp_path, capsys,
+                                                             axis, grid):
+        rng = np.random.default_rng(77)
+        words = [f"t{i}" for i in range(12)]
+        vec_path = tmp_path / "vecs.txt"
+        save_text(EmbeddingTable(words, rng.standard_normal((12, 6))), vec_path)
+        lines = [f"c{i % 2} " + " ".join(rng.choice(words[:8] if i % 2 else words[4:], 5))
+                 for i in range(40)]
+        corpus_path = _write(tmp_path / "noisy.txt", ("\n".join(lines) + "\n").encode())
+        reports = []
+        for value in ("100000000000000000000", "1000000"):
+            prefix = tmp_path / value
+            assert main(["eval", "--strategy", "msm", f"--grid-{axis}", grid.format(value),
+                         "--embeddings", str(vec_path), "--corpus", corpus_path,
+                         "--out", str(prefix)]) == 0
+            kv = (tmp_path / f"{value}.msm.kv").read_text().splitlines()
+            reports.append([line for line in kv if ".selected." not in line])
+        assert "Traceback" not in capsys.readouterr().err
+        assert reports[0] == reports[1]
 
     def test_ttest_requires_two_strategies(self, workspace):
         code = main(["eval", "--strategy", "msm", "--ttest",

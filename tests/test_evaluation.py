@@ -10,7 +10,7 @@ from helpers import (
     svm_fold_per_reg,
     synth_corpus,
 )
-from wordspace import classifiers
+from wordspace import classifiers, lsa
 from wordspace.classifiers import class_vectors
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
@@ -165,34 +165,60 @@ def _sign_aligned(basis, reference):
     return np.where(np.sum(basis * reference, axis=0) < 0.0, -1.0, 1.0)
 
 
+def _repeated_corpus(n_docs=150):
+    """Twelve distinct documents, of four classes and distinct lengths, over
+    and over: every fold's term-document matrix has numerical rank 12."""
+    docs = [Document(f"c{j % 4}", tuple(f"w{j}_{i}" for i in range(j + 2)) + (f"s{j % 3}",))
+            for j in range(12)]
+    return Corpus([docs[i % 12] for i in range(n_docs)])
+
+
 class TestLsaFoldIsOneFit:
-    """The fold's model at the selected rank equals `train_lsa` at that rank."""
+    """Each fold factorizes its training matrix once, and its model at the
+    selected rank equals `train_lsa` at that rank."""
+
+    @staticmethod
+    def _check_fold(monkeypatch, corpus, fold, feature, grid, table=None):
+        calls = []
+        solve = lsa.truncated_svd
+        monkeypatch.setattr(lsa, "truncated_svd",
+                            lambda X, k: calls.append(k) or solve(X, k))
+        model, params, _ = _fit_fold(STRATEGIES["lsa"], corpus, fold, {"rank": grid},
+                                     None, table=table, feature=feature,
+                                     normalize=True, seed=1)
+        assert len(calls) == 1
+        train_c = corpus.subset(fold.train)
+        ref = train_lsa(train_c, fit_feature_spec(feature, train_c, table), params["rank"],
+                        table)
+        assert model.rank == ref.rank == params["rank"]
+        signs = _sign_aligned(model.basis, ref.basis)
+        np.testing.assert_allclose(model.sigma, ref.sigma, rtol=1e-10)
+        np.testing.assert_allclose(model.basis * signs, ref.basis, atol=1e-9)
+        np.testing.assert_allclose(model.doc_coords * signs, ref.doc_coords, atol=1e-9)
+        return params["rank"]
 
     # selections 10 and 4 of an ARPACK fit at rank 30; for w2v, 8-dim
-    # vectors cap the rank at 8 (the fold refits there) and the SVD is dense
+    # vectors cap the rank at 8 (the dense SVD cuts its one fit there)
     @pytest.mark.parametrize("feature,grid,selected", [
         ("binbow", (1, 2, 4, 10, 20, 30), 10),
         ("tfidfbow", (1, 2, 4, 10, 20, 30), 4),
         ("w2v", (1, 2, 3, 5, 36), 3),
     ])
-    def test_selected_model_equals_train_lsa(self, feature, grid, selected):
+    def test_selected_model_equals_train_lsa(self, monkeypatch, feature, grid, selected):
         seed = 1
         corpus = _topic_corpus(seed)
         rng = np.random.default_rng(seed)
         words = sorted({t for doc in corpus for t in doc.tokens})
         table = EmbeddingTable(words, rng.standard_normal((len(words), 8)))
         fold = make_folds(corpus, seed=seed).folds[0]
-        model, params, _ = _fit_fold(STRATEGIES["lsa"], corpus, fold, {"rank": grid},
-                                     None, table=table, feature=feature,
-                                     normalize=True, seed=seed)
-        train_c = corpus.subset(fold.train)
-        ref = train_lsa(train_c, fit_feature_spec(feature, train_c, table), params["rank"],
-                        table)
-        assert model.rank == ref.rank == params["rank"] == selected
-        signs = _sign_aligned(model.basis, ref.basis)
-        np.testing.assert_allclose(model.sigma, ref.sigma, rtol=1e-10)
-        np.testing.assert_allclose(model.basis * signs, ref.basis, atol=1e-9)
-        np.testing.assert_allclose(model.doc_coords * signs, ref.doc_coords, atol=1e-9)
+        assert self._check_fold(monkeypatch, corpus, fold, feature, grid, table) == selected
+
+    def test_rank_deficient_folds_fit_once(self, monkeypatch):
+        # an ARPACK fit at rank 40 of a rank-12 matrix, cut at 12 in every fold
+        corpus = _repeated_corpus()
+        for fold in make_folds(corpus, seed=1).folds:
+            assert self._check_fold(monkeypatch, corpus, fold, "binbow",
+                                    (5, 10, 30, 40)) in (5, 10)
 
     def test_ties_keep_the_smallest_rank(self):
         # two orthogonal classes: every rank of the grid classifies the
@@ -374,6 +400,35 @@ class TestRunExperiment:
         with pytest.raises(DataError, match="fold 0"):
             run_experiment(corpus, "msm", plan, table=table,
                            grids={"class_dim": (1,), "query_dim": (1,)})
+
+    def test_fold_error_keeps_its_class(self):
+        # class c1 has no in-vocabulary word in any fold
+        table = EmbeddingTable(["w0_0"], np.array([[1.0]]))
+        docs = [Document("c0", ("w0_0",)) for _ in range(6)]
+        docs += [Document("c1", ("missing",)) for _ in range(6)]
+        plan = make_folds(Corpus(docs), seed=9)
+        with pytest.raises(TrainingDataError, match="^fold 0: ") as err:
+            run_experiment(Corpus(docs), "msm", plan, table=table,
+                           grids={"class_dim": (1,), "query_dim": (1,)})
+        assert type(err.value) is TrainingDataError
+
+    def test_lsa_zero_projection_counts_as_error(self):
+        # each ghost document's one word is its own, so a test ghost has no
+        # training vocabulary word: a zero projection, unclassifiable
+        docs = [Document("c0", ("a", "b")) for _ in range(8)]
+        docs += [Document("c1", ("c", "d")) for _ in range(7)]
+        docs += [Document("c1", (f"ghost{i}",)) for i in range(5)]
+        corpus = Corpus(docs)
+        plan = make_folds(corpus, seed=11)
+        report = run_experiment(corpus, "lsa", plan, grids={"rank": (2,)})
+        ghosts_in_test = [
+            sum(corpus.documents[i].tokens[0].startswith("ghost") for i in fold.test)
+            for fold in plan.folds
+        ]
+        assert report.unclassifiable == ghosts_in_test
+        assert sum(ghosts_in_test) > 0
+        for acc, n_ghost, fold in zip(report.accuracies, ghosts_in_test, plan.folds):
+            assert acc == pytest.approx(1.0 - n_ghost / len(fold.test))
 
     def test_unclassifiable_counts_as_error(self):
         # one word is missing from the table, so any test document made

@@ -11,10 +11,12 @@ numpy warning is raised.  The subspace fit itself takes word matrices
 with fewer, as many and more words than dimensions, duplicated and
 nearly duplicated words, TF weights up to 1e12 and scales from 1e-150
 to 1e150; class and query subspaces fitted from such matrices score
-in [0, 1], as per-class `similarity` does.  The bag-of-words baselines
-score drawn documents (empty, out-of-vocabulary, repeated words) bitwise
-as a one-row scipy matrix does.  Examples are derandomized, so the suite
-sees the same inputs on every run.
+in [0, 1], as per-class `similarity` does.  LSA's truncated SVD takes
+rank-deficient dense and CSR matrices with fewer, as many and more
+documents than terms, and keeps exactly their numerical rank.  The
+bag-of-words baselines score drawn documents (empty, out-of-vocabulary,
+repeated words) bitwise as a one-row scipy matrix does.  Examples are
+derandomized, so the suite sees the same inputs on every run.
 """
 
 import contextlib
@@ -24,6 +26,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -34,8 +37,10 @@ from wordspace.cli import main
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import save_text
 from wordspace.features import dense_row, feature_matrix, fit_feature_spec
+from wordspace.lsa import truncated_svd
 from wordspace.subspace import (
     ORTHONORMALITY_TOL,
+    _selectable_rank,
     full_weighted_word_subspace,
     full_word_subspace,
     orthonormality_defect,
@@ -270,6 +275,44 @@ def test_subspace_fit(case):
     if full.spectrum[m - 1] - boundary > SEPARATED * full.spectrum[0]:
         reference = full.truncated(m)
         assert np.max(np.abs(projector(capped) - projector(reference))) <= 1e-10
+
+
+@st.composite
+def term_document_matrices(draw):
+    """``(X, k, big_k)``: an n x N integer matrix, dense or CSR, with N
+    below, at or above n, built from at most four distinct columns, so
+    it is rank-deficient, and two requested ranks ``k <= big_k``.
+
+    Its entries are 0..3: a nonzero singular value is then at least
+    sigma_1^(1-r) (the product of the r nonzero ones is at least 1), far
+    above the rank cut, and a zero one is roundoff, far below it."""
+    n = draw(st.integers(1, 10))
+    m = draw(st.sampled_from((max(1, n // 2), n, 2 * n)))
+    base = np.asarray(draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                                    min_size=1, max_size=4)), dtype=np.float64).T
+    X = base[:, draw(st.lists(st.integers(0, base.shape[1] - 1), min_size=m, max_size=m))]
+    if draw(st.booleans()):
+        X = sp.csr_matrix(X)
+    # half the ranks small enough for ARPACK on a CSR matrix
+    order = min(n, m)
+    k = draw(st.one_of(st.integers(1, max(1, order - 2)), st.integers(1, order)))
+    return X, k, draw(st.integers(k, order))
+
+
+@FUZZ
+@given(term_document_matrices())
+def test_truncated_svd_keeps_the_numerical_rank(case):
+    X, k, big_k = case
+    u, s = truncated_svd(X, k)
+    dense = X.toarray() if sp.issparse(X) else X
+    assert s.size == _selectable_rank(np.linalg.svd(dense, compute_uv=False)[:k])
+    assert u.shape == (X.shape[0], s.size)
+    assert s.size == 0 or orthonormality_defect(u) <= ORTHONORMALITY_TOL
+    assert np.all(s > 0.0) and np.all(np.diff(s) <= 0.0)
+    if not (sp.issparse(X) and k < min(X.shape) - 1):  # the dense LAPACK route
+        wide_u, wide_s = truncated_svd(X, big_k)
+        assert s.tobytes() == wide_s[:s.size].tobytes()
+        assert u.tobytes() == wide_u[:, :s.size].tobytes()
 
 
 # two to four word matrices in one ambient dimension: classes, then a query

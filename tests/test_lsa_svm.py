@@ -73,10 +73,15 @@ class TestFeatureMatrix:
 
 class TestTruncatedSvd:
     def test_rank_error(self):
+        # a request past the numerical rank gets the triplets there are
         X = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
-        with pytest.raises(SubspaceRankError) as err:
-            truncated_svd(X, 2)
-        assert err.value.cap == 1
+        u, s = truncated_svd(X, 2)
+        assert u.shape == (2, 1) and s.shape == (1,)
+        np.testing.assert_allclose(s, [5.0], rtol=1e-12)
+        u, s = truncated_svd(np.zeros((3, 2)), 2)
+        assert u.shape == (3, 0) and s.shape == (0,)
+        with pytest.raises(SubspaceRankError):
+            truncated_svd(X, 0)
 
     def test_sparse_matches_dense(self):
         rng = np.random.default_rng(1)
