@@ -13,7 +13,6 @@ argmax label, and a tie flag; ties are broken by class order with the
 first class winning.
 """
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +34,6 @@ from .subspace import (
     unit_columns,
 )
 from .utils import container_array
-
-log = logging.getLogger(__name__)
 
 # Natural feature scheme per strategy; lsa and svm accept any.
 DEFAULT_FEATURES = {
@@ -87,11 +84,9 @@ def _int_or_none(hyper, name):
 def class_vectors(corpus: Corpus, table: EmbeddingTable, label: str):
     """Distinct in-vocabulary word vectors of a class with class-total counts."""
     tokens = [t for doc in corpus.documents_of(label) for t in doc.tokens]
-    matrix, counts, oov = lookup_all(table, tokens)
+    matrix, counts, _ = lookup_all(table, tokens)
     if matrix.shape[1] == 0:
         raise TrainingDataError(f"class {label!r} has no in-vocabulary words")
-    if oov:
-        log.debug("class %s: %d words out of vocabulary", label, len(oov))
     return matrix, counts
 
 

@@ -36,11 +36,8 @@ from .evaluation import (
     spectrum_report,
 )
 from .features import FEATURE_NAMES
-from .utils import parallel_map
 
 UNCLASSIFIABLE = "__UNCLASSIFIABLE__"
-
-log = logging.getLogger("wordspace")
 
 
 def _existing_path(value):
@@ -62,7 +59,6 @@ def _load_embeddings(args):
     table = load_binary(path) if fmt == "bin" else load_text(path)
     if len(table) == 0:  # no run can use it: every document would be out of vocabulary
         raise DataError(f"embedding file has no words: {path}")
-    log.info("loaded %d vectors of dimension %d", len(table), table.dimension)
     return table
 
 
@@ -116,7 +112,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    check_positive("threads", args.threads)
     _existing_path(args.model)
     _existing_path(args.corpus)
     model = model_io.load_model(args.model)
@@ -139,7 +134,7 @@ def cmd_classify(args) -> int:
         except DegenerateQueryError:
             return UNCLASSIFIABLE, float("nan")
 
-    results = parallel_map(_classify, corpus.documents, args.threads)
+    results = [_classify(doc) for doc in corpus.documents]
     for i, (label, score) in enumerate(results):
         print(f"{i}\t{label}\t{score:.6f}")
     return 0
@@ -165,7 +160,6 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"--grid-{axis.replace('_', '-')} is a grid axis of "
                               f"no evaluated strategy ({', '.join(strategies)})")
     _check_seed(args.seed)
-    check_positive("threads", args.threads)
 
     corpus = parse_corpus(args.corpus)
     plan = make_folds(corpus, args.seed)
@@ -176,7 +170,7 @@ def cmd_eval(args) -> int:
     # every strategy runs before any report is written: a failing run writes nothing
     reports = {strategy: run_experiment(
         corpus, strategy, plan, table=table, feature=features[strategy], grids=grids,
-        normalize=normalize, seed=args.seed, threads=args.threads,
+        normalize=normalize, seed=args.seed,
     ) for strategy in strategies}
     for strategy, report in reports.items():
         _write_text(f"{args.out}.{strategy}.kv", report.to_kv_text())
@@ -244,8 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         "feature": dict(choices=FEATURE_NAMES,
                         help="feature scheme (defaults to the strategy's own)"),
         "seed": dict(type=int, default=DEFAULT_SEED, action=_StoreGiven),
-        "threads": dict(type=int, default=1,
-                        help="worker threads (default: 1, sequential)"),
         "out": dict(help="output path (eval: path prefix)"),
         "normalize-vectors": dict(choices=("on", "off"), default="on",
                                   help="unit-normalize word vectors before modeling"),
@@ -268,12 +260,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(given=frozenset())
 
     p_classify = sub.add_parser("classify", help="classify documents with a model")
-    add_shared(p_classify, "threads")
+    add_shared(p_classify)
     p_classify.add_argument("--model", required=True, help="model container file")
 
     p_eval = sub.add_parser("eval", help="run the cross-validation experiment")
-    add_shared(p_eval, "strategy", "feature", "seed", "threads", "out",
-               "normalize-vectors")
+    add_shared(p_eval, "strategy", "feature", "seed", "out", "normalize-vectors")
     p_eval.add_argument("--strategies", type=lambda s: s.split(","),
                         help="comma-separated strategy list")
     p_eval.add_argument("--ttest", action="store_true",

@@ -22,6 +22,7 @@ and safe for concurrent reads.
 import array
 import logging
 import re
+from collections import Counter
 
 import numpy as np
 
@@ -317,17 +318,29 @@ def lookup_all(table: EmbeddingTable, words):
     oov : list of str
         Distinct out-of-vocabulary words, in first-occurrence order.
     """
-    kept = {}  # table row -> occurrence count, in first-occurrence order
-    oov_seen = {}
-    row_of = table._lookup.get
-    for w in words:
-        row = row_of(w)
-        if row is None:
-            oov_seen[w] = None
-        else:
-            kept[row] = kept.get(row, 0) + 1
-    rows = np.fromiter(kept, dtype=np.intp, count=len(kept))
-    counts = np.fromiter(kept.values(), dtype=np.int64, count=len(kept))
+    rows, counts, oov = first_occurrence_counts(table._lookup, words)
     # one gather; the transpose copy keeps the (dimension, k) result C-ordered
     matrix = np.ascontiguousarray(table._matrix[rows].T)
-    return matrix, counts, list(oov_seen)
+    return matrix, counts, oov
+
+
+def first_occurrence_counts(index, tokens):
+    """Count the tokens that ``index`` maps, in first-occurrence order.
+
+    Returns ``(values, counts, missing)``: the intp array of their
+    ``index`` values, the int64 array of their counts, and the list of
+    the distinct tokens ``index`` does not map, in first-occurrence order.
+    ``index`` maps each token to a value of its own, so the order by token
+    is the order by value.
+    """
+    values, counts, missing = [], [], []
+    # Counter counts in C and keeps first-seen order: the loop runs over
+    # distinct tokens only
+    for token, n in Counter(tokens).items():
+        j = index.get(token)
+        if j is None:
+            missing.append(token)
+        else:
+            values.append(j)
+            counts.append(n)
+    return np.array(values, dtype=np.intp), np.array(counts, dtype=np.int64), missing

@@ -3,6 +3,9 @@
 Bag-of-words features come in binary / term-frequency / TF-IDF
 weightings over a training vocabulary; embedding features represent a
 document by the mean of its distinct in-vocabulary word vectors.
+`bow_row` builds every bag-of-words row, the ones `feature_matrix`
+stacks and the query rows the baselines score, from the term counts of
+`first_occurrence_counts`, the counter `lookup_all` uses too.
 TF-IDF statistics are always taken from the training corpus and reused
 for validation/test featurization.
 """
@@ -15,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .corpus import Corpus
-from .embeddings import lookup_all
+from .embeddings import first_occurrence_counts, lookup_all
 from .errors import ConfigError, FormatError
 from .subspace import unit_columns
 from .utils import container_array, container_text
@@ -88,32 +91,17 @@ def fit_feature_spec(name: str, train: Corpus, table=None, normalize=True) -> Fe
     return FeatureSpec(name, terms=terms, idf_log=idf_log, normalize=normalize)
 
 
-def _bow_row(spec: FeatureSpec, tokens):
-    index = spec.index
-    counts = {}
-    for t in tokens:
-        j = index.get(t)
-        if j is not None:
-            counts[j] = counts.get(j, 0) + 1
-    cols, vals = [], []
-    for j, n in counts.items():
-        if spec.name == "binbow":
-            w = 1.0
-        elif spec.name == "tfbow":
-            w = float(n)
-        else:
-            w = n * spec.idf_log[j]
-        if w != 0.0:
-            cols.append(j)
-            vals.append(w)
-    return cols, vals
-
-
 def bow_row(spec: FeatureSpec, tokens):
     """One document's bag-of-words row as ``(cols, vals)`` numpy arrays:
-    its nonzero weights, in the order `feature_matrix` stores them."""
-    cols, vals = _bow_row(spec, tokens)
-    return np.asarray(cols, dtype=np.int64), np.asarray(vals, dtype=np.float64)
+    its nonzero weights, by first occurrence of their terms."""
+    cols, counts, _ = first_occurrence_counts(spec.index, tokens)
+    if spec.name == "binbow":
+        return cols, np.ones(cols.size)
+    if spec.name == "tfbow":
+        return cols, counts.astype(np.float64)
+    vals = counts * spec.idf_log[cols]
+    nonzero = vals != 0.0  # a term in every training document has idf 0
+    return cols[nonzero], vals[nonzero]
 
 
 def dense_row(spec: FeatureSpec, tokens, table=None):
@@ -145,14 +133,12 @@ def feature_matrix(spec: FeatureSpec, docs, table=None):
             out[i] = dense_row(spec, doc.tokens, table)
         return out
 
-    data, indices, indptr = [], [], [0]
-    for doc in docs:
-        cols, vals = _bow_row(spec, doc.tokens)
-        indices.extend(cols)
-        data.extend(vals)
-        indptr.append(len(indices))
+    rows = [bow_row(spec, doc.tokens) for doc in docs]
+    indptr = np.zeros(len(docs) + 1, dtype=np.int64)
+    np.cumsum([cols.size for cols, _ in rows], out=indptr[1:])
     return sp.csr_matrix(
-        (np.asarray(data, dtype=np.float64), np.asarray(indices, dtype=np.int64),
-         np.asarray(indptr, dtype=np.int64)),
+        (np.concatenate([vals for _, vals in rows] or [np.zeros(0)]),
+         np.concatenate([cols for cols, _ in rows] or [np.zeros(0, np.intp)]),
+         indptr),
         shape=(len(docs), len(spec.terms)),
     )

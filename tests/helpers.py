@@ -351,6 +351,30 @@ def scores_by_one_row_matrix(model, tokens):
     return model.decision_matrix(row)[0]
 
 
+def bow_row_by_dict_loop(spec, tokens):
+    """A bag-of-words row as ``(cols, vals)`` lists, built as `bow_row`
+    built it before it took `first_occurrence_counts`: per-token counts
+    in a dict keyed by column, then one weight per column."""
+    index = spec.index
+    counts = {}
+    for t in tokens:
+        j = index.get(t)
+        if j is not None:
+            counts[j] = counts.get(j, 0) + 1
+    cols, vals = [], []
+    for j, n in counts.items():
+        if spec.name == "binbow":
+            w = 1.0
+        elif spec.name == "tfbow":
+            w = float(n)
+        else:
+            w = n * spec.idf_log[j]
+        if w != 0.0:
+            cols.append(j)
+            vals.append(w)
+    return cols, vals
+
+
 def hinge_sgd_one_reg(data, indices, indptr, labels, lam, epochs, order, n_features):
     """The class-batched Pegasos kernel as it was before it took a grid of
     strengths: one pass at the single strength ``lam``, returning the

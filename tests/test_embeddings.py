@@ -7,6 +7,7 @@ import pytest
 from wordspace.embeddings import (
     EmbeddingTable,
     filter_roman,
+    first_occurrence_counts,
     load_binary,
     load_text,
     lookup_all,
@@ -268,6 +269,14 @@ class TestLookupAll:
             assert got[1].dtype == want[1].dtype
             np.testing.assert_array_equal(got[1], want[1])
             assert got[2] == want[2]
+
+
+def test_first_occurrence_counts():
+    values, counts, missing = first_occurrence_counts(
+        {"a": 4, "b": 7}, ["b", "a", "b", "z", "a", "y", "z"])
+    assert values.dtype == np.intp and counts.dtype == np.int64
+    assert values.tolist() == [7, 4] and counts.tolist() == [2, 2]
+    assert missing == ["z", "y"]
 
 
 class TestTableValidation:

@@ -30,16 +30,23 @@ import scipy.sparse as sp
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from helpers import orthogonal_table, projector, scores_by_one_row_matrix, synth_corpus
+from helpers import (
+    bow_row_by_dict_loop,
+    orthogonal_table,
+    projector,
+    scores_by_one_row_matrix,
+    synth_corpus,
+)
 from wordspace.bayes import train_mnb, train_mvb
 from wordspace.classifiers import SubspaceModel
 from wordspace.cli import main
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import save_text
-from wordspace.features import dense_row, feature_matrix, fit_feature_spec
+from wordspace.features import bow_row, dense_row, feature_matrix, fit_feature_spec
 from wordspace.lsa import truncated_svd
 from wordspace.subspace import (
     ORTHONORMALITY_TOL,
+    PARTIAL_SOLVE_RATIO,
     _selectable_rank,
     full_weighted_word_subspace,
     full_word_subspace,
@@ -275,6 +282,13 @@ def test_subspace_fit(case):
     if full.spectrum[m - 1] - boundary > SEPARATED * full.spectrum[0]:
         reference = full.truncated(m)
         assert np.max(np.abs(projector(capped) - projector(reference))) <= 1e-10
+    # a fit at a smaller cap is the capped fit's prefix bitwise when both
+    # caps take the full solve
+    small = max(1, m // 2)
+    if PARTIAL_SOLVE_RATIO * small > min(X.shape):
+        prefix = _fit_warning_free(X, weights, small)
+        assert prefix.basis.tobytes() == capped.basis[:, :small].tobytes()
+        assert prefix.spectrum.tobytes() == capped.spectrum[:small].tobytes()
 
 
 @st.composite
@@ -364,8 +378,15 @@ def test_baseline_rows_equal_one_row_matrix(baselines):
         for model in models:
             want = scores_by_one_row_matrix(model, tokens)
             assert model.predict(tokens).scores.tobytes() == want.tobytes()
-        for spec in specs:  # the dense row lsa projects
+        for spec in specs:
+            # the dense row lsa projects
             want = feature_matrix(spec, [Document("_q", tuple(tokens))]).toarray()[0]
             assert dense_row(spec, tokens).tobytes() == want.tobytes()
+            # the sparse row mvb, mnb and svm score, bitwise the former dict loop's
+            cols, vals = bow_row(spec, tokens)
+            want_cols, want_vals = bow_row_by_dict_loop(spec, tokens)
+            assert cols.dtype == np.int64 and vals.dtype == np.float64
+            assert cols.tobytes() == np.asarray(want_cols, dtype=np.int64).tobytes()
+            assert vals.tobytes() == np.asarray(want_vals, dtype=np.float64).tobytes()
 
     check()

@@ -5,7 +5,6 @@ import struct
 import numpy as np
 import pytest
 
-from helpers import orthogonal_table, synth_corpus
 from wordspace.bayes import train_mnb, train_mvb
 from wordspace.cli import main
 from wordspace.corpus import Corpus, Document
@@ -113,23 +112,3 @@ class TestCliVariants:
         # spectra differ because the unnormalized lengths differ
         assert on.subspaces["c0"].spectrum[0] == pytest.approx(1.0)
         assert off.subspaces["c0"].spectrum[0] == pytest.approx(25.0)
-
-
-class TestEvalThreadsFlagParallel:
-    def test_multithreaded_eval_equals_sequential(self, tmp_path):
-        table = orthogonal_table(3, 3)
-        corpus = synth_corpus(3, 3, docs_per_class=8, tokens_per_doc=3,
-                              rng=np.random.default_rng(5))
-        save_text(table, tmp_path / "v.txt")
-        with open(tmp_path / "c.txt", "w") as fh:
-            for doc in corpus:
-                fh.write(doc.label + " " + " ".join(doc.tokens) + "\n")
-        outputs = []
-        for threads, tag in (("1", "seq"), ("4", "par")):
-            code = main(["eval", "--strategy", "msm", "--embeddings",
-                         str(tmp_path / "v.txt"), "--corpus",
-                         str(tmp_path / "c.txt"), "--threads", threads,
-                         "--out", str(tmp_path / tag)])
-            assert code == 0
-            outputs.append((tmp_path / f"{tag}.msm.kv").read_text())
-        assert outputs[0] == outputs[1]

@@ -35,6 +35,16 @@ class TestFeatureMatrix:
                 got = {int(j): rows[i, j] for j in rows[i].indices}
                 assert got == pytest.approx(want)
 
+    @pytest.mark.parametrize("name", ["binbow", "tfbow", "tfidfbow"])
+    def test_bow_matrix_without_vocabulary_words(self, name):
+        spec = fit_feature_spec(name, Corpus([Document("c", ("a", "b"))]))
+        empty = feature_matrix(spec, [])
+        assert empty.shape == (0, 2) and empty.indptr.tolist() == [0]
+        assert empty.data.size == 0
+        oov = feature_matrix(spec, [Document("c", ("x", "y")), Document("c", ())])
+        assert oov.shape == (2, 2) and oov.indptr.tolist() == [0, 0, 0]
+        assert oov.data.size == 0
+
     def test_w2v_rows_are_mean_unit_vectors(self):
         from wordspace.embeddings import EmbeddingTable
 
