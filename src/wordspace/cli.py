@@ -40,19 +40,10 @@ from .features import FEATURE_NAMES
 UNCLASSIFIABLE = "__UNCLASSIFIABLE__"
 
 
-def _existing_path(value):
-    if not Path(value).exists():
-        raise ConfigError(f"path does not exist: {value}")
-    if Path(value).is_dir():
-        raise ConfigError(f"path is a directory: {value}")
-    return value
-
-
 def _load_embeddings(args):
     path = args.embeddings
     if path is None:
         raise ConfigError("this run requires --embeddings")
-    _existing_path(path)
     fmt = args.format
     if fmt is None:
         fmt = "bin" if path.endswith(".bin") else "txt"
@@ -78,26 +69,27 @@ def _grid_overrides(args):
     return {name: grid for name, grid in grids.items() if grid} or None
 
 
-def _check_seed(seed):
+def _seed(args):
+    seed = DEFAULT_SEED if args.seed is None else args.seed
     if seed < 0:  # what np.random.default_rng refuses
         raise ConfigError(f"seed must be >= 0, got {seed!r}")
+    return seed
 
 
 def cmd_train(args) -> int:
-    _existing_path(args.corpus)
-    if args.out is None:
-        raise ConfigError("train requires --out for the model file")
-    _check_seed(args.seed)
+    seed = _seed(args)
     strategy = STRATEGIES[args.strategy]
-    for name in (*HYPERPARAMETERS, "seed"):
-        if name in args.given and name not in strategy.settings:
+    given = {name: getattr(args, name) for name in (*HYPERPARAMETERS, "seed")}
+    for name, value in given.items():  # None: the flag was left out
+        if value is not None and name not in strategy.settings:
             raise ConfigError(f"strategy {strategy.name!r} does not read "
                               f"--{name.replace('_', '-')}")
-    hyper = {name: getattr(args, name) for name in HYPERPARAMETERS}
+    hyper = {name: hp.default if given[name] is None else given[name]
+             for name, hp in HYPERPARAMETERS.items()}
     for name, value in hyper.items():
         if value is not None:  # None: unset (every canonical angle)
             check_positive(name, value)
-    hyper["seed"] = args.seed
+    hyper["seed"] = seed
     corpus = parse_corpus(args.corpus)
     feature = strategy.resolve_feature(args.feature)
     table = _load_embeddings(args) if feature == "w2v" else None
@@ -112,8 +104,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _existing_path(args.model)
-    _existing_path(args.corpus)
     model = model_io.load_model(args.model)
     needs_table = getattr(model, "embed_dim", None) is not None
     table = _load_embeddings(args) if needs_table else None
@@ -141,12 +131,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _existing_path(args.corpus)
-    if args.out is None:
-        raise ConfigError("eval requires --out as a report path prefix")
-    if (args.strategy is None) == (args.strategies is None):
-        raise ConfigError("eval requires exactly one of --strategy and --strategies")
-    strategies = args.strategies or [args.strategy]
+    strategies = args.strategy
     for s in strategies:
         if s not in STRATEGIES:
             raise ConfigError(f"unknown strategy {s!r}")
@@ -159,10 +144,10 @@ def cmd_eval(args) -> int:
         if not any(axis in STRATEGIES[s].grid for s in strategies):
             raise ConfigError(f"--grid-{axis.replace('_', '-')} is a grid axis of "
                               f"no evaluated strategy ({', '.join(strategies)})")
-    _check_seed(args.seed)
+    seed = _seed(args)
 
     corpus = parse_corpus(args.corpus)
-    plan = make_folds(corpus, args.seed)
+    plan = make_folds(corpus, seed)
     features = {s: STRATEGIES[s].resolve_feature(args.feature) for s in strategies}
     table = _load_embeddings(args) if "w2v" in features.values() else None
     normalize = args.normalize_vectors == "on"
@@ -170,7 +155,7 @@ def cmd_eval(args) -> int:
     # every strategy runs before any report is written: a failing run writes nothing
     reports = {strategy: run_experiment(
         corpus, strategy, plan, table=table, feature=features[strategy], grids=grids,
-        normalize=normalize, seed=args.seed,
+        normalize=normalize, seed=seed,
     ) for strategy in strategies}
     for strategy, report in reports.items():
         _write_text(f"{args.out}.{strategy}.kv", report.to_kv_text())
@@ -199,9 +184,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    _existing_path(args.corpus)
-    if args.out is None:
-        raise ConfigError("spectrum requires --out for the CSV file")
     check_positive("at_dim", args.at_dim)
     corpus = parse_corpus(args.corpus)
     table = _load_embeddings(args)
@@ -216,15 +198,6 @@ def _write_text(path, text):
     Path(path).write_text(text, encoding="utf-8")
 
 
-class _StoreGiven(argparse.Action):
-    """Store the flag's value and add its dest to ``given``, which tells a
-    flag given at its default value from one left out."""
-
-    def __call__(self, parser, namespace, values, option_string=None):
-        setattr(namespace, self.dest, values)
-        namespace.given = getattr(namespace, "given", frozenset()) | {self.dest}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wordspace",
@@ -234,11 +207,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     # flags several subcommands read; each is declared only where it is read
     shared = {
-        "strategy": dict(choices=tuple(STRATEGIES)),
         "feature": dict(choices=FEATURE_NAMES,
                         help="feature scheme (defaults to the strategy's own)"),
-        "seed": dict(type=int, default=DEFAULT_SEED, action=_StoreGiven),
-        "out": dict(help="output path (eval: path prefix)"),
+        "seed": dict(type=int, help=f"random seed (default {DEFAULT_SEED})"),
+        "out": dict(required=True, help="output path (eval: path prefix)"),
         "normalize-vectors": dict(choices=("on", "off"), default="on",
                                   help="unit-normalize word vectors before modeling"),
     }
@@ -253,20 +225,19 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--{name}", **shared[name])
 
     p_train = sub.add_parser("train", help="train a model and save it")
-    add_shared(p_train, "strategy", "feature", "seed", "out", "normalize-vectors")
+    p_train.add_argument("--strategy", required=True, choices=tuple(STRATEGIES))
+    add_shared(p_train, "feature", "seed", "out", "normalize-vectors")
     for name, hp in HYPERPARAMETERS.items():
-        p_train.add_argument("--" + name.replace("_", "-"), type=hp.type,
-                             default=hp.default, help=hp.help, action=_StoreGiven)
-    p_train.set_defaults(given=frozenset())
+        p_train.add_argument("--" + name.replace("_", "-"), type=hp.type, help=hp.help)
 
     p_classify = sub.add_parser("classify", help="classify documents with a model")
     add_shared(p_classify)
     p_classify.add_argument("--model", required=True, help="model container file")
 
     p_eval = sub.add_parser("eval", help="run the cross-validation experiment")
-    add_shared(p_eval, "strategy", "feature", "seed", "out", "normalize-vectors")
-    p_eval.add_argument("--strategies", type=lambda s: s.split(","),
-                        help="comma-separated strategy list")
+    p_eval.add_argument("--strategy", required=True, type=lambda s: s.split(","),
+                        help="strategy name or comma-separated list")
+    add_shared(p_eval, "feature", "seed", "out", "normalize-vectors")
     p_eval.add_argument("--ttest", action="store_true",
                         help="paired t-test between the evaluated strategies")
     for name in _GRID_AXES:
@@ -294,9 +265,6 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "strategy", None) is None and args.command == "train":
-        print("error: train requires --strategy", file=sys.stderr)
-        return 2
     try:
         return _HANDLERS[args.command](args)
     except (ConfigError, OSError) as err:  # an OSError names the path it could not open

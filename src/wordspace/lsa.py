@@ -35,7 +35,7 @@ from .errors import (
     solver_errors,
 )
 from .features import FeatureSpec, dense_row, feature_matrix
-from .subspace import LOAD_ORTHONORMALITY_TOL, _selectable_rank, orthonormality_defect
+from .subspace import _selectable_rank, check_stored_basis
 from .utils import container_array, container_text
 
 
@@ -109,9 +109,7 @@ class LsaModel:
         sigma = container_array(arrays, "sigma", rank)
         if not (np.all(sigma > 0.0) and np.all(np.diff(sigma) <= 0.0)):
             raise FormatError("lsa sigma must be positive and non-increasing")
-        defect = orthonormality_defect(basis)
-        if not defect <= LOAD_ORTHONORMALITY_TOL:  # NaN too: an overflowing basis
-            raise FormatError(f"lsa basis is not orthonormal: max |B^T B - I| = {defect:.3g}")
+        check_stored_basis(basis, "lsa basis")
         model = cls(arrays["classes"], labels, basis, sigma,
                     container_array(arrays, "doc_coords", len(labels), rank), spec)
         if not np.all(np.isfinite(model._norms)):

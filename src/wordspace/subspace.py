@@ -140,10 +140,16 @@ def stored_subspace(basis, spectrum, source_word_count) -> Subspace:
         sub = Subspace(basis, spectrum, int(source_word_count))
     except NumericalError as err:
         raise FormatError(str(err)) from None
-    defect = orthonormality_defect(sub.basis)
-    if not defect <= LOAD_ORTHONORMALITY_TOL:  # NaN too: an overflowing basis
-        raise FormatError(f"basis is not orthonormal: max |B^T B - I| = {defect:.3g}")
+    check_stored_basis(sub.basis, "basis")
     return sub
+
+
+def check_stored_basis(basis, name):
+    """`FormatError` naming the container entry ``name`` when ``basis`` is
+    off orthonormal by more than LOAD_ORTHONORMALITY_TOL."""
+    defect = orthonormality_defect(basis)
+    if not defect <= LOAD_ORTHONORMALITY_TOL:  # NaN too: an overflowing basis
+        raise FormatError(f"{name} is not orthonormal: max |B^T B - I| = {defect:.3g}")
 
 
 def unit_columns(X: np.ndarray) -> np.ndarray:

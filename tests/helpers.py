@@ -65,6 +65,38 @@ def synth_corpus(n_classes, words_per_class, docs_per_class, tokens_per_doc,
     return Corpus([docs[i] for i in order])
 
 
+def shared_centre_corpus(rng):
+    """``(corpus, table)`` in which every class's mean word vector points
+    the same way, so only the spread of its words tells a class apart.
+
+    100 dimensions; 4 classes, each with a random 6-dim planted subspace
+    and 60 topic words; 800 common words.  A topic vector is 1.5 x one
+    unit centre shared by all classes, plus a Gaussian draw in its class
+    subspace scaled by 1/sqrt(6), plus 0.3 x isotropic noise scaled by
+    1/sqrt(100); a common word is N(0, 1/100) per component.  60
+    documents per class of 45 tokens, each a topic word of the class with
+    probability 0.3 and a common word otherwise.  These figures are
+    fixed: no strategy's score chose them.
+    """
+    dim, subspace_dim, topic_words, common_words = 100, 6, 60, 800
+    centre = rng.standard_normal(dim)
+    centre /= np.linalg.norm(centre)
+    words, rows = [], []
+    for c in range(4):
+        basis = random_subspace_basis(rng, dim, subspace_dim)
+        coords = rng.standard_normal((topic_words, subspace_dim)) / math.sqrt(subspace_dim)
+        noise = rng.standard_normal((topic_words, dim)) / math.sqrt(dim)
+        rows.append(1.5 * centre + coords @ basis.T + 0.3 * noise)
+        words += [f"t{c}_{i}" for i in range(topic_words)]
+    rows.append(rng.standard_normal((common_words, dim)) / math.sqrt(dim))
+    words += [f"u{i}" for i in range(common_words)]
+    docs = [Document(f"c{c}", tuple(
+        f"t{c}_{rng.integers(topic_words)}" if rng.random() < 0.3
+        else f"u{rng.integers(common_words)}" for _ in range(45)))
+        for c in range(4) for _ in range(60)]
+    return Corpus(docs), EmbeddingTable(words, np.vstack(rows))
+
+
 def bow_reference(doc, terms, scheme, train_docs):
     """Bag-of-words weights of ``doc`` as {term index: weight}, straight
     from the definitions: presence (binbow), count (tfbow) or

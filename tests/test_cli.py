@@ -13,7 +13,7 @@ from helpers import orthogonal_table, synth_corpus
 from wordspace import cli
 from wordspace.cli import main
 from wordspace.embeddings import EmbeddingTable, load_text, save_text
-from wordspace.evaluation import HYPERPARAMETERS, STRATEGIES
+from wordspace.evaluation import DEFAULT_SEED, HYPERPARAMETERS, STRATEGIES
 from wordspace.model_io import load_model, save_model
 
 
@@ -227,15 +227,17 @@ def test_option_values_only_go_down():
                     if isinstance(a, argparse._SubParsersAction)).choices
     options = [s for p in commands.values() for a in p._actions
                for s in a.option_strings if s not in ("-h", "--help")]
-    assert len(options) <= 38
+    assert len(options) <= 37
 
 
 class TestErrorPaths:
-    def test_missing_corpus_is_config_error(self, workspace):
+    def test_missing_corpus_is_config_error(self, workspace, capsys):
         code = main(["train", "--strategy", "msm", "--embeddings",
                      workspace["vecs"], "--corpus", "no-such-file.txt",
                      "--out", "/tmp/x.npz"])
         assert code == 2
+        assert capsys.readouterr().err == (
+            "error: [Errno 2] No such file or directory: 'no-such-file.txt'\n")
 
     def test_fully_oov_class_is_data_error(self, workspace, tmp_path, capsys):
         bad = tmp_path / "bad.txt"
@@ -262,10 +264,29 @@ class TestErrorPaths:
         assert "Traceback" not in err
         assert not list(tmp_path.iterdir())
 
-    def test_train_without_strategy(self, workspace):
-        code = main(["train", "--corpus", workspace["corpus"],
-                     "--out", "/tmp/x.npz"])
-        assert code == 2
+    @pytest.mark.parametrize("argv,message", [
+        (["train", "--strategy", "mnb"], "the following arguments are required: --out"),
+        (["train", "--out", "{d}/refused"],
+         "the following arguments are required: --strategy"),
+        (["eval", "--strategy", "mnb"], "the following arguments are required: --out"),
+        (["eval", "--out", "{d}/refused"],
+         "the following arguments are required: --strategy"),
+        (["eval", "--strategy", "mnb", "--out", "{d}/refused", "--strategies", "msm"],
+         "unrecognized arguments: --strategies msm"),
+        (["spectrum", "--embeddings", "{vecs}"],
+         "the following arguments are required: --out"),
+    ], ids=["train-without-out", "train-without-strategy", "eval-without-out",
+            "eval-without-strategy", "eval-strategies-unrecognized",
+            "spectrum-without-out"])
+    def test_argparse_refusal(self, workspace, tmp_path, capsys, argv, message):
+        argv = [a.format(d=tmp_path, vecs=workspace["vecs"]) for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--corpus", workspace["corpus"]])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.iterdir())
 
     def test_rank_too_large_is_numerical_error(self, workspace):
         code = main(["train", "--strategy", "lsa", "--corpus",
@@ -278,7 +299,7 @@ class TestErrorPaths:
          "requested subspace dimension 9999 exceeds the rank cap 16"),
         ("train", ("--strategy", "lsa", "--feature", "tfidfbow", "--rank", "1"), 4,
          "requested subspace dimension 1 exceeds the rank cap 0"),
-        ("eval", ("--strategies", "lsa", "--feature", "tfidfbow"), 3,
+        ("eval", ("--strategy", "lsa", "--feature", "tfidfbow"), 3,
          "fold 0: every grid rank exceeds the numerical rank 0"),
     ], ids=["train-past-rank", "train-rank-zero", "eval-rank-zero"])
     def test_lsa_rank_cap_messages(self, workspace, tmp_path, capsys, command, flags,
@@ -527,7 +548,7 @@ BAD_INPUTS = {
     "eval-grid-query-dim-zero": _refused("eval", "--strategy", "msm", "--grid-query-dim", "0"),
     "eval-grid-rank-zero": _refused("eval", "--strategy", "lsa", "--grid-rank", "0"),
     # the msm report would be complete; the svm grid is refused in the second run
-    "eval-second-strategy-refused": _refused("eval", "--strategies", "msm,svm",
+    "eval-second-strategy-refused": _refused("eval", "--strategy", "msm,svm",
                                              "--grid-reg", "1e-3,0"),
     "spectrum-at-dim-zero": _refused("spectrum", "--at-dim", "0"),
     "spectrum-at-dim-negative": _refused("spectrum", "--at-dim", "-100000"),
@@ -536,27 +557,17 @@ BAD_INPUTS = {
         "spectrum", "--corpus", ws["corpus"], "--embeddings",
         _write(d / "v.txt", b"not a table\n"), "--out", str(d / "refused"),
         "--at-dim", "0"], 2),
-    "train-without-out": (lambda ws, d: [
-        "train", "--strategy", "mnb", "--corpus", ws["corpus"]], 2),
-    "eval-without-out": (lambda ws, d: [
-        "eval", "--strategy", "mnb", "--corpus", ws["corpus"]], 2),
-    "spectrum-without-out": (lambda ws, d: [
-        "spectrum", "--corpus", ws["corpus"], "--embeddings", ws["vecs"]], 2),
     "train-msm-without-embeddings": (lambda ws, d: [
         "train", "--strategy", "msm", "--corpus", ws["corpus"],
         "--out", str(d / "refused")], 2),
-    "eval-strategies-unknown": _refused("eval", "--strategies", "bogus"),
-    "eval-without-strategy": _refused("eval"),
-    # only the --strategies list would run
-    "eval-strategy-and-strategies": _refused("eval", "--strategy", "msm",
-                                             "--strategies", "mnb"),
+    "eval-strategies-unknown": _refused("eval", "--strategy", "bogus"),
     "train-seed-negative": _refused("train", "--strategy", "svm", "--seed", "-1"),
     "eval-seed-negative": _refused("eval", "--strategy", "mnb", "--seed", "-1"),
     # mnb has no grid: both axes would be ignored
     "eval-grid-axis-of-no-strategy": _refused("eval", "--strategy", "mnb", "--grid-reg",
                                               "1e-3", "--grid-rank", "2"),
     # mnb twice: one report pair and an "mnb vs mnb" t-test
-    "eval-strategy-repeated": _refused("eval", "--strategies", "mnb,mnb", "--ttest"),
+    "eval-strategy-repeated": _refused("eval", "--strategy", "mnb,mnb", "--ttest"),
     # a setting the strategy's fit does not read would be ignored
     "train-mnb-rank-and-reg": _refused("train", "--strategy", "mnb", "--rank", "3",
                                        "--reg", "5"),
@@ -595,6 +606,19 @@ def test_bad_input_exit_code_without_traceback(case, workspace, tmp_path, capsys
     assert "Traceback" not in err
     assert err.startswith("error: ")
     assert not list(tmp_path.glob("refused*"))
+
+
+@pytest.mark.parametrize("case,entry", [
+    ("msm-basis-not-orthonormal", "class 0 subspace: basis"),
+    ("lsa-basis-not-orthonormal", "lsa basis"),
+])
+def test_loaded_basis_refusal_names_its_entry(case, entry, workspace, tmp_path, capsys):
+    make_argv, _ = BAD_INPUTS[case]
+    argv = make_argv(workspace, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr().err == (
+        f"error: {entry} is not orthonormal: max |B^T B - I| = 3\n")
 
 
 # strategies whose models cannot score a document without in-vocabulary
@@ -728,7 +752,7 @@ class TestEval:
         vec_path = tmp_path / "vecs.txt"
         save_text(table, vec_path)
         prefix = str(tmp_path / "cmp")
-        code = main(["eval", "--strategies", "mnb,mvb", "--ttest",
+        code = main(["eval", "--strategy", "mnb,mvb", "--ttest",
                      "--corpus", str(corpus_path), "--embeddings",
                      str(vec_path), "--out", prefix])
         assert code == 0
@@ -740,7 +764,7 @@ class TestEval:
 
     def test_ttest_pair_tied_on_every_fold_is_undefined(self, workspace, tmp_path, capsys):
         # msm and sa both classify the orthogonal fixture perfectly on every fold
-        code = main(["eval", "--strategies", "msm,sa", "--ttest",
+        code = main(["eval", "--strategy", "msm,sa", "--ttest",
                      "--embeddings", workspace["vecs"], "--corpus", workspace["corpus"],
                      "--out", str(tmp_path / "tie")])
         assert code == 0
@@ -780,14 +804,28 @@ class TestEval:
         assert code == 2
 
 
-def test_hyperparameter_flags_come_from_the_table():
+def test_hyperparameter_flags_come_from_the_table(workspace, tmp_path):
     parser = cli.build_parser()
-    train = parser.parse_args(["train", "--corpus", "c"])
-    assert {name: getattr(train, name) for name in HYPERPARAMETERS} == {
-        name: hp.default for name, hp in HYPERPARAMETERS.items()}
+    train = parser.parse_args(["train", "--strategy", "msm", "--corpus", "c", "--out", "m"])
+    assert all(getattr(train, name) is None for name in (*HYPERPARAMETERS, "seed"))
+    # a train without flags stores the table's defaults; lsa's rank 130
+    # needs a corpus of that rank: one distinct word per document
+    wide = _write(tmp_path / "wide.txt",
+                  "".join(f"c{i % 2} u{i}\n" for i in range(140)).encode())
+    stored = {}
+    for strategy, corpus in (("msm", workspace["corpus"]), ("svm", workspace["corpus"]),
+                             ("lsa", wide)):
+        path = tmp_path / f"{strategy}.npz"
+        assert main(["train", "--strategy", strategy, "--corpus", corpus,
+                     "--embeddings", workspace["vecs"], "--out", str(path)]) == 0
+        model = load_model(path)
+        stored.update({name: getattr(model, name) for name in STRATEGIES[strategy].settings})
+    assert stored == {"seed": DEFAULT_SEED,
+                      **{name: hp.default for name, hp in HYPERPARAMETERS.items()}}
     grid_axes = {name for name, hp in HYPERPARAMETERS.items() if hp.grid_help}
     assert grid_axes == {axis for s in STRATEGIES.values() for axis in s.grid}
-    evaluate = vars(parser.parse_args(["eval", "--corpus", "c"]))
+    evaluate = vars(parser.parse_args(["eval", "--strategy", "msm", "--corpus", "c",
+                                       "--out", "r"]))
     assert {k[len("grid_"):] for k in evaluate if k.startswith("grid_")} == grid_axes
 
 

@@ -6,6 +6,7 @@ import pytest
 from helpers import (
     orthogonal_table,
     report_fitting_queries_per_fold,
+    shared_centre_corpus,
     spectrum_by_eigvalsh,
     svm_fold_per_reg,
     synth_corpus,
@@ -581,3 +582,18 @@ class TestPairedTtest:
             paired_ttest(np.ones(3), np.ones(4))
         with pytest.raises(DataError):
             paired_ttest([1.0], [0.5])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_word_subspace_separates_classes_whose_means_coincide(seed):
+    # The paper's claim: a word subspace holds the variability of a class's
+    # word vectors.  Here the classes share one mean direction, so sa, which
+    # compares mean vectors, is near chance (0.25), and msm and tfmsm are not.
+    corpus, table = shared_centre_corpus(np.random.default_rng(seed))
+    plan = make_folds(corpus, seed)
+    grids = {"class_dim": (5, 10, 20, 40), "query_dim": (1, 2, 5, 10)}
+    accuracy = {s: run_experiment(corpus, s, plan, table=table, grids=grids).mean_accuracy
+                for s in ("msm", "tfmsm", "sa")}
+    assert accuracy["msm"] >= accuracy["sa"] + 0.5
+    assert accuracy["tfmsm"] >= accuracy["sa"] + 0.5
+    assert accuracy["tfmsm"] >= accuracy["msm"] - 0.01

@@ -15,8 +15,11 @@ in [0, 1], as per-class `similarity` does.  LSA's truncated SVD takes
 rank-deficient dense and CSR matrices with fewer, as many and more
 documents than terms, and keeps exactly their numerical rank.  The
 bag-of-words baselines score drawn documents (empty, out-of-vocabulary,
-repeated words) bitwise as a one-row scipy matrix does.  Examples are
-derandomized, so the suite sees the same inputs on every run.
+repeated words) bitwise as a one-row scipy matrix does.  Drawn word
+matrices also go through ``main`` as a text table: ``train`` and
+``classify`` of msm, tfmsm, sa and svm on word vectors, and ``eval``,
+end in exit 0, 3 or 4 with no warning.  Examples are derandomized, so
+the suite sees the same inputs on every run.
 """
 
 import contextlib
@@ -27,7 +30,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -41,7 +44,7 @@ from wordspace.bayes import train_mnb, train_mvb
 from wordspace.classifiers import SubspaceModel
 from wordspace.cli import main
 from wordspace.corpus import Corpus, Document
-from wordspace.embeddings import save_text
+from wordspace.embeddings import EmbeddingTable, save_text
 from wordspace.features import bow_row, dense_row, feature_matrix, fit_feature_spec
 from wordspace.lsa import truncated_svd
 from wordspace.subspace import (
@@ -229,13 +232,13 @@ def test_svm_grid_reg(good):
 
 
 @st.composite
-def word_matrices(draw, dims=st.integers(1, 40)):
+def word_matrices(draw, dims=st.integers(2, 40)):
     """``(X, weights, cap)``: a p x N word matrix (p drawn from ``dims``)
-    with N below, at or above p, some words repeated exactly or up to a
-    1e-6 nudge, scaled by 10^-150 to 10^150, with TF weights from 1 to
-    1e12 or none, and a dimension cap."""
+    with N below, at or above p and at least 2, some words repeated
+    exactly or up to a 1e-6 nudge, scaled by 10^-150 to 10^150, with TF
+    weights from 1 to 1e12 or none, and a dimension cap."""
     p = draw(dims)
-    n = draw(st.sampled_from((max(1, p // 3), p, 3 * p)))
+    n = draw(st.sampled_from((max(2, p // 3), p, 3 * p)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     X = rng.standard_normal((p, n))
     for _ in range(draw(st.integers(0, n // 2))):
@@ -268,6 +271,7 @@ SEPARATED = 1e-5
 
 @FUZZ
 @given(word_matrices())
+@example((np.array([[1.0], [-2.0], [0.5]]), None, 1))  # order 1: one direction
 def test_subspace_fit(case):
     X, weights, cap = case
     full = _fit_warning_free(X, weights)
@@ -282,6 +286,10 @@ def test_subspace_fit(case):
     if full.spectrum[m - 1] - boundary > SEPARATED * full.spectrum[0]:
         reference = full.truncated(m)
         assert np.max(np.abs(projector(capped) - projector(reference))) <= 1e-10
+        if X.shape[1] < X.shape[0]:  # the Gram route: eigh(X^T X), then X V / sigma
+            scaled = X if weights is None else X * np.sqrt(weights)
+            u = np.linalg.svd(scaled, full_matrices=False)[0][:, :m]
+            assert np.max(np.abs(u @ u.T - projector(reference))) <= 1e-10
     # a fit at a smaller cap is the capped fit's prefix bitwise when both
     # caps take the full solve
     small = max(1, m // 2)
@@ -352,6 +360,45 @@ def test_predict_query_scores_are_similarities(cases, angle_count):
         want = [similarity(sub, query, limit if t is None else min(limit, t))
                 for sub, limit in zip(subspaces.values(), limits)]
         assert np.max(np.abs(scores - want)) <= 1e-12
+
+
+def _cli_exit(argv):
+    """The exit code of a warning-free ``main(argv)``: 0, or 3 or 4 with an
+    ``error:`` line and no traceback or warning text on stderr."""
+    code, err = _run_warning_free(argv)
+    assert code in (0, 3, 4), (argv, err)
+    assert code == 0 or err.startswith("error: ")
+    assert "Traceback" not in err and "Warning" not in err
+    return code
+
+
+# 12-16 documents of 1-6 tokens each; a token indexes the table's words
+# and one out-of-vocabulary word, modulo their count
+DOCUMENTS = st.lists(st.lists(st.integers(0, 99), min_size=1, max_size=6),
+                     min_size=12, max_size=16)
+
+
+def test_drawn_word_matrices_through_the_cli(tmp_path):
+    table, corpus, model = tmp_path / "vecs.txt", tmp_path / "corpus.txt", tmp_path / "m.npz"
+    files = ["--corpus", corpus, "--embeddings", table]
+
+    @settings(FUZZ, max_examples=20)
+    @given(word_matrices(st.integers(2, 8)), st.integers(2, 3), DOCUMENTS)
+    def check(case, n_classes, documents):
+        X = case[0]
+        words = [f"w{i}" for i in range(X.shape[1])]
+        save_text(EmbeddingTable(words, X.T), table)
+        tokens = words + ["oov"]
+        corpus.write_text("".join(
+            f"c{i % n_classes} " + " ".join(tokens[t % len(tokens)] for t in doc) + "\n"
+            for i, doc in enumerate(documents)), encoding="utf-8")
+        for flags in (["msm"], ["tfmsm"], ["sa"], ["svm", "--feature", "w2v"]):
+            model.unlink(missing_ok=True)
+            if _cli_exit(["train", "--strategy", *flags, *files, "--out", model]) == 0:
+                _cli_exit(["classify", "--model", model, *files])
+        _cli_exit(["eval", "--strategy", "msm,tfmsm,sa", *files, "--out", tmp_path / "r"])
+
+    check()
 
 
 @pytest.fixture(scope="module")
