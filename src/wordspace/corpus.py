@@ -10,6 +10,7 @@ import logging
 from dataclasses import dataclass
 
 from .errors import DataError, EmptyCorpusError, FormatError, UnknownClassError
+from .utils import read_lines
 
 log = logging.getLogger(__name__)
 
@@ -74,22 +75,8 @@ def parse_corpus(source) -> Corpus:
     accepted as an empty document (logged as a warning).  A non-empty
     line containing only whitespace has no label and is a format error.
     """
-    try:
-        if hasattr(source, "read"):
-            data = source.read()
-            if isinstance(data, bytes):
-                data = data.decode("utf-8")
-            lines = data.splitlines()
-        elif isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
-            with open(source, "r", encoding="utf-8") as fh:
-                lines = fh.read().splitlines()
-        else:
-            lines = [ln.rstrip("\n") for ln in source]
-    except UnicodeDecodeError as err:
-        raise FormatError(f"corpus is not valid UTF-8: {err}") from None
-
     documents = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(read_lines(source, "corpus"), start=1):
         if line == "":
             continue
         fields = line.split()

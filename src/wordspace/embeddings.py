@@ -32,6 +32,7 @@ from .errors import (
     FormatError,
     TruncationError,
 )
+from .utils import read_lines
 
 log = logging.getLogger(__name__)
 
@@ -206,18 +207,7 @@ def load_binary(source) -> EmbeddingTable:
 
 def load_text(source) -> EmbeddingTable:
     """Parse the text embedding format (optional header, UTF-8)."""
-    try:
-        if hasattr(source, "read"):
-            data = source.read()
-            if isinstance(data, bytes):
-                data = data.decode("utf-8")
-        else:
-            with open(source, "r", encoding="utf-8") as fh:
-                data = fh.read()
-    except UnicodeDecodeError as err:
-        raise FormatError(f"text embedding stream is not valid UTF-8: {err}") from None
-    raw_lines = data.splitlines()
-    del data
+    raw_lines = read_lines(source, "text embedding stream")
 
     words = []
     values = array.array("d")  # every component, row after row, as C doubles

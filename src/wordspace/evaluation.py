@@ -14,12 +14,13 @@ which features it accepts, and which model class reads its container.
 take; the CLI declares its ``train`` and ``eval --grid-*`` flags from it.
 """
 
+import csv
+import io
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 from scipy import special
 
 from . import bayes, classifiers, lsa, svm
@@ -182,10 +183,8 @@ def _lsa_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
             f"every grid rank exceeds the numerical rank {full.rank}"
         )
 
-    val_feats = feature_matrix(spec, val_docs, table)
-    if sp.issparse(val_feats):
-        val_feats = val_feats.toarray()
-    projections = val_feats @ full.basis  # query coordinates at the largest rank
+    # query coordinates at the largest rank
+    projections = feature_matrix(spec, val_docs, table) @ full.basis
     models = [full.truncated(k) for k in feasible]
     hits = np.zeros(len(models), dtype=np.int64)
     for i, model in enumerate(models):
@@ -518,15 +517,17 @@ class SpectrumReport:
         length = len(self.mean_curve)
         padded_c = [_pad(c, length, 0.0) for c in self.curves]
         padded_v = [_pad(v, length, 1.0) for v in self.cumulative]
-        lines = [",".join(header)]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")  # quotes a label with , or "
+        writer.writerow(header)
         for i in range(length):
             row = [str(i + 1)]
             row += [repr(float(c[i])) for c in padded_c]
             row += [repr(float(self.mean_curve[i])), repr(float(self.std_curve[i]))]
             row += [repr(float(v[i])) for v in padded_v]
             row += [repr(float(self.mean_cumulative[i]))]
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
+            writer.writerow(row)
+        return out.getvalue()
 
 
 def _pad(arr, length, value):

@@ -105,15 +105,12 @@ def bow_row(spec: FeatureSpec, tokens):
 
 
 def dense_row(spec: FeatureSpec, tokens, table=None):
-    """One document's feature row as a dense vector of ``spec.width``
-    entries, bitwise its row of `feature_matrix`."""
-    vec = np.zeros(spec.width, dtype=np.float64)
-    if spec.name != "w2v":
-        cols, vals = bow_row(spec, tokens)
-        vec[cols] = vals
-        return vec
+    """One document's w2v feature row: the mean of its distinct
+    in-vocabulary word vectors (unit vectors when ``spec.normalize``),
+    zeros without one, and bitwise its row of `feature_matrix`."""
     if table is None:
         raise ConfigError("w2v featurization requires an embedding table")
+    vec = np.zeros(spec.embed_dim, dtype=np.float64)
     block, _, _ = lookup_all(table, tokens)
     if block.shape[1]:
         vec[:] = (unit_columns(block) if spec.normalize else block).mean(axis=1)

@@ -14,11 +14,12 @@ reproduces exact-cosine nearest neighbor on the raw feature vectors,
 because the training vectors lie in the span of ``U_k`` and the
 query's out-of-span component shrinks every cosine by the same factor.
 
-A query's feature row fills a dense vector (a bag-of-words row through
-its ``(cols, vals)`` arrays, with no sparse matrix per query) that one
-``basis.T @ vec`` product projects.  A container is refused unless its
-singular values are positive and non-increasing, its basis orthonormal
-and its weighted document norms finite.
+A bag-of-words query is projected from its ``(cols, vals)`` row by
+`kernels.row_product`, bitwise its row of the CSR product that projects
+validation documents; a w2v query by one ``basis.T @ vec`` product.
+A container is refused unless its singular values are positive and
+non-increasing, its basis orthonormal and its weighted document norms
+finite.
 """
 
 import numpy as np
@@ -34,7 +35,8 @@ from .errors import (
     TrainingDataError,
     solver_errors,
 )
-from .features import FeatureSpec, dense_row, feature_matrix
+from .features import FeatureSpec, bow_row, dense_row, feature_matrix
+from .kernels import row_product
 from .subspace import _selectable_rank, check_stored_basis
 from .utils import container_array, container_text
 
@@ -83,10 +85,9 @@ class LsaModel:
         self._weighted = doc_coords * sigma
         with np.errstate(over="ignore", invalid="ignore"):
             self._norms = np.linalg.norm(self._weighted, axis=1)
-        self._class_members = {
-            c: np.flatnonzero(np.asarray(self.labels, dtype=object) == c)
-            for c in self.classes
-        }
+        # (n_docs, n_classes): document i is in class j
+        self._members = (np.asarray(self.labels, dtype=object)[:, None]
+                         == np.asarray(self.classes, dtype=object))
 
     @property
     def rank(self):
@@ -140,17 +141,17 @@ class LsaModel:
         sims = np.divide(
             sims, denom, out=np.full_like(sims, -np.inf), where=denom > 0.0
         )
-        scores = np.full(len(self.classes), -1.0)
-        for j, c in enumerate(self.classes):
-            best = np.max(sims[self._class_members[c]])
-            scores[j] = best if np.isfinite(best) else -1.0
-        return scores
+        best = np.where(self._members, sims[:, None], -np.inf).max(axis=0)
+        return np.where(np.isfinite(best), best, -1.0)
 
     def predict(self, tokens, table=None) -> Prediction:
         # a non-finite projection is refused, not warned about
         with np.errstate(over="ignore", invalid="ignore"):
-            vec = dense_row(self.spec, tokens, table)
-            scores = self.class_scores_from_projection(self.basis.T @ vec)
+            if self.spec.name == "w2v":
+                projection = self.basis.T @ dense_row(self.spec, tokens, table)
+            else:
+                projection = row_product(*bow_row(self.spec, tokens), self.basis)
+            scores = self.class_scores_from_projection(projection)
         if scores is None:
             raise DegenerateQueryError("query has a zero projection")
         return make_prediction(self.classes, scores)

@@ -245,10 +245,10 @@ def _leading_eigh(A, cap):
     first on the Gram route), the partial one in an order of its own.
     So when any two of the ``cap + 1`` computed eigenvalues, the larger
     of them selectable, differ by at most TIE_RTOL times the largest,
-    the partial result is dropped for the full solve.  The partial route thus returns only when the kept directions
-    are each unique, and then matches the full solve to roundoff; the
-    ``(cap + 1)``-th eigenvalue is solved to see that the last kept
-    direction is.
+    the partial result is dropped for the full solve.  The partial route
+    thus returns only when the kept directions are each unique, and then
+    matches the full solve to roundoff; the ``(cap + 1)``-th eigenvalue
+    is solved to see that the last kept direction is.
     """
     n = A.shape[0]
     if cap is not None and 1 <= cap <= n // PARTIAL_SOLVE_RATIO:

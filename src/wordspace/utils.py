@@ -22,6 +22,26 @@ def parallel_map(fn, items, threads):
         return list(pool.map(fn, items))
 
 
+def read_lines(source, what):
+    """The lines of a path, a text or bytes file object, or an iterable of
+    lines, without their line ends.  A line ends at ``\\n``, ``\\r\\n`` or
+    ``\\r`` only; a leading byte-order mark is dropped.  Bytes that are not
+    UTF-8 are a `FormatError` naming ``what``."""
+    if hasattr(source, "read"):
+        text = source.read()
+    elif isinstance(source, (str, bytes)) or hasattr(source, "__fspath__"):
+        with open(source, "rb") as fh:
+            text = fh.read()
+    else:
+        text = "\n".join(line.removesuffix("\n").removesuffix("\r") for line in source)
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")  # whole: an error gives the file offset
+        except UnicodeDecodeError as err:
+            raise FormatError(f"{what} is not valid UTF-8: {err}") from None
+    return text.removeprefix("\ufeff").replace("\r\n", "\n").replace("\r", "\n").split("\n")
+
+
 def container_array(arrays, name, *shape):
     """Numeric model-container entry ``name``, checked against ``shape``.
 

@@ -6,6 +6,7 @@ neighbor with raw cosines, and canonical angles through a dense
 eigensolver.
 """
 
+import io
 import itertools
 import math
 from fractions import Fraction
@@ -19,6 +20,7 @@ from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
 from wordspace.errors import DegenerateQueryError
 from wordspace.features import feature_matrix, fit_feature_spec
+from wordspace.lsa import LsaModel
 from wordspace.svm import DEFAULT_EPOCHS, LinearSvmModel
 from wordspace.subspace import unit_columns
 from wordspace.utils import parallel_map
@@ -374,13 +376,56 @@ def report_fitting_queries_per_fold(corpus, strategy, plan, *, table, grids=None
 
 
 def scores_by_one_row_matrix(model, tokens):
-    """Class scores of a bag-of-words naive-Bayes or svm model as its
-    `predict` computed them before the row kernel: a one-row scipy CSR
-    matrix from `feature_matrix` times the model's table or weights."""
+    """Class scores of a bag-of-words naive-Bayes, lsa or svm model as
+    its `predict` computed them before the row kernel: a one-row scipy
+    CSR matrix from `feature_matrix` times the model's table, basis or
+    weights (None for an lsa query with a zero projection)."""
     row = feature_matrix(model.spec, [Document("_q", tuple(tokens))])
     if isinstance(model, NaiveBayesModel):
         return model._base + (row @ model._table)[0]
+    if isinstance(model, LsaModel):
+        return model.class_scores_from_projection((row @ model.basis)[0])
     return model.decision_matrix(row)[0]
+
+
+def lsa_class_scores_by_loop(model, projection):
+    """`LsaModel.class_scores_from_projection` as it was before the
+    masked max: each class's best cosine from its own members, -1.0 when
+    that best is not finite."""
+    weighted_q = np.asarray(projection, dtype=np.float64)[: model.rank]
+    qnorm = np.linalg.norm(weighted_q)
+    if qnorm == 0.0:
+        return None
+    sims = model._weighted @ weighted_q
+    denom = model._norms * qnorm
+    sims = np.divide(sims, denom, out=np.full_like(sims, -np.inf), where=denom > 0.0)
+    labels = np.asarray(model.labels, dtype=object)
+    scores = np.full(len(model.classes), -1.0)
+    for j, c in enumerate(model.classes):
+        best = np.max(sims[np.flatnonzero(labels == c)])
+        scores[j] = best if np.isfinite(best) else -1.0
+    return scores
+
+
+LINE_ENDS = ("\n", "\r\n", "\r")
+# where str.splitlines also breaks; str.split takes each as whitespace
+INLINE_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+SOURCE_KINDS = ("path", "bytes", "text", "lines")
+
+
+def text_source(kind, text, tmp_path):
+    """``text`` as one input kind of `utils.read_lines`: a UTF-8 file's
+    path, a bytes or text file object, or the list of its lines, each
+    with its own line end."""
+    if kind == "path":
+        path = tmp_path / "input.txt"
+        path.write_bytes(text.encode("utf-8"))
+        return path
+    if kind == "bytes":
+        return io.BytesIO(text.encode("utf-8"))
+    if kind == "text":
+        return io.StringIO(text)
+    return list(io.StringIO(text, newline=""))
 
 
 def bow_row_by_dict_loop(spec, tokens):

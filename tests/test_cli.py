@@ -1,5 +1,6 @@
 import argparse
 import json
+import os
 import signal
 import subprocess
 import sys
@@ -896,6 +897,32 @@ class TestConsoleEntry:
             err = proc.stderr.read()
         assert proc.wait(timeout=120) == -signal.SIGPIPE
         assert b"Traceback" not in err
+
+    def test_reruns_are_byte_identical_across_processes(self, workspace, tmp_path):
+        """Every output of a rerun, in a fresh interpreter with another
+        string-hash seed, is byte-identical."""
+        files = ["--embeddings", workspace["vecs"], "--corpus", workspace["corpus"]]
+
+        def run(hash_seed):
+            out = tmp_path / f"hash{hash_seed}"
+            out.mkdir()
+            stdout = []
+            for argv in (
+                ["eval", "--strategy", ",".join(STRATEGIES), "--ttest", *files,
+                 "--out", str(out / "r")],
+                ["train", "--strategy", "tfmsm", *files, "--out", str(out / "m.npz")],
+                ["classify", "--model", str(out / "m.npz"), *files],
+                ["spectrum", *files, "--out", str(out / "s.csv")],
+            ):
+                result = subprocess.run(
+                    [sys.executable, "-m", "wordspace", *argv], capture_output=True,
+                    check=True, env={**os.environ, "PYTHONHASHSEED": str(hash_seed)})
+                stdout.append(result.stdout.replace(str(out).encode(), b"OUT"))
+            return stdout, {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+        first, again = run(1), run(2)
+        assert len(first[1]) == 2 * len(STRATEGIES) + 4  # reports, ttest, model, csv
+        assert first == again
 
     def test_import_leaves_scipy_stats_unloaded(self):
         result = subprocess.run(

@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from helpers import INLINE_BREAKS, LINE_ENDS, SOURCE_KINDS, text_source
 from wordspace.classifiers import class_vectors
 from wordspace.corpus import Corpus, Document, parse_corpus
 from wordspace.embeddings import EmbeddingTable
@@ -59,6 +60,31 @@ class TestParseCorpus:
         corpus = parse_corpus(io.StringIO("earn\tstocks rose\n"))
         assert corpus.documents[0].label == "earn"
         assert corpus.documents[0].tokens == ("stocks", "rose")
+
+    @pytest.mark.parametrize("end", LINE_ENDS)
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    def test_lines_end_at_line_ends_only(self, kind, end, tmp_path):
+        for sep in (" ", *INLINE_BREAKS):
+            for bom in ("", "\ufeff"):
+                text = f"{bom}c0 a{sep}b{end}{end}c1 c{end}"
+                corpus = parse_corpus(text_source(kind, text, tmp_path))
+                assert corpus.classes == ("c0", "c1")
+                assert [d.tokens for d in corpus] == [("a", "b"), ("c",)]
+                # the whitespace-only line is the third, counting real line ends
+                text = f"{bom}c0 a{sep}b{end}{end}{sep}{end}c1 c{end}"
+                with pytest.raises(FormatError, match=r"^corpus line 3: whitespace only"):
+                    parse_corpus(text_source(kind, text, tmp_path))
+
+    @pytest.mark.parametrize("kind", ["path", "bytes"])
+    def test_invalid_utf8_names_its_byte_in_the_file(self, kind, tmp_path):
+        raw = b"\xef\xbb\xbf" + b"c0 a b\n" * 5000 + b"c1 \xff\n"
+        path = tmp_path / "corpus.txt"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError) as err:
+            parse_corpus(path if kind == "path" else io.BytesIO(raw))
+        assert str(err.value) == (
+            "corpus is not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+            f"in position {raw.index(0xFF)}: invalid start byte")
 
 
 class TestTermStatistics:

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from helpers import INLINE_BREAKS, LINE_ENDS, SOURCE_KINDS, text_source
 from wordspace.embeddings import (
     EmbeddingTable,
     filter_roman,
@@ -152,6 +153,32 @@ class TestLoadText:
             table = load_text(source)
             assert table.words == tuple(line.split()[0] for line in lines)
             assert table._matrix.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("end", LINE_ENDS)
+    @pytest.mark.parametrize("kind", SOURCE_KINDS)
+    def test_lines_end_at_line_ends_only(self, kind, end, tmp_path):
+        for sep in (" ", *INLINE_BREAKS):
+            for bom in ("", "\ufeff"):
+                text = f"{bom}3 2{end}a 1{sep}2{end}{end}b 3 4{end}c{sep}5 6{end}"
+                table = load_text(text_source(kind, text, tmp_path))
+                assert table.words == ("a", "b", "c")
+                assert table._matrix.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+                # the short line is the third, counting real line ends
+                text = f"{bom}a 1{sep}2{end}{end}b{sep}3{end}"
+                with pytest.raises(FormatError, match=r"^text embedding line 3: "
+                                                      r"expected 2 components, got 1$"):
+                    load_text(text_source(kind, text, tmp_path))
+
+    @pytest.mark.parametrize("kind", ["path", "bytes"])
+    def test_invalid_utf8_names_its_byte_in_the_file(self, kind, tmp_path):
+        raw = b"\xef\xbb\xbf" + b"w 1.0 2.0\n" * 5000 + b"\xff 1.0 2.0\n"
+        path = tmp_path / "vecs.txt"
+        path.write_bytes(raw)
+        with pytest.raises(FormatError) as err:
+            load_text(path if kind == "path" else io.BytesIO(raw))
+        assert str(err.value) == (
+            "text embedding stream is not valid UTF-8: 'utf-8' codec can't decode "
+            f"byte 0xff in position {raw.index(0xFF)}: invalid start byte")
 
     def test_header_only_is_an_empty_table(self):
         table = load_text(io.StringIO("0 3\n"))

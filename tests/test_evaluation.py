@@ -1,3 +1,5 @@
+import csv
+import io
 from collections import Counter
 
 import numpy as np
@@ -543,6 +545,16 @@ class TestSpectrumReport:
         header = text.splitlines()[0].split(",")
         assert header[0] == "dim"
         assert "eig_c0" in header and "cumvar_mean" in header
+
+    def test_csv_quotes_labels_with_separators(self):
+        table = EmbeddingTable(["a", "b"], np.eye(2))
+        labels = ("x,y", "z", 'q"r')
+        corpus = Corpus([Document(label, ("a", "b")) for label in labels])
+        text = spectrum_report(corpus, table).to_csv_text()
+        rows = list(csv.reader(io.StringIO(text)))
+        assert {len(row) for row in rows} == {2 * len(labels) + 4}
+        assert rows[0][1:4] == [f"eig_{label}" for label in labels]
+        assert text.splitlines()[0].startswith('dim,"eig_x,y",eig_z,"eig_q""r"')
 
 
 class TestPairedTtest:

@@ -35,18 +35,21 @@ from hypothesis import strategies as st
 
 from helpers import (
     bow_row_by_dict_loop,
+    lsa_class_scores_by_loop,
     orthogonal_table,
     projector,
     scores_by_one_row_matrix,
     synth_corpus,
 )
+from wordspace import evaluation
 from wordspace.bayes import train_mnb, train_mvb
 from wordspace.classifiers import SubspaceModel
 from wordspace.cli import main
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable, save_text
-from wordspace.features import bow_row, dense_row, feature_matrix, fit_feature_spec
-from wordspace.lsa import truncated_svd
+from wordspace.errors import DegenerateQueryError
+from wordspace.features import FeatureSpec, bow_row, fit_feature_spec
+from wordspace.lsa import LsaModel, train_lsa, truncated_svd
 from wordspace.subspace import (
     ORTHONORMALITY_TOL,
     PARTIAL_SOLVE_RATIO,
@@ -411,12 +414,13 @@ def baselines():
     specs = [fit_feature_spec(name, corpus) for name in ("binbow", "tfbow", "tfidfbow")]
     assert specs[2].idf_log[specs[2].index["the"]] == 0.0
     models = [train_mvb(corpus), train_mnb(corpus),
-              *(train_svm(corpus, spec, reg=1e-3) for spec in specs)]
-    return models, specs
+              *(train_svm(corpus, spec, reg=1e-3) for spec in specs),
+              *(train_lsa(corpus, spec, 8) for spec in specs)]
+    return models, specs, corpus
 
 
 def test_baseline_rows_equal_one_row_matrix(baselines):
-    models, specs = baselines
+    models, specs, _ = baselines
     words = list(specs[0].terms) + ["oov", "zzz"]
 
     @FUZZ
@@ -424,12 +428,13 @@ def test_baseline_rows_equal_one_row_matrix(baselines):
     def check(tokens):
         for model in models:
             want = scores_by_one_row_matrix(model, tokens)
-            assert model.predict(tokens).scores.tobytes() == want.tobytes()
+            if want is None:  # an lsa query with a zero projection
+                with pytest.raises(DegenerateQueryError):
+                    model.predict(tokens)
+            else:
+                assert model.predict(tokens).scores.tobytes() == want.tobytes()
         for spec in specs:
-            # the dense row lsa projects
-            want = feature_matrix(spec, [Document("_q", tuple(tokens))]).toarray()[0]
-            assert dense_row(spec, tokens).tobytes() == want.tobytes()
-            # the sparse row mvb, mnb and svm score, bitwise the former dict loop's
+            # the sparse row mvb, mnb, lsa and svm score, bitwise the former dict loop's
             cols, vals = bow_row(spec, tokens)
             want_cols, want_vals = bow_row_by_dict_loop(spec, tokens)
             assert cols.dtype == np.int64 and vals.dtype == np.float64
@@ -437,3 +442,65 @@ def test_baseline_rows_equal_one_row_matrix(baselines):
             assert vals.tobytes() == np.asarray(want_vals, dtype=np.float64).tobytes()
 
     check()
+
+
+def test_lsa_fold_projects_as_predict(baselines, monkeypatch):
+    """A validation row of `_lsa_fold`'s one CSR product is bitwise the
+    projection `predict` takes from `row_product`."""
+    _, specs, corpus = baselines
+    words = list(specs[0].terms) + ["oov"]
+    seen = []
+    real = LsaModel.class_scores_from_projection
+
+    def recording(model, projection):
+        seen.append(projection)
+        return real(model, projection)
+
+    monkeypatch.setattr(LsaModel, "class_scores_from_projection", recording)
+
+    @FUZZ
+    @given(st.lists(st.lists(st.sampled_from(words), max_size=12), min_size=1, max_size=6))
+    def check(documents):
+        val_docs = [Document("c0", tuple(tokens)) for tokens in documents]
+        for spec in specs:
+            seen.clear()
+            model, _, _ = evaluation._lsa_fold(
+                evaluation.STRATEGIES["lsa"], corpus, val_docs, None, None,
+                {"rank": (8,)}, spec.name, True, 0)
+            rows = seen[:]  # one grid rank: one projection per validation document
+            seen.clear()
+            for doc in val_docs:
+                try:
+                    model.predict(doc.tokens)
+                except DegenerateQueryError:
+                    pass
+            assert len(rows) == len(seen) == len(val_docs)
+            for row, projection in zip(rows, seen):
+                assert row.size == projection.size == model.rank
+                assert row.tobytes() == projection.tobytes()
+
+    check()
+
+
+@FUZZ
+@given(st.data())
+def test_lsa_masked_max_equals_class_loop(data):
+    """Each class's best cosine by one masked max is bitwise the former
+    per-class loop's, -inf cosines of zero-norm documents included."""
+    classes = [f"c{j}" for j in range(data.draw(st.integers(1, 4), label="classes"))]
+    labels = data.draw(st.permutations(
+        classes + data.draw(st.lists(st.sampled_from(classes), max_size=8))))
+    k = data.draw(st.integers(1, 4), label="rank")
+    value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0])
+    row = st.one_of(st.just([0.0] * k), st.lists(value, min_size=k, max_size=k))
+    coords = np.array(data.draw(st.lists(row, min_size=len(labels), max_size=len(labels))))
+    sigma = np.array(sorted(data.draw(st.lists(st.sampled_from([0.5, 1.0, 4.0]),
+                                               min_size=k, max_size=k)), reverse=True))
+    spec = FeatureSpec("binbow", terms=tuple(f"t{i}" for i in range(k)))
+    model = LsaModel(classes, labels, np.eye(k), sigma, coords, spec)
+    projection = np.array(data.draw(st.lists(value, min_size=k, max_size=k)))
+    want = lsa_class_scores_by_loop(model, projection)
+    got = model.class_scores_from_projection(projection)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.tobytes() == want.tobytes()
