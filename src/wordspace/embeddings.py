@@ -14,9 +14,12 @@ text (``.txt`` / ``.vec``):
   space-separated, UTF-8.  Without a header the dimension is inferred
   from the first data line.
 
-Vectors are stored as float64 exactly as parsed; no normalization or
-case folding happens here.  Tables are immutable after construction
-and safe for concurrent reads.
+Vectors are stored exactly as parsed: binary tables in float32, their
+file's precision, and text tables in float64, since their decimals are
+not float32-exact.  `lookup_all` widens what it gathers to float64, so
+every result downstream is the same as from a float64 table.  No
+normalization or case folding happens here.  Tables are immutable after
+construction and safe for concurrent reads.
 """
 
 import array
@@ -48,11 +51,14 @@ class EmbeddingTable:
         Unique, non-empty keys (case-sensitive).
     matrix : (n, dimension) array
         One row per word; all entries must be finite, and so must each
-        row's squared norm.
+        row's squared norm.  A float32 matrix is kept as float32 (the
+        binary format's precision); any other becomes float64.
     """
 
     def __init__(self, words, matrix):
-        matrix = np.asarray(matrix, dtype=np.float64)
+        matrix = np.asarray(matrix)
+        if matrix.dtype != np.float32:
+            matrix = np.asarray(matrix, dtype=np.float64)
         if matrix.ndim != 2:
             raise DataError("embedding matrix must be 2-D (one row per word)")
         if matrix.shape[0] != len(words):
@@ -61,7 +67,12 @@ class EmbeddingTable:
             )
         if matrix.shape[1] < 1:
             raise DataError("embedding dimension must be a positive integer")
-        if not np.all(np.isfinite(matrix)):
+        # squared norms in float64, with no float64 copy of float32 rows; a
+        # non-finite entry makes its row's norm non-finite, and so does a
+        # finite float64 row whose squared norm overflows
+        sq_norms = np.einsum("ij,ij->i", matrix, matrix, dtype=np.float64)
+        huge = ~np.isfinite(sq_norms)
+        if huge.any() and not np.all(np.isfinite(matrix[huge])):
             raise DataError("embedding matrix contains non-finite values")
         index = {}
         for i, word in enumerate(words):
@@ -77,9 +88,9 @@ class EmbeddingTable:
         # a squared norm that overflows would normalize the word to zero;
         # `lookup_all` treats a word whose squared norm is zero, or
         # underflows to zero, as out of vocabulary: it has no usable
-        # direction to span or to normalize
-        sq_norms = np.einsum("ij,ij->i", matrix, matrix)
-        huge = np.flatnonzero(np.isinf(sq_norms))
+        # direction to span or to normalize.  A float32 row's squared norm
+        # cannot overflow a float64, so such a table can only have zero rows
+        huge = np.flatnonzero(huge)
         if huge.size:
             raise FormatError(f"vector of word {words[huge[0]]!r} is too large: "
                               "its squared norm overflows")
@@ -130,9 +141,10 @@ def _parse_header_tokens(tokens, where):
 def load_binary(source) -> EmbeddingTable:
     """Parse the binary embedding format.
 
-    ``source`` is a file path or a binary file object.  The whole
-    table is held in memory (float64), so the full 3M-word pretrained
-    model takes several GB; filter afterwards with `filter_roman`.
+    ``source`` is a file path or a binary file object.  The values are
+    stored as float32, the file's own precision, so the full 3M-word
+    pretrained model takes about 3.6 GB beside the file's bytes while it
+    loads; filter afterwards with `filter_roman`.
     """
     if hasattr(source, "read"):
         buf = source.read()
@@ -159,7 +171,7 @@ def load_binary(source) -> EmbeddingTable:
     # declares more fails as truncated at the first record past them, and
     # without one row that fits, no array of its dim is asked for
     rows = min(count, (len(buf) - pos) // (record_bytes + 2))
-    vectors = np.empty((rows, dim if rows or not count else 0), dtype=np.float64)
+    vectors = np.empty((rows, dim if rows or not count else 0), dtype=np.float32)
     seen = set()
     replaced = set()  # raw bytes of the words that decode with U+FFFD
     dropped = 0
@@ -260,8 +272,8 @@ def load_text(source) -> EmbeddingTable:
 def save_text(table: EmbeddingTable, destination, header: bool = True):
     """Write ``table`` in the text format.
 
-    Components are written with ``repr`` so a reload reproduces the
-    stored float64 values exactly.
+    Components are written with ``repr`` of their float64 value, so a
+    reload reproduces the stored values exactly (as float64).
     """
     own = not hasattr(destination, "write")
     fh = open(destination, "w", encoding="utf-8") if own else destination
@@ -278,11 +290,8 @@ def save_text(table: EmbeddingTable, destination, header: bool = True):
 
 def filter_roman(table: EmbeddingTable) -> EmbeddingTable:
     """Keep only words made of ASCII letters, digits and ``_ - ' .``."""
-    keep = [w for w in table.words if _ROMAN_WORD.match(w)]
-    matrix = np.empty((len(keep), table.dimension), dtype=np.float64)
-    for i, w in enumerate(keep):
-        matrix[i] = table.vector(w)
-    return EmbeddingTable(keep, matrix)
+    rows = [i for i, w in enumerate(table.words) if _ROMAN_WORD.match(w)]
+    return EmbeddingTable([table.words[i] for i in rows], table._matrix[rows])
 
 
 def lookup_all(table: EmbeddingTable, words):
@@ -310,7 +319,8 @@ def lookup_all(table: EmbeddingTable, words):
     """
     rows, counts, oov = first_occurrence_counts(table._lookup, words)
     # one gather; the transpose copy keeps the (dimension, k) result C-ordered
-    matrix = np.ascontiguousarray(table._matrix[rows].T)
+    # and widens float32 rows to float64, exactly
+    matrix = np.ascontiguousarray(table._matrix[rows].T, dtype=np.float64)
     return matrix, counts, oov
 
 

@@ -27,6 +27,7 @@ from wordspace.subspace import (
     full_word_subspace,
     similarity,
 )
+from wordspace.utils import read_lines
 
 ORTHONORMALITY_TOL = 1e-8
 PROJECTOR_TOL = 1e-6
@@ -227,12 +228,9 @@ VARIANCE_BAND = 0.03
 def test_criterion_5_corpus_reproduction():
     from wordspace.embeddings import filter_roman
 
-    paths = os.environ[R8_ENV].split(":")
-    lines = []
-    for path in paths:
-        with open(path, encoding="utf-8") as fh:
-            lines.extend(fh.read().splitlines())
-    corpus = parse_corpus(lines)
+    # each file read as `wordspace eval --corpus` reads it, then pooled
+    corpus = parse_corpus([line for path in os.environ[R8_ENV].split(":")
+                           for line in read_lines(path, "corpus")])
     table = filter_roman(load_binary(os.environ[W2V_ENV]))
 
     spectrum = spectrum_report(corpus, table)

@@ -1,5 +1,6 @@
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -98,6 +99,30 @@ class TestLoadBinary:
         raw = pack_binary([("w", [value])], 1)
         table = load_binary(io.BytesIO(raw))
         assert table.vector("w")[0] == np.float32(value)
+
+
+def test_load_peak_is_the_file_and_the_float32_table(tmp_path):
+    # a float64 table would hold twice the float32 one beside the file's bytes
+    n, dim = 20000, 300
+    records = np.zeros(n, dtype=[("word", "S6"), ("space", "S1"),
+                                 ("vector", "<f4", dim), ("newline", "S1")])
+    records["word"] = [f"w{i:05d}".encode() for i in range(n)]
+    records["space"] = b" "
+    records["vector"] = np.random.default_rng(0).standard_normal((n, dim))
+    records["newline"] = b"\n"
+    path = tmp_path / "vectors.bin"
+    path.write_bytes(f"{n} {dim}\n".encode() + records.tobytes())
+    del records
+    tracemalloc.start()
+    try:
+        table = load_binary(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    matrix_bytes = n * dim * 4
+    assert table._matrix.dtype == np.float32 and table._matrix.nbytes == matrix_bytes
+    word_allowance = 320 * n  # the word list, set and index, and their strings
+    assert peak < path.stat().st_size + matrix_bytes + word_allowance
 
 
 class TestLoadText:
@@ -219,6 +244,14 @@ class TestFilterRoman:
         twice = filter_roman(once)
         assert once.words == twice.words
 
+    def test_keeps_the_table_dtype(self):
+        rows = np.random.default_rng(2).standard_normal((4, 3))
+        for dtype in (np.float32, np.float64):
+            table = EmbeddingTable(["a", "é", "b", "c d"], rows.astype(dtype))
+            kept = filter_roman(table)
+            assert kept.words == ("a", "b") and kept._matrix.dtype == dtype
+            assert kept._matrix.tobytes() == table._matrix[[0, 2]].tobytes()
+
 
 class TestLookupAll:
     def test_counts_and_order(self):
@@ -297,6 +330,25 @@ class TestLookupAll:
             np.testing.assert_array_equal(got[1], want[1])
             assert got[2] == want[2]
 
+    def test_float32_rows_widen_to_the_float64_tables(self):
+        # a zero row and a subnormal one, whose float64 squared norm is not
+        # zero: the same words are out of vocabulary in both tables
+        rng = np.random.default_rng(13)
+        rows = rng.standard_normal((30, 9)).astype(np.float32)
+        rows[4] = 0.0
+        rows[5] = np.float32(1e-45)
+        words = [f"w{i}" for i in range(30)]
+        narrow, wide = EmbeddingTable(words, rows), EmbeddingTable(words, rows.astype(np.float64))
+        assert narrow._matrix.dtype == np.float32 and wide._matrix.dtype == np.float64
+        pool = words + ["oov"]
+        for _ in range(50):
+            doc = rng.choice(pool, size=int(rng.integers(0, 40))).tolist() + ["w4", "w5"]
+            got, want = lookup_all(narrow, doc), lookup_all(wide, doc)
+            assert got[0].dtype == np.float64 and got[0].flags.c_contiguous
+            assert got[0].shape == want[0].shape and got[0].tobytes() == want[0].tobytes()
+            np.testing.assert_array_equal(got[1], want[1])
+            assert got[2] == want[2] and "w4" in got[2] and "w5" not in got[2]
+
 
 def test_first_occurrence_counts():
     values, counts, missing = first_occurrence_counts(
@@ -323,6 +375,17 @@ class TestTableValidation:
         with pytest.raises(FormatError, match="'big'"):
             load_text(io.StringIO("a 1.0 0.0\nbig 3e154 0.0\n"))
         EmbeddingTable(["edge"], np.array([[1.3e154]]))  # 1.69e308 still fits
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_float32_rows(self):
+        # the largest float32 values square within a float64: no overflow
+        top = np.finfo(np.float32).max
+        table = EmbeddingTable(["a"], np.full((1, 300), top, dtype=np.float32))
+        assert table._matrix.dtype == np.float32 and table.vector("a")[0] == top
+        for bad in (np.inf, -np.inf, np.nan):
+            with pytest.raises(DataError, match="non-finite"):
+                EmbeddingTable(["a", "b"], np.array([[1.0], [bad]], dtype=np.float32))
+        assert EmbeddingTable(["a"], np.ones((1, 2), dtype=np.float16))._matrix.dtype == np.float64
 
     def test_rejects_duplicate(self):
         with pytest.raises(DuplicateWordError):
