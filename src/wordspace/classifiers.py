@@ -65,19 +65,13 @@ def make_prediction(classes, scores) -> Prediction:
     return Prediction(classes[best], scores, tie)
 
 
-def _embed_dim(hyper):
-    """The container's embedding dimension, a positive int."""
-    dim = hyper["embed_dim"]
-    if type(dim) is not int or dim < 1:
-        raise FormatError(f"embed_dim must be a positive integer, found {dim!r}")
-    return dim
-
-
-def _int_or_none(hyper, name):
-    """A serving cap of the container (query_dim, angle_count): an int or None."""
+def _positive_int(hyper, name, nullable=False):
+    """The container's integer setting ``name``: an int >= 1 (not a bool),
+    or None if ``nullable``, as a dimension cap left open is."""
     value = hyper[name]
-    if value is not None and type(value) is not int:
-        raise FormatError(f"{name} must be an integer or null, found {value!r}")
+    if not (type(value) is int and value >= 1 or nullable and value is None):
+        raise FormatError(f"{name} must be a positive integer"
+                          f"{' or null' if nullable else ''}, found {value!r}")
     return value
 
 
@@ -136,7 +130,7 @@ class SubspaceModel:
 
     @classmethod
     def from_container(cls, hyper, arrays):
-        classes, embed_dim = arrays["classes"], _embed_dim(hyper)
+        classes, embed_dim = arrays["classes"], _positive_int(hyper, "embed_dim")
         subspaces = {}
         for i, label in enumerate(classes):
             basis = container_array(arrays, f"class_{i}_basis", embed_dim, None)
@@ -146,12 +140,12 @@ class SubspaceModel:
                 subspaces[label] = stored_subspace(basis, spectrum, count)
             except FormatError as err:
                 raise FormatError(f"class {i} subspace: {err}") from None
-        return cls(
-            arrays["strategy"], classes, subspaces,
-            class_dim=hyper["class_dim"], query_dim=_int_or_none(hyper, "query_dim"),
-            angle_count=_int_or_none(hyper, "angle_count"), normalize=hyper["normalize"],
-            embed_dim=embed_dim,
-        )
+        if type(hyper["normalize"]) is not bool:
+            raise FormatError(f"normalize must be a boolean, found {hyper['normalize']!r}")
+        caps = {name: _positive_int(hyper, name, nullable=True)
+                for name in ("class_dim", "query_dim", "angle_count")}
+        return cls(arrays["strategy"], classes, subspaces, **caps,
+                   normalize=hyper["normalize"], embed_dim=embed_dim)
 
     def predict(self, tokens, table: EmbeddingTable) -> Prediction:
         """Classify a token sequence by subspace similarity.
@@ -258,7 +252,7 @@ class SimilarityAverageModel:
 
     @classmethod
     def from_container(cls, hyper, arrays):
-        classes, embed_dim = arrays["classes"], _embed_dim(hyper)
+        classes, embed_dim = arrays["classes"], _positive_int(hyper, "embed_dim")
         counts = container_array(arrays, "counts", len(classes))
         if not np.all(counts >= 1):  # a class has at least one word
             raise FormatError("sa counts must be at least 1")

@@ -86,6 +86,4 @@ def parse_corpus(source) -> Corpus:
         if not tokens:
             log.warning("corpus line %d: document %r has no tokens", lineno, label)
         documents.append(Document(label, tuple(tokens)))
-    if not documents:
-        raise EmptyCorpusError("empty corpus")
     return Corpus(documents)

@@ -74,13 +74,12 @@ class EmbeddingTable:
         huge = ~np.isfinite(sq_norms)
         if huge.any() and not np.all(np.isfinite(matrix[huge])):
             raise DataError("embedding matrix contains non-finite values")
-        index = {}
-        for i, word in enumerate(words):
-            if word == "":
-                raise DataError("empty string is not a valid word key")
-            if word in index:
-                raise DuplicateWordError(word)
-            index[word] = i
+        index = dict(zip(words, range(len(words))))
+        if "" in index:
+            raise DataError("empty string is not a valid word key")
+        if len(index) < len(words):  # a word repeats: name the first word seen twice
+            seen = set()  # "or seen.add(w)" records w and is always false
+            raise DuplicateWordError(next(w for w in words if w in seen or seen.add(w)))
         self._words = tuple(words)
         self._index = index
         self._matrix = matrix
@@ -172,8 +171,7 @@ def load_binary(source) -> EmbeddingTable:
     # without one row that fits, no array of its dim is asked for
     rows = min(count, (len(buf) - pos) // (record_bytes + 2))
     vectors = np.empty((rows, dim if rows or not count else 0), dtype=np.float32)
-    seen = set()
-    replaced = set()  # raw bytes of the words that decode with U+FFFD
+    kept, replaced = set(), set()  # the words with U+FFFD, and their raw bytes
     dropped = 0
     for i in range(count):
         while pos < len(buf) and buf[pos] == 0x0A:  # consume newlines between records
@@ -190,14 +188,14 @@ def load_binary(source) -> EmbeddingTable:
             raise FormatError(f"empty word in binary embedding record {i + 1}")
         word = raw_word.decode("utf-8", errors="replace")
         # Decoding is one-to-one except where invalid bytes became U+FFFD,
-        # so only such words can repeat without repeating their bytes.
-        fresh = word not in seen
+        # so only such words can repeat without repeating their bytes; the
+        # table refuses every other repeat.
+        fresh = word not in kept
         if "\ufffd" in word:
             if raw_word in replaced:
                 raise DuplicateWordError(word)
             replaced.add(raw_word)
-        elif not fresh:
-            raise DuplicateWordError(word)
+            kept.add(word)
         pos = sep + 1
         if pos + record_bytes > len(buf):
             raise TruncationError(
@@ -205,7 +203,6 @@ def load_binary(source) -> EmbeddingTable:
                 start,
             )
         if fresh:
-            seen.add(word)
             vectors[len(words)] = np.frombuffer(buf, dtype="<f4", count=dim, offset=pos)
             words.append(word)
         else:

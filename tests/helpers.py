@@ -18,7 +18,7 @@ from wordspace import classifiers, evaluation
 from wordspace.bayes import NaiveBayesModel
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
-from wordspace.errors import DegenerateQueryError
+from wordspace.errors import DataError, DegenerateQueryError, DuplicateWordError
 from wordspace.features import feature_matrix, fit_feature_spec
 from wordspace.lsa import LsaModel
 from wordspace.svm import DEFAULT_EPOCHS, LinearSvmModel
@@ -304,6 +304,20 @@ def w2v_rows_by_word_loop(table, docs, normalize):
                 block = unit_columns(block)
             out[i] = block.mean(axis=1)
     return out
+
+
+def table_index_by_word_loop(words):
+    """An embedding table's word index as `EmbeddingTable` built it before
+    it took one ``dict(zip(...))``: word by word, refusing ``""`` or a
+    repeat at the first word that is one."""
+    index = {}
+    for i, word in enumerate(words):
+        if word == "":
+            raise DataError("empty string is not a valid word key")
+        if word in index:
+            raise DuplicateWordError(word)
+        index[word] = i
+    return index
 
 
 def spectrum_by_eigvalsh(X):

@@ -489,6 +489,15 @@ BAD_INPUTS = {
                                            '"embed_dim": "16"}'))),
     "msm-query-dim-not-an-int": _classify_doctored("msm", _hyper(query_dim="5")),
     "tfmsm-angle-count-not-an-int": _classify_doctored("tfmsm", _hyper(angle_count=[2])),
+    # caps that would fail every document with exit 4: refused at load
+    "msm-query-dim-zero": _classify_doctored("msm", _hyper(query_dim=0)),
+    "msm-query-dim-negative": _classify_doctored("msm", _hyper(query_dim=-3)),
+    "tfmsm-angle-count-zero": _classify_doctored("tfmsm", _hyper(angle_count=0)),
+    "tfmsm-angle-count-true": _classify_doctored("tfmsm", _hyper(angle_count=True)),
+    "sa-embed-dim-zero": _classify_doctored("sa", _hyper(embed_dim=0)),
+    "msm-class-dim-not-an-int": _classify_doctored("msm", _hyper(class_dim="x")),
+    # would normalize, as any value but false does
+    "msm-normalize-not-a-bool": _classify_doctored("msm", _hyper(normalize="off")),
     "sa-sums-not-embed-dim": _classify_doctored("sa", _cut("sums", np.s_[:, 1:])),
     "mnb-log-prob-not-terms-by-classes": _classify_doctored("mnb", _cut("log_prob", np.s_[1:])),
     "lsa-sigma-not-rank": _classify_doctored("lsa", _cut("sigma", np.s_[1:]),
@@ -620,6 +629,23 @@ def test_loaded_basis_refusal_names_its_entry(case, entry, workspace, tmp_path, 
     assert main(argv) == 3
     assert capsys.readouterr().err == (
         f"error: {entry} is not orthonormal: max |B^T B - I| = 3\n")
+
+
+@pytest.mark.parametrize("case,message", [
+    ("msm-query-dim-zero", "query_dim must be a positive integer or null, found 0"),
+    ("msm-query-dim-negative", "query_dim must be a positive integer or null, found -3"),
+    ("tfmsm-angle-count-zero", "angle_count must be a positive integer or null, found 0"),
+    ("tfmsm-angle-count-true", "angle_count must be a positive integer or null, found True"),
+    ("sa-embed-dim-zero", "embed_dim must be a positive integer, found 0"),
+    ("msm-class-dim-not-an-int", "class_dim must be a positive integer or null, found 'x'"),
+    ("msm-normalize-not-a-bool", "normalize must be a boolean, found 'off'"),
+])
+def test_container_setting_refusal_names_it(case, message, workspace, tmp_path, capsys):
+    make_argv, _ = BAD_INPUTS[case]
+    argv = make_argv(workspace, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 # strategies whose models cannot score a document without in-vocabulary

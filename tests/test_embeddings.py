@@ -4,8 +4,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import INLINE_BREAKS, LINE_ENDS, SOURCE_KINDS, text_source
+from helpers import (
+    INLINE_BREAKS,
+    LINE_ENDS,
+    SOURCE_KINDS,
+    table_index_by_word_loop,
+    text_source,
+)
 from wordspace.embeddings import (
     EmbeddingTable,
     filter_roman,
@@ -77,6 +85,14 @@ class TestLoadBinary:
         raw = pack_binary([("dup", [1.0]), ("dup", [2.0])], 1)
         with pytest.raises(DuplicateWordError, match="dup"):
             load_binary(io.BytesIO(raw))
+        # the table refuses the repeat once the file is parsed: a later
+        # fault is reported first
+        with pytest.raises(TruncationError):
+            load_binary(io.BytesIO(pack_binary([("dup", [1.0]), ("dup", [2.0])], 1,
+                                               header_count=3) + b"more"))
+        with pytest.raises(DataError, match="non-finite"):
+            load_binary(io.BytesIO(pack_binary([("dup", [1.0]), ("dup", [2.0]),
+                                                ("nan", [float("nan")])], 1)))
 
     def test_invalid_utf8_collision_keeps_first(self, caplog):
         # both words decode to "caf\ufffd"; the first one wins
@@ -121,7 +137,7 @@ def test_load_peak_is_the_file_and_the_float32_table(tmp_path):
         tracemalloc.stop()
     matrix_bytes = n * dim * 4
     assert table._matrix.dtype == np.float32 and table._matrix.nbytes == matrix_bytes
-    word_allowance = 320 * n  # the word list, set and index, and their strings
+    word_allowance = 200 * n  # the word list, index and tuple, and their strings
     assert peak < path.stat().st_size + matrix_bytes + word_allowance
 
 
@@ -390,6 +406,28 @@ class TestTableValidation:
     def test_rejects_duplicate(self):
         with pytest.raises(DuplicateWordError):
             EmbeddingTable(["a", "a"], np.eye(2))
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=200)
+    @given(st.lists(st.text(alphabet="ab", max_size=2), max_size=8))
+    def test_refusals_match_the_word_loop(self, words):
+        def outcome(index_of):
+            try:
+                return "accepted", index_of(words)
+            except DataError as err:
+                return type(err), str(err)
+
+        want = outcome(table_index_by_word_loop)
+        if "" in words:  # the one precedence that changed: "" before any repeat
+            want = DataError, "empty string is not a valid word key"
+        assert outcome(lambda w: EmbeddingTable(w, np.ones((len(w), 1)))._index) == want
+
+    def test_empty_word_is_refused_before_a_repeat(self):
+        words = ["a", "a", ""]
+        with pytest.raises(DuplicateWordError):
+            table_index_by_word_loop(words)
+        with pytest.raises(DataError, match="empty string") as err:
+            EmbeddingTable(words, np.eye(3))
+        assert type(err.value) is DataError
 
     def test_vectors_read_only(self):
         table = EmbeddingTable(["a"], np.array([[1.0, 2.0]]))
