@@ -13,6 +13,7 @@ argmax label, and a tie flag; ties are broken by class order with the
 first class winning.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,12 +58,17 @@ class Prediction:
 
 
 def make_prediction(classes, scores) -> Prediction:
+    """The `Prediction` of per-class ``scores``: the first class of the
+    highest score, tied when another class has it too (``0.0 == -0.0``).
+    A non-finite score is a `NonFiniteScoreError`.  The decision is taken
+    on Python floats, which for a handful of classes costs a fraction of
+    the numpy reductions that would give the same answer."""
     scores = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
+    values = scores.tolist()
+    if not all(map(math.isfinite, values)):
         raise NonFiniteScoreError("prediction scores must be finite")
-    best = int(np.argmax(scores))
-    tie = int(np.count_nonzero(scores == scores[best])) > 1
-    return Prediction(classes[best], scores, tie)
+    top = max(values)
+    return Prediction(classes[values.index(top)], scores, values.count(top) > 1)
 
 
 def _positive_int(hyper, name, nullable=False):
@@ -72,6 +78,15 @@ def _positive_int(hyper, name, nullable=False):
     if not (type(value) is int and value >= 1 or nullable and value is None):
         raise FormatError(f"{name} must be a positive integer"
                           f"{' or null' if nullable else ''}, found {value!r}")
+    return value
+
+
+def _boolean(hyper, name):
+    """The container's boolean setting ``name``: true or false, not a value
+    that would only read as one."""
+    value = hyper[name]
+    if type(value) is not bool:
+        raise FormatError(f"{name} must be a boolean, found {value!r}")
     return value
 
 
@@ -140,12 +155,11 @@ class SubspaceModel:
                 subspaces[label] = stored_subspace(basis, spectrum, count)
             except FormatError as err:
                 raise FormatError(f"class {i} subspace: {err}") from None
-        if type(hyper["normalize"]) is not bool:
-            raise FormatError(f"normalize must be a boolean, found {hyper['normalize']!r}")
+        normalize = _boolean(hyper, "normalize")
         caps = {name: _positive_int(hyper, name, nullable=True)
                 for name in ("class_dim", "query_dim", "angle_count")}
         return cls(arrays["strategy"], classes, subspaces, **caps,
-                   normalize=hyper["normalize"], embed_dim=embed_dim)
+                   normalize=normalize, embed_dim=embed_dim)
 
     def predict(self, tokens, table: EmbeddingTable) -> Prediction:
         """Classify a token sequence by subspace similarity.
@@ -257,7 +271,7 @@ class SimilarityAverageModel:
         if not np.all(counts >= 1):  # a class has at least one word
             raise FormatError("sa counts must be at least 1")
         return cls(classes, container_array(arrays, "sums", len(classes), embed_dim),
-                   counts, embed_dim=embed_dim, normalize=hyper["normalize"])
+                   counts, embed_dim=embed_dim, normalize=_boolean(hyper, "normalize"))
 
     def predict(self, tokens, table: EmbeddingTable) -> Prediction:
         matrix, _, _ = lookup_all(table, tokens)

@@ -4,8 +4,9 @@ Bag-of-words features come in binary / term-frequency / TF-IDF
 weightings over a training vocabulary; embedding features represent a
 document by the mean of its distinct in-vocabulary word vectors.
 `bow_row` builds every bag-of-words row, the ones `feature_matrix`
-stacks and the query rows the baselines score, from the term counts of
-`first_occurrence_counts`, the counter `lookup_all` uses too.
+stacks and the query rows the baselines score: a binbow row from the
+distinct vocabulary terms alone, a tfbow or tfidfbow row from the term
+counts of `first_occurrence_counts`, the counter `lookup_all` uses too.
 TF-IDF statistics are always taken from the training corpus and reused
 for validation/test featurization.
 """
@@ -93,10 +94,15 @@ def fit_feature_spec(name: str, train: Corpus, table=None, normalize=True) -> Fe
 
 def bow_row(spec: FeatureSpec, tokens):
     """One document's bag-of-words row as ``(cols, vals)`` numpy arrays:
-    its nonzero weights, by first occurrence of their terms."""
-    cols, counts, _ = first_occurrence_counts(spec.index, tokens)
+    its nonzero weights, by first occurrence of their terms.  A binbow
+    row reads no counts: its columns are the distinct vocabulary terms,
+    in the first-seen order `dict.fromkeys` keeps, as `Counter` keeps it."""
     if spec.name == "binbow":
+        index = spec.index
+        cols = np.array([index[t] for t in dict.fromkeys(tokens) if t in index],
+                        dtype=np.intp)
         return cols, np.ones(cols.size)
+    cols, counts, _ = first_occurrence_counts(spec.index, tokens)
     if spec.name == "tfbow":
         return cols, counts.astype(np.float64)
     vals = counts * spec.idf_log[cols]

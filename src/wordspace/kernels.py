@@ -49,6 +49,7 @@ def row_product(cols, vals, table):
     """
     out = np.zeros(table.shape[1])
     if cols.size:
+        # not sum(axis=0): numpy sums a one-column table pairwise
         out += np.cumsum(vals[:, None] * table[cols], axis=0)[-1]
     return out
 

@@ -68,7 +68,13 @@ def truncated_svd(X, k: int):
 
 
 class LsaModel:
-    """Truncated factorization plus projected training documents."""
+    """Truncated factorization plus projected training documents.
+
+    A class scores the best cosine of its own documents, taken with one
+    ``np.maximum.reduceat`` over the cosines in class order (the
+    documents are sorted by class once, here); a class without
+    documents scores -1.0, as a class whose best cosine is not finite.
+    """
 
     strategy = "lsa"
 
@@ -85,9 +91,13 @@ class LsaModel:
         self._weighted = doc_coords * sigma
         with np.errstate(over="ignore", invalid="ignore"):
             self._norms = np.linalg.norm(self._weighted, axis=1)
-        # (n_docs, n_classes): document i is in class j
-        self._members = (np.asarray(self.labels, dtype=object)[:, None]
-                         == np.asarray(self.classes, dtype=object))
+        # the documents in class order (stable) and where each class starts
+        column = {label: j for j, label in enumerate(self.classes)}
+        by_class = np.array([column[label] for label in self.labels], dtype=np.intp)
+        self._by_class = np.argsort(by_class, kind="stable")
+        sizes = np.bincount(by_class, minlength=len(self.classes))
+        self._has_docs = sizes > 0
+        self._starts = (np.cumsum(sizes) - sizes)[self._has_docs]
 
     @property
     def rank(self):
@@ -141,7 +151,10 @@ class LsaModel:
         sims = np.divide(
             sims, denom, out=np.full_like(sims, -np.inf), where=denom > 0.0
         )
-        best = np.where(self._members, sims[:, None], -np.inf).max(axis=0)
+        # a class without documents gets no segment: reduceat would give
+        # it the next class's first cosine
+        best = np.full(len(self.classes), -np.inf)
+        best[self._has_docs] = np.maximum.reduceat(sims[self._by_class], self._starts)
         return np.where(np.isfinite(best), best, -1.0)
 
     def predict(self, tokens, table=None) -> Prediction:

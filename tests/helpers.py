@@ -18,7 +18,12 @@ from wordspace import classifiers, evaluation
 from wordspace.bayes import NaiveBayesModel
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
-from wordspace.errors import DataError, DegenerateQueryError, DuplicateWordError
+from wordspace.errors import (
+    DataError,
+    DegenerateQueryError,
+    DuplicateWordError,
+    NonFiniteScoreError,
+)
 from wordspace.features import feature_matrix, fit_feature_spec
 from wordspace.lsa import LsaModel
 from wordspace.svm import DEFAULT_EPOCHS, LinearSvmModel
@@ -405,7 +410,7 @@ def scores_by_one_row_matrix(model, tokens):
 def lsa_class_scores_by_loop(model, projection):
     """`LsaModel.class_scores_from_projection` as it was before the
     masked max: each class's best cosine from its own members, -1.0 when
-    that best is not finite."""
+    that best is not finite or the class has no members."""
     weighted_q = np.asarray(projection, dtype=np.float64)[: model.rank]
     qnorm = np.linalg.norm(weighted_q)
     if qnorm == 0.0:
@@ -416,9 +421,21 @@ def lsa_class_scores_by_loop(model, projection):
     labels = np.asarray(model.labels, dtype=object)
     scores = np.full(len(model.classes), -1.0)
     for j, c in enumerate(model.classes):
-        best = np.max(sims[np.flatnonzero(labels == c)])
+        members = np.flatnonzero(labels == c)
+        best = np.max(sims[members]) if members.size else -np.inf
         scores[j] = best if np.isfinite(best) else -1.0
     return scores
+
+
+def make_prediction_by_numpy(classes, scores):
+    """`classifiers.make_prediction` as it was before it decided on
+    Python floats: numpy's finiteness test, argmax and tie count."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not np.all(np.isfinite(scores)):
+        raise NonFiniteScoreError("prediction scores must be finite")
+    best = int(np.argmax(scores))
+    tie = int(np.count_nonzero(scores == scores[best])) > 1
+    return classifiers.Prediction(classes[best], scores, tie)
 
 
 LINE_ENDS = ("\n", "\r\n", "\r")

@@ -498,6 +498,7 @@ BAD_INPUTS = {
     "msm-class-dim-not-an-int": _classify_doctored("msm", _hyper(class_dim="x")),
     # would normalize, as any value but false does
     "msm-normalize-not-a-bool": _classify_doctored("msm", _hyper(normalize="off")),
+    "sa-normalize-not-a-bool": _classify_doctored("sa", _hyper(normalize="off")),
     "sa-sums-not-embed-dim": _classify_doctored("sa", _cut("sums", np.s_[:, 1:])),
     "mnb-log-prob-not-terms-by-classes": _classify_doctored("mnb", _cut("log_prob", np.s_[1:])),
     "lsa-sigma-not-rank": _classify_doctored("lsa", _cut("sigma", np.s_[1:]),
@@ -639,6 +640,7 @@ def test_loaded_basis_refusal_names_its_entry(case, entry, workspace, tmp_path, 
     ("sa-embed-dim-zero", "embed_dim must be a positive integer, found 0"),
     ("msm-class-dim-not-an-int", "class_dim must be a positive integer or null, found 'x'"),
     ("msm-normalize-not-a-bool", "normalize must be a boolean, found 'off'"),
+    ("sa-normalize-not-a-bool", "normalize must be a boolean, found 'off'"),
 ])
 def test_container_setting_refusal_names_it(case, message, workspace, tmp_path, capsys):
     make_argv, _ = BAD_INPUTS[case]

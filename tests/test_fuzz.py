@@ -15,7 +15,9 @@ in [0, 1], as per-class `similarity` does.  LSA's truncated SVD takes
 rank-deficient dense and CSR matrices with fewer, as many and more
 documents than terms, and keeps exactly their numerical rank.  The
 bag-of-words baselines score drawn documents (empty, out-of-vocabulary,
-repeated words) bitwise as a one-row scipy matrix does.  Drawn word
+repeated words) bitwise as a one-row scipy matrix does, and
+`make_prediction` decides drawn scores (ties, signed zeros, NaN and
+infinities) as numpy's argmax did.  Drawn word
 matrices also go through ``main`` as a text table: ``train`` and
 ``classify`` of msm, tfmsm, sa and svm on word vectors, and ``eval``,
 end in exit 0, 3 or 4 with no warning.  Examples are derandomized, so
@@ -36,6 +38,7 @@ from hypothesis import strategies as st
 from helpers import (
     bow_row_by_dict_loop,
     lsa_class_scores_by_loop,
+    make_prediction_by_numpy,
     orthogonal_table,
     projector,
     scores_by_one_row_matrix,
@@ -43,7 +46,7 @@ from helpers import (
 )
 from wordspace import evaluation
 from wordspace.bayes import train_mnb, train_mvb
-from wordspace.classifiers import SubspaceModel
+from wordspace.classifiers import SubspaceModel, make_prediction
 from wordspace.cli import main
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable, save_text
@@ -407,15 +410,20 @@ def test_drawn_word_matrices_through_the_cli(tmp_path):
 @pytest.fixture(scope="module")
 def baselines():
     """Bag-of-words baselines trained on a corpus in which the word
-    ``the`` is in every document, so its tfidf weight is 0."""
+    ``the`` is in every document, so its tfidf weight is 0.  The naive
+    Bayes models of the same documents as one class and the rank-1 lsa
+    models score from one-column tables, which numpy would sum pairwise
+    rather than in row order."""
     corpus = synth_corpus(3, 5, docs_per_class=6, tokens_per_doc=5,
                           rng=np.random.default_rng(11))
     corpus = Corpus([Document(d.label, ("the",) + d.tokens) for d in corpus])
+    one_class = Corpus([Document("c0", d.tokens) for d in corpus])
     specs = [fit_feature_spec(name, corpus) for name in ("binbow", "tfbow", "tfidfbow")]
     assert specs[2].idf_log[specs[2].index["the"]] == 0.0
     models = [train_mvb(corpus), train_mnb(corpus),
+              train_mvb(one_class), train_mnb(one_class),
               *(train_svm(corpus, spec, reg=1e-3) for spec in specs),
-              *(train_lsa(corpus, spec, 8) for spec in specs)]
+              *(train_lsa(corpus, spec, k) for spec in specs for k in (8, 1))]
     return models, specs, corpus
 
 
@@ -485,11 +493,11 @@ def test_lsa_fold_projects_as_predict(baselines, monkeypatch):
 @FUZZ
 @given(st.data())
 def test_lsa_masked_max_equals_class_loop(data):
-    """Each class's best cosine by one masked max is bitwise the former
-    per-class loop's, -inf cosines of zero-norm documents included."""
+    """Each class's best cosine by one reduceat over the documents in
+    class order is bitwise the former per-class loop's, -inf cosines of
+    zero-norm documents and classes without documents included."""
     classes = [f"c{j}" for j in range(data.draw(st.integers(1, 4), label="classes"))]
-    labels = data.draw(st.permutations(
-        classes + data.draw(st.lists(st.sampled_from(classes), max_size=8))))
+    labels = data.draw(st.lists(st.sampled_from(classes), min_size=1, max_size=12))
     k = data.draw(st.integers(1, 4), label="rank")
     value = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 3.0])
     row = st.one_of(st.just([0.0] * k), st.lists(value, min_size=k, max_size=k))
@@ -504,3 +512,28 @@ def test_lsa_masked_max_equals_class_loop(data):
     assert (got is None) == (want is None)
     if want is not None:
         assert got.tobytes() == want.tobytes()
+
+
+SCORES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e308, -1e308, 5e-324,
+                          np.nan, np.inf, -np.inf])
+
+
+@settings(FUZZ, max_examples=300)
+@given(st.lists(st.one_of(SCORES, st.floats()), min_size=1, max_size=9))
+def test_make_prediction_equals_numpy_reference(values):
+    """The label, tie flag and refusal decided on Python floats are the
+    former numpy argmax's: first maximum, ``0.0 == -0.0`` a tie, a NaN
+    or an infinity refused."""
+    classes = tuple(f"c{j}" for j in range(len(values)))
+    scores = np.array(values)
+
+    def outcome(decide):
+        try:
+            pred = decide(classes, scores)
+        except Exception as err:  # the class of the refusal is compared
+            return type(err)
+        assert pred.scores.dtype == np.float64
+        assert pred.scores.tobytes() == scores.tobytes()
+        return pred.label, pred.tie
+
+    assert outcome(make_prediction) == outcome(make_prediction_by_numpy)
