@@ -24,7 +24,7 @@ import numpy as np
 
 from .classifiers import DEFAULT_FEATURES, Prediction, make_prediction
 from .corpus import Corpus
-from .errors import TrainingDataError
+from .errors import DataError
 from .features import FeatureSpec, bow_row, feature_matrix, fit_feature_spec
 from .kernels import row_product
 from .utils import container_array, container_text
@@ -81,7 +81,7 @@ class NaiveBayesModel:
 def _fit(kind: str, corpus: Corpus) -> NaiveBayesModel:
     spec = fit_feature_spec("binbow", corpus)
     if not spec.terms:
-        raise TrainingDataError("training corpus has an empty vocabulary")
+        raise DataError("training corpus has an empty vocabulary")
     denom = len(corpus.classes) + len(corpus)
     labels = np.asarray([doc.label for doc in corpus], dtype=object)
     one_hot = (labels[:, None] == np.asarray(corpus.classes, dtype=object)).astype(np.float64)

@@ -20,12 +20,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .embeddings import EmbeddingTable, lookup_all
-from .errors import (
-    DegenerateQueryError,
-    FormatError,
-    NonFiniteScoreError,
-    TrainingDataError,
-)
+from .errors import DataError, DegenerateQueryError, FormatError, NumericalError
 from .subspace import (
     Subspace,
     full_weighted_word_subspace,
@@ -60,13 +55,13 @@ class Prediction:
 def make_prediction(classes, scores) -> Prediction:
     """The `Prediction` of per-class ``scores``: the first class of the
     highest score, tied when another class has it too (``0.0 == -0.0``).
-    A non-finite score is a `NonFiniteScoreError`.  The decision is taken
+    A non-finite score is a `NumericalError`.  The decision is taken
     on Python floats, which for a handful of classes costs a fraction of
     the numpy reductions that would give the same answer."""
     scores = np.asarray(scores, dtype=np.float64)
     values = scores.tolist()
     if not all(map(math.isfinite, values)):
-        raise NonFiniteScoreError("prediction scores must be finite")
+        raise NumericalError("prediction scores must be finite")
     top = max(values)
     return Prediction(classes[values.index(top)], scores, values.count(top) > 1)
 
@@ -95,7 +90,7 @@ def class_vectors(corpus: Corpus, table: EmbeddingTable, label: str):
     tokens = [t for doc in corpus.documents_of(label) for t in doc.tokens]
     matrix, counts, _ = lookup_all(table, tokens)
     if matrix.shape[1] == 0:
-        raise TrainingDataError(f"class {label!r} has no in-vocabulary words")
+        raise DataError(f"class {label!r} has no in-vocabulary words")
     return matrix, counts
 
 

@@ -21,7 +21,6 @@ from .errors import (
     DataError,
     DegenerateQueryError,
     DegenerateTestError,
-    DimensionMismatchError,
     EmptyCorpusError,
     NumericalError,
 )
@@ -108,7 +107,7 @@ def cmd_classify(args) -> int:
     needs_table = getattr(model, "embed_dim", None) is not None
     table = _load_embeddings(args) if needs_table else None
     if table is not None and table.dimension != model.embed_dim:
-        raise DimensionMismatchError(
+        raise DataError(
             f"model expects dimension {model.embed_dim}, embeddings have "
             f"{table.dimension}"
         )

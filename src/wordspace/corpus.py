@@ -9,7 +9,7 @@ package is whitespace splitting only; no stemming or typo handling.
 import logging
 from dataclasses import dataclass
 
-from .errors import DataError, EmptyCorpusError, FormatError, UnknownClassError
+from .errors import DataError, EmptyCorpusError, FormatError
 from .utils import read_lines
 
 log = logging.getLogger(__name__)
@@ -57,7 +57,7 @@ class Corpus:
 
     def indices_of(self, label):
         if label not in self._by_class:
-            raise UnknownClassError(f"unknown class {label!r}")
+            raise DataError(f"unknown class {label!r}")
         return self._by_class[label]
 
     def documents_of(self, label):

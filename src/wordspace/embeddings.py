@@ -29,12 +29,7 @@ from collections import Counter
 
 import numpy as np
 
-from .errors import (
-    DataError,
-    DuplicateWordError,
-    FormatError,
-    TruncationError,
-)
+from .errors import DataError, FormatError
 from .utils import read_lines
 
 log = logging.getLogger(__name__)
@@ -79,7 +74,8 @@ class EmbeddingTable:
             raise DataError("empty string is not a valid word key")
         if len(index) < len(words):  # a word repeats: name the first word seen twice
             seen = set()  # "or seen.add(w)" records w and is always false
-            raise DuplicateWordError(next(w for w in words if w in seen or seen.add(w)))
+            word = next(w for w in words if w in seen or seen.add(w))
+            raise DataError(f"duplicate word in embedding file: {word!r}")
         self._words = tuple(words)
         self._index = index
         self._matrix = matrix
@@ -179,10 +175,9 @@ def load_binary(source) -> EmbeddingTable:
         start = pos
         sep = buf.find(b" ", pos)
         if sep < 0:
-            raise TruncationError(
-                f"binary embedding stream ended while reading word {i + 1} of {count}",
-                start,
-            )
+            raise DataError(
+                f"binary embedding stream ended while reading word {i + 1} of {count}"
+                f" (record starting at byte offset {start})")
         raw_word = buf[pos:sep]
         if raw_word == b"":
             raise FormatError(f"empty word in binary embedding record {i + 1}")
@@ -193,15 +188,14 @@ def load_binary(source) -> EmbeddingTable:
         fresh = word not in kept
         if "\ufffd" in word:
             if raw_word in replaced:
-                raise DuplicateWordError(word)
+                raise DataError(f"duplicate word in embedding file: {word!r}")
             replaced.add(raw_word)
             kept.add(word)
         pos = sep + 1
         if pos + record_bytes > len(buf):
-            raise TruncationError(
-                f"binary embedding stream ended inside the vector of {word!r}",
-                start,
-            )
+            raise DataError(
+                f"binary embedding stream ended inside the vector of {word!r}"
+                f" (record starting at byte offset {start})")
         if fresh:
             vectors[len(words)] = np.frombuffer(buf, dtype="<f4", count=dim, offset=pos)
             words.append(word)

@@ -30,8 +30,7 @@ from .errors import (
     DataError,
     DegenerateQueryError,
     DegenerateTestError,
-    SubspaceRankError,
-    TrainingDataError,
+    NumericalError,
     WordspaceError,
 )
 from .features import fit_feature_spec, feature_matrix
@@ -179,9 +178,7 @@ def _lsa_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
     notes = [f"rank={k} infeasible (numerical rank {full.rank})"
              for k in ranks if k > full.rank]
     if not feasible:
-        raise TrainingDataError(
-            f"every grid rank exceeds the numerical rank {full.rank}"
-        )
+        raise DataError(f"every grid rank exceeds the numerical rank {full.rank}")
 
     # query coordinates at the largest rank
     projections = feature_matrix(spec, val_docs, table) @ full.basis
@@ -253,7 +250,8 @@ def _fit_lsa(corpus, table, feature, normalize, hyper):
     spec = fit_feature_spec(feature, corpus, table, normalize)
     model = lsa.train_lsa(corpus, spec, hyper["rank"], table)
     if model.rank < hyper["rank"]:
-        raise SubspaceRankError(hyper["rank"], model.rank)
+        raise NumericalError(f"requested subspace dimension {hyper['rank']} "
+                             f"exceeds the rank cap {model.rank}")
     return model
 
 

@@ -28,11 +28,10 @@ import scipy.sparse.linalg as spla
 
 from .classifiers import Prediction, make_prediction
 from .errors import (
+    DataError,
     DegenerateQueryError,
     FormatError,
-    NonFiniteScoreError,
-    SubspaceRankError,
-    TrainingDataError,
+    NumericalError,
     solver_errors,
 )
 from .features import FeatureSpec, bow_row, dense_row, feature_matrix
@@ -51,7 +50,7 @@ def truncated_svd(X, k: int):
     """
     n_min = min(X.shape)
     if k < 1:
-        raise SubspaceRankError(k, n_min)
+        raise NumericalError(f"subspace dimension must be >= 1, got {k}")
     use_sparse = sp.issparse(X) and k < n_min - 1
     with solver_errors("truncated SVD"):
         if use_sparse:
@@ -138,7 +137,7 @@ class LsaModel:
         >= rank; extra trailing entries from a wider factorization are
         ignored).  Returns None for a zero projection; a projection whose
         entries or cosine denominators are not finite is a
-        `NonFiniteScoreError`."""
+        `NumericalError`."""
         weighted_q = np.asarray(projection, dtype=np.float64)[: self.rank]
         qnorm = np.linalg.norm(weighted_q)
         if qnorm == 0.0:
@@ -147,7 +146,7 @@ class LsaModel:
         denom = self._norms * qnorm
         # the stored norms are finite: an overflow here is the query's
         if not np.all(np.isfinite(denom)):
-            raise NonFiniteScoreError("lsa query projection is not finite")
+            raise NumericalError("lsa query projection is not finite")
         sims = np.divide(
             sims, denom, out=np.full_like(sims, -np.inf), where=denom > 0.0
         )
@@ -177,7 +176,7 @@ def train_lsa(corpus, spec: FeatureSpec, k: int, table=None) -> LsaModel:
     feats = feature_matrix(spec, docs, table)
     X = feats.T if sp.issparse(feats) else feats.T.copy()  # terms x documents
     if X.shape[0] == 0:
-        raise TrainingDataError("training corpus has an empty vocabulary")
+        raise DataError("training corpus has an empty vocabulary")
     basis, sigma = truncated_svd(X, k)
     doc_coords = np.asarray(feats @ basis) / sigma
     return LsaModel(

@@ -23,15 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    DegenerateInputError,
-    DimensionMismatchError,
-    FormatError,
-    NumericalError,
-    SubspaceRankError,
-    WeightError,
-    solver_errors,
-)
+from .errors import DataError, FormatError, NumericalError, solver_errors
 
 # Relative spectrum threshold below which directions are treated as
 # rank-deficient and excluded from selectable dimensions.
@@ -115,8 +107,11 @@ class Subspace:
 
     def truncated(self, m: int) -> "Subspace":
         """Subspace of the ``m`` leading directions (m <= dimension)."""
-        if not 1 <= m <= self.dimension:
-            raise SubspaceRankError(m, self.dimension)
+        if m < 1:
+            raise NumericalError(f"subspace dimension must be >= 1, got {m}")
+        if m > self.dimension:
+            raise NumericalError(f"requested subspace dimension {m} "
+                                 f"exceeds the rank cap {self.dimension}")
         if m == self.dimension:
             return self
         return Subspace(self.basis[:, :m], self.spectrum[:m], self.source_word_count)
@@ -155,12 +150,12 @@ def check_stored_basis(basis, name):
 def unit_columns(X: np.ndarray) -> np.ndarray:
     """Scale each column to unit Euclidean norm.
 
-    Raises ``DegenerateInputError`` on a zero-norm column.
+    Raises `NumericalError` on a zero-norm column.
     """
     X = np.asarray(X, dtype=np.float64)
     norms = np.linalg.norm(X, axis=0)
     if np.any(norms == 0.0):
-        raise DegenerateInputError("zero-norm column cannot be normalized")
+        raise NumericalError("zero-norm column cannot be normalized")
     return X / norms
 
 
@@ -168,12 +163,12 @@ def _validate_data_matrix(X):
     """The p x N float64 data matrix and its column norms."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] < 1:
-        raise DegenerateInputError("need a p x N matrix with N >= 1 columns")
+        raise NumericalError("need a p x N matrix with N >= 1 columns")
     if not np.all(np.isfinite(X)):
-        raise DegenerateInputError("data matrix contains non-finite values")
+        raise NumericalError("data matrix contains non-finite values")
     norms = np.linalg.norm(X, axis=0)
     if np.any(norms == 0.0):
-        raise DegenerateInputError("data matrix contains a zero-norm column")
+        raise NumericalError("data matrix contains a zero-norm column")
     return X, norms
 
 
@@ -276,11 +271,11 @@ def _selectable_rank(spectrum):
 def _validate_weights(X, weights):
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (X.shape[1],):
-        raise WeightError(
+        raise NumericalError(
             f"need one weight per column: got {w.shape} for {X.shape[1]} columns"
         )
     if not np.all(np.isfinite(w)) or np.any(w <= 0.0):
-        raise WeightError("weights must be positive finite reals")
+        raise NumericalError("weights must be positive finite reals")
     return w
 
 
@@ -310,7 +305,7 @@ def _fit(X, weights, max_dim):
         spectrum = np.ldexp(spectrum, 2 * exponent)
     cap = basis.shape[1]
     if cap == 0:
-        raise DegenerateInputError("data matrix has numerical rank zero")
+        raise NumericalError("data matrix has numerical rank zero")
     m = cap if max_dim is None else max(1, min(max_dim, cap))
     return Subspace(basis[:, :m], spectrum[:m], X.shape[1])
 
@@ -336,7 +331,7 @@ def full_word_subspace(X: np.ndarray, max_dim: int = None) -> Subspace:
 
     An exactly ``m``-dimensional subspace is
     ``full_word_subspace(X).truncated(m)``, which raises
-    `SubspaceRankError` when ``m`` exceeds the numerical rank; callers
+    `NumericalError` when ``m`` exceeds the numerical rank; callers
     that sweep dimension grids likewise build this once and slice
     prefixes.
     """
@@ -361,7 +356,7 @@ def canonical_cosines(a: Subspace, b: Subspace) -> np.ndarray:
     clamped into [0, 1], non-increasing.
     """
     if a.ambient_dimension != b.ambient_dimension:
-        raise DimensionMismatchError(
+        raise DataError(
             f"ambient dimensions differ: {a.ambient_dimension} vs {b.ambient_dimension}"
         )
     sing = np.linalg.svd(a.basis.T @ b.basis, compute_uv=False)

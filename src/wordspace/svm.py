@@ -18,7 +18,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .classifiers import Prediction, make_prediction
-from .errors import NumericalError, TrainingDataError
+from .errors import DataError, NumericalError
 from .features import FeatureSpec, bow_row, dense_row, feature_matrix
 from .kernels import hinge_sgd, row_product
 from .utils import container_array
@@ -76,7 +76,7 @@ def fit_linear_svm(feats, labels, classes, spec: FeatureSpec, *, regs=(DEFAULT_R
     whose weights are not finite (one too small for its step sizes)."""
     classes = tuple(classes)
     if len(classes) < 2:
-        raise TrainingDataError("linear SVM training needs at least 2 classes")
+        raise DataError("linear SVM training needs at least 2 classes")
     csr = sp.csr_matrix(feats, dtype=np.float64)
     n, d = csr.shape
     rng = np.random.default_rng(seed)

@@ -9,6 +9,7 @@ eigensolver.
 import io
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -18,17 +19,18 @@ from wordspace import classifiers, evaluation
 from wordspace.bayes import NaiveBayesModel
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
-from wordspace.errors import (
-    DataError,
-    DegenerateQueryError,
-    DuplicateWordError,
-    NonFiniteScoreError,
-)
+from wordspace.errors import DataError, DegenerateQueryError, NumericalError
 from wordspace.features import feature_matrix, fit_feature_spec
 from wordspace.lsa import LsaModel
 from wordspace.svm import DEFAULT_EPOCHS, LinearSvmModel
 from wordspace.subspace import unit_columns
 from wordspace.utils import parallel_map
+
+
+def whole(message):
+    """A ``pytest.raises(match=...)`` pattern that only ``message``, whole
+    and verbatim, matches."""
+    return f"^{re.escape(message)}$"
 
 
 def orthogonal_table(n_classes, words_per_class, extra_dims=0):
@@ -76,20 +78,48 @@ def shared_centre_corpus(rng):
     """``(corpus, table)`` in which every class's mean word vector points
     the same way, so only the spread of its words tells a class apart.
 
-    100 dimensions; 4 classes, each with a random 6-dim planted subspace
-    and 60 topic words; 800 common words.  A topic vector is 1.5 x one
-    unit centre shared by all classes, plus a Gaussian draw in its class
-    subspace scaled by 1/sqrt(6), plus 0.3 x isotropic noise scaled by
-    1/sqrt(100); a common word is N(0, 1/100) per component.  60
-    documents per class of 45 tokens, each a topic word of the class with
-    probability 0.3 and a common word otherwise.  These figures are
-    fixed: no strategy's score chose them.
+    `planted_corpus` with 60 topic words per class and 800 common words;
+    a token is a topic word of its document's class with probability
+    0.3 and a common word otherwise.  These figures are fixed: no
+    strategy's score chose them.
     """
-    dim, subspace_dim, topic_words, common_words = 100, 6, 60, 800
+    return planted_corpus(rng, 60, 800, own=0.3, other=0.0)
+
+
+def shared_vocabulary_corpus(rng, topic_words=15, common_words=100):
+    """``(corpus, table)`` in which the classes share a mean direction and,
+    nearly, a vocabulary: only how often a class uses each word tells it
+    apart.
+
+    `planted_corpus` with ``topic_words`` per class and ``common_words``;
+    a token is a topic word of its document's class with probability
+    0.15, a topic word of a uniformly drawn class with probability 0.3,
+    and a common word otherwise.  So every class's training split holds
+    nearly every topic word of every class.  The defaults and the
+    figures (15, 100, 0.15, 0.3) are fixed: no strategy's score chose
+    them.
+    """
+    return planted_corpus(rng, topic_words, common_words, own=0.15, other=0.3)
+
+
+def planted_corpus(rng, topic_words, common_words, own, other):
+    """``(corpus, table)`` of 4 classes that share one mean word direction.
+
+    100 dimensions; each class has a random 6-dim planted subspace and
+    ``topic_words`` topic words; there are ``common_words`` common words.
+    A topic vector is 1.5 x one unit centre shared by all classes, plus a
+    Gaussian draw in its class subspace scaled by 1/sqrt(6), plus 0.3 x
+    isotropic noise scaled by 1/sqrt(100); a common word is N(0, 1/100)
+    per component.  60 documents per class of 45 tokens.  Each token
+    takes one ``rng.random()`` draw: below ``own``, a topic word of the
+    document's class; below ``own + other``, a topic word of a uniformly
+    drawn class; otherwise a common word.
+    """
+    dim, subspace_dim, n_classes = 100, 6, 4
     centre = rng.standard_normal(dim)
     centre /= np.linalg.norm(centre)
     words, rows = [], []
-    for c in range(4):
+    for c in range(n_classes):
         basis = random_subspace_basis(rng, dim, subspace_dim)
         coords = rng.standard_normal((topic_words, subspace_dim)) / math.sqrt(subspace_dim)
         noise = rng.standard_normal((topic_words, dim)) / math.sqrt(dim)
@@ -97,10 +127,17 @@ def shared_centre_corpus(rng):
         words += [f"t{c}_{i}" for i in range(topic_words)]
     rows.append(rng.standard_normal((common_words, dim)) / math.sqrt(dim))
     words += [f"u{i}" for i in range(common_words)]
-    docs = [Document(f"c{c}", tuple(
-        f"t{c}_{rng.integers(topic_words)}" if rng.random() < 0.3
-        else f"u{rng.integers(common_words)}" for _ in range(45)))
-        for c in range(4) for _ in range(60)]
+
+    def token(c):
+        draw = rng.random()
+        if draw < own:
+            return f"t{c}_{rng.integers(topic_words)}"
+        if draw < own + other:
+            return f"t{rng.integers(n_classes)}_{rng.integers(topic_words)}"
+        return f"u{rng.integers(common_words)}"
+
+    docs = [Document(f"c{c}", tuple(token(c) for _ in range(45)))
+            for c in range(n_classes) for _ in range(60)]
     return Corpus(docs), EmbeddingTable(words, np.vstack(rows))
 
 
@@ -320,7 +357,7 @@ def table_index_by_word_loop(words):
         if word == "":
             raise DataError("empty string is not a valid word key")
         if word in index:
-            raise DuplicateWordError(word)
+            raise DataError(f"duplicate word in embedding file: {word!r}")
         index[word] = i
     return index
 
@@ -432,7 +469,7 @@ def make_prediction_by_numpy(classes, scores):
     Python floats: numpy's finiteness test, argmax and tie count."""
     scores = np.asarray(scores, dtype=np.float64)
     if not np.all(np.isfinite(scores)):
-        raise NonFiniteScoreError("prediction scores must be finite")
+        raise NumericalError("prediction scores must be finite")
     best = int(np.argmax(scores))
     tie = int(np.count_nonzero(scores == scores[best])) > 1
     return classifiers.Prediction(classes[best], scores, tie)

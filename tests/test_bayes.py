@@ -9,10 +9,11 @@ from helpers import (
     nb_queries,
     nb_scores_by_token_loop,
     nb_tables_by_loop,
+    whole,
 )
 from wordspace.bayes import train_mnb, train_mvb
 from wordspace.corpus import Corpus, Document
-from wordspace.errors import TrainingDataError
+from wordspace.errors import DataError
 from wordspace.model_io import load_model, save_model
 
 # Document counts of the 8-class reference corpus (7674 documents).
@@ -84,7 +85,7 @@ class TestMnb:
         assert model.predict(("b",)).label == "only"
 
     def test_empty_vocabulary_errors(self):
-        with pytest.raises(TrainingDataError):
+        with pytest.raises(DataError, match=whole("training corpus has an empty vocabulary")):
             train_mnb(Corpus([Document("c0", ()), Document("c1", ())]))
 
 

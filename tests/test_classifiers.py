@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import orthogonal_table, policies, projector, query_by_full_solve
+from helpers import orthogonal_table, policies, projector, query_by_full_solve, whole
 from wordspace.classifiers import (
     SimilarityAverageModel,
     make_prediction,
@@ -12,7 +12,7 @@ from wordspace.classifiers import (
 )
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
-from wordspace.errors import DegenerateQueryError, NumericalError, TrainingDataError
+from wordspace.errors import DataError, DegenerateQueryError, NumericalError
 from wordspace.model_io import load_model, save_model
 from wordspace.subspace import similarity
 
@@ -47,7 +47,7 @@ class TestTrainMsm:
 
     def test_fully_oov_class_errors(self, ortho_table):
         corpus = Corpus([Document("c0", ("w0_0",)), Document("bad", ("zzz",))])
-        with pytest.raises(TrainingDataError, match="bad"):
+        with pytest.raises(DataError, match=whole("class 'bad' has no in-vocabulary words")):
             train_msm(corpus, ortho_table)
 
     def test_duplicates_do_not_change_model(self, ortho_table):
@@ -89,7 +89,7 @@ class TestTrainTfmsm:
 
     def test_empty_class_errors(self, ortho_table):
         corpus = Corpus([Document("c0", ()), Document("c1", ("w1_0",))])
-        with pytest.raises(TrainingDataError, match="c0"):
+        with pytest.raises(DataError, match=whole("class 'c0' has no in-vocabulary words")):
             train_tfmsm(corpus, ortho_table)
 
 
@@ -321,11 +321,11 @@ class TestPredictionContract:
         assert pred.tie and pred.label == "x"
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(NumericalError, match=whole("prediction scores must be finite")):
             make_prediction(("x",), np.array([np.nan]))
 
     def test_non_finite_is_a_numerical_error(self):
-        with pytest.raises(NumericalError):
+        with pytest.raises(NumericalError, match=whole("prediction scores must be finite")):
             make_prediction(("x", "y"), np.array([np.inf, 0.0]))
 
 

@@ -101,9 +101,12 @@ class TestTrainAndClassify:
         small = EmbeddingTable(["w0_0"], np.array([[1.0, 0.0]]))
         other_vecs = tmp_path / "small.txt"
         save_text(small, other_vecs)
+        capsys.readouterr()
         code = main(["classify", "--model", model_path, "--embeddings",
                      str(other_vecs), "--corpus", workspace["corpus"]])
         assert code == 3
+        assert capsys.readouterr() == (
+            "", "error: model expects dimension 16, embeddings have 2\n")
 
     def test_unclassifiable_marker(self, workspace, tmp_path, capsys):
         model_path = str(workspace["root"] / "msm6.npz")

@@ -6,17 +6,11 @@ import sys
 import numpy as np
 import pytest
 
-from helpers import INLINE_BREAKS, LINE_ENDS, SOURCE_KINDS, text_source
+from helpers import INLINE_BREAKS, LINE_ENDS, SOURCE_KINDS, text_source, whole
 from wordspace.classifiers import class_vectors
 from wordspace.corpus import Corpus, Document, parse_corpus
 from wordspace.embeddings import EmbeddingTable
-from wordspace.errors import (
-    DataError,
-    EmptyCorpusError,
-    FormatError,
-    TrainingDataError,
-    UnknownClassError,
-)
+from wordspace.errors import DataError, EmptyCorpusError, FormatError
 from wordspace.features import feature_matrix, fit_feature_spec
 
 
@@ -196,7 +190,7 @@ class TestClassWordMultiset:
 
     def test_empty_document_class(self):
         corpus = Corpus([Document("c", ()), Document("d", ("x",))])
-        with pytest.raises(TrainingDataError):
+        with pytest.raises(DataError, match=whole("class 'c' has no in-vocabulary words")):
             class_vectors(corpus, self.table, "c")
 
     def test_repeated_word(self):
@@ -206,7 +200,7 @@ class TestClassWordMultiset:
 
     def test_unknown_class(self):
         corpus = Corpus([Document("c", ("a",))])
-        with pytest.raises(UnknownClassError):
+        with pytest.raises(DataError, match=whole("unknown class 'nope'")):
             class_vectors(corpus, self.table, "nope")
 
     def test_totals_partition_token_count(self):

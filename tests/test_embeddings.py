@@ -13,6 +13,7 @@ from helpers import (
     SOURCE_KINDS,
     table_index_by_word_loop,
     text_source,
+    whole,
 )
 from wordspace.embeddings import (
     EmbeddingTable,
@@ -23,12 +24,7 @@ from wordspace.embeddings import (
     lookup_all,
     save_text,
 )
-from wordspace.errors import (
-    DataError,
-    DuplicateWordError,
-    FormatError,
-    TruncationError,
-)
+from wordspace.errors import DataError, FormatError
 
 
 def pack_binary(entries, dim, header_count=None, trailing_newline=True):
@@ -65,15 +61,19 @@ class TestLoadBinary:
     def test_truncated_second_record(self):
         full = pack_binary([("ab", [1.0, 0.0, 0.0]), ("cd", [0.0, 1.0, 0.0])], 3,
                            header_count=2)
-        raw = full[: 4 + len(b"ab ") + 12 + 1]  # header + first record + newline
-        with pytest.raises(TruncationError) as err:
+        offset = 4 + len(b"ab ") + 12 + 1  # header + first record + newline
+        raw = full[:offset]  # the second (incomplete) record starts at the cut
+        with pytest.raises(DataError, match=whole(
+                "binary embedding stream ended while reading word 2 of 2"
+                f" (record starting at byte offset {offset})")):
             load_binary(io.BytesIO(raw))
-        # offset points at the start of the second (incomplete) record
-        assert err.value.offset == 4 + len(b"ab ") + 12 + 1
 
     def test_truncated_inside_vector(self):
         raw = pack_binary([("ab", [1.0, 2.0, 3.0])], 3)[:-6]
-        with pytest.raises(TruncationError):
+        offset = len(b"1 3\n")  # the record right after the header
+        with pytest.raises(DataError, match=whole(
+                "binary embedding stream ended inside the vector of 'ab'"
+                f" (record starting at byte offset {offset})")):
             load_binary(io.BytesIO(raw))
 
     def test_malformed_header(self):
@@ -83,11 +83,14 @@ class TestLoadBinary:
 
     def test_duplicate_word(self):
         raw = pack_binary([("dup", [1.0]), ("dup", [2.0])], 1)
-        with pytest.raises(DuplicateWordError, match="dup"):
+        with pytest.raises(DataError, match=whole("duplicate word in embedding file: 'dup'")):
             load_binary(io.BytesIO(raw))
         # the table refuses the repeat once the file is parsed: a later
         # fault is reported first
-        with pytest.raises(TruncationError):
+        offset = len(b"3 1\n") + 2 * len(b"dup 1234\n")
+        with pytest.raises(DataError, match=whole(
+                "binary embedding stream ended while reading word 3 of 3"
+                f" (record starting at byte offset {offset})")):
             load_binary(io.BytesIO(pack_binary([("dup", [1.0]), ("dup", [2.0])], 1,
                                                header_count=3) + b"more"))
         with pytest.raises(DataError, match="non-finite"):
@@ -107,7 +110,8 @@ class TestLoadBinary:
     def test_identical_invalid_utf8_words_still_duplicate(self):
         for word in (b"caf\xe9", "caf\ufffd".encode()):
             raw = pack_binary([(word, [1.0]), (b"x", [0.0]), (word, [2.0])], 1)
-            with pytest.raises(DuplicateWordError):
+            with pytest.raises(DataError,
+                               match=whole("duplicate word in embedding file: 'caf\ufffd'")):
                 load_binary(io.BytesIO(raw))
 
     def test_float32_values_widened_exactly(self):
@@ -404,7 +408,7 @@ class TestTableValidation:
         assert EmbeddingTable(["a"], np.ones((1, 2), dtype=np.float16))._matrix.dtype == np.float64
 
     def test_rejects_duplicate(self):
-        with pytest.raises(DuplicateWordError):
+        with pytest.raises(DataError, match=whole("duplicate word in embedding file: 'a'")):
             EmbeddingTable(["a", "a"], np.eye(2))
 
     @settings(derandomize=True, database=None, deadline=None, max_examples=200)
@@ -423,7 +427,7 @@ class TestTableValidation:
 
     def test_empty_word_is_refused_before_a_repeat(self):
         words = ["a", "a", ""]
-        with pytest.raises(DuplicateWordError):
+        with pytest.raises(DataError, match=whole("duplicate word in embedding file: 'a'")):
             table_index_by_word_loop(words)
         with pytest.raises(DataError, match="empty string") as err:
             EmbeddingTable(words, np.eye(3))

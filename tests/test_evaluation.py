@@ -9,9 +9,11 @@ from helpers import (
     orthogonal_table,
     report_fitting_queries_per_fold,
     shared_centre_corpus,
+    shared_vocabulary_corpus,
     spectrum_by_eigvalsh,
     svm_fold_per_reg,
     synth_corpus,
+    whole,
 )
 from wordspace import classifiers, lsa
 from wordspace.classifiers import class_vectors
@@ -21,11 +23,7 @@ from wordspace.features import fit_feature_spec
 from wordspace.lsa import train_lsa
 from wordspace.model_io import save_model
 from wordspace.subspace import unit_columns
-from wordspace.errors import (
-    DataError,
-    DegenerateTestError,
-    TrainingDataError,
-)
+from wordspace.errors import DataError, DegenerateTestError
 from wordspace.evaluation import (
     DEFAULT_SEED,
     STRATEGIES,
@@ -147,7 +145,8 @@ class TestSelectHyperparams:
     def test_all_points_infeasible(self):
         corpus = Corpus([Document("c0", ("a",)), Document("c1", ("b",))] * 5)
         plan = make_folds(corpus, seed=7)
-        with pytest.raises(TrainingDataError):
+        with pytest.raises(DataError,
+                           match=whole("every grid rank exceeds the numerical rank 2")):
             _select("lsa", corpus, plan.folds[0], {"rank": (99,)})
 
 
@@ -410,10 +409,11 @@ class TestRunExperiment:
         docs = [Document("c0", ("w0_0",)) for _ in range(6)]
         docs += [Document("c1", ("missing",)) for _ in range(6)]
         plan = make_folds(Corpus(docs), seed=9)
-        with pytest.raises(TrainingDataError, match="^fold 0: ") as err:
+        with pytest.raises(DataError, match=whole(
+                "fold 0: class 'c1' has no in-vocabulary words")) as err:
             run_experiment(Corpus(docs), "msm", plan, table=table,
                            grids={"class_dim": (1,), "query_dim": (1,)})
-        assert type(err.value) is TrainingDataError
+        assert type(err.value) is DataError
 
     def test_lsa_zero_projection_counts_as_error(self):
         # each ghost document's one word is its own, so a test ghost has no
@@ -609,3 +609,18 @@ def test_word_subspace_separates_classes_whose_means_coincide(seed):
     assert accuracy["msm"] >= accuracy["sa"] + 0.5
     assert accuracy["tfmsm"] >= accuracy["sa"] + 0.5
     assert accuracy["tfmsm"] >= accuracy["msm"] - 0.01
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_term_frequency_separates_classes_that_share_a_vocabulary(seed):
+    # The paper's TF claim: weighting puts word frequency in the subspace.
+    # Here every class's training split holds nearly every topic word of
+    # every class, so msm's distinct-word subspaces nearly coincide (near
+    # chance, 0.25) while tfmsm's frequency-weighted ones stay apart.
+    corpus, table = shared_vocabulary_corpus(np.random.default_rng(seed))
+    plan = make_folds(corpus, seed)
+    grids = {"class_dim": (5, 10, 20, 40), "query_dim": (1, 2, 5, 10)}
+    accuracy = {s: run_experiment(corpus, s, plan, table=table, grids=grids).mean_accuracy
+                for s in ("msm", "tfmsm")}
+    assert accuracy["msm"] <= 0.35
+    assert accuracy["tfmsm"] >= accuracy["msm"] + 0.3

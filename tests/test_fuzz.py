@@ -530,8 +530,8 @@ def test_make_prediction_equals_numpy_reference(values):
     def outcome(decide):
         try:
             pred = decide(classes, scores)
-        except Exception as err:  # the class of the refusal is compared
-            return type(err)
+        except Exception as err:  # the class and text of the refusal are compared
+            return type(err), str(err)
         assert pred.scores.dtype == np.float64
         assert pred.scores.tobytes() == scores.tobytes()
         return pred.label, pred.tie

@@ -1,8 +1,14 @@
-"""Every name a `wordspace` module imports is used in that module.
+"""Every name a `wordspace` module imports is used in that module, and
+every exception class it defines is one that some caller tells apart.
 
 A deletion that leaves an import behind (a name read nowhere else in the
 module) fails here.  A name in a module's ``__all__`` counts as used:
 the package ``__init__`` imports its public names only to re-export them.
+
+An exception class in ``errors.py`` is either a root, one per CLI exit
+code and the package base, or named in some ``except`` clause of the
+package: a subclass nobody catches by name adds a type with no behaviour
+behind it.
 """
 
 import ast
@@ -13,6 +19,7 @@ import pytest
 import wordspace
 
 MODULES = sorted(Path(wordspace.__file__).parent.glob("*.py"))
+ERROR_ROOTS = {"WordspaceError", "ConfigError", "DataError", "NumericalError"}
 
 
 def unused_imports(source):
@@ -44,3 +51,35 @@ def test_checker_finds_an_unused_import():
     source = ("import numpy as np\nimport scipy.sparse as sp\nfrom os import path, sep\n"
               "__all__ = ['sep']\nx = np.zeros(1)\n")
     assert unused_imports(source) == [("sp", 2), ("path", 3)]
+
+
+def uncaught_error_classes(errors_source, sources):
+    """Names of the classes ``errors_source`` defines that are not in
+    ERROR_ROOTS and that no ``except`` clause in ``sources`` names."""
+    defined = [node.name for node in ast.parse(errors_source).body
+               if isinstance(node, ast.ClassDef)]
+    caught = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                # `except FormatError` or `except errors.FormatError`
+                caught.update(getattr(t, "id", None) or getattr(t, "attr", None)
+                              for t in types)
+    return [name for name in defined if name not in ERROR_ROOTS and name not in caught]
+
+
+def test_every_error_class_is_a_root_or_caught():
+    errors = Path(wordspace.__file__).parent / "errors.py"
+    sources = [path.read_text(encoding="utf-8") for path in MODULES]
+    assert uncaught_error_classes(errors.read_text(encoding="utf-8"), sources) == []
+
+
+def test_checker_finds_an_uncaught_error_class():
+    errors = ("class DataError(Exception): pass\nclass FormatError(DataError): pass\n"
+              "class GapError(DataError): pass\nclass TieError(DataError): pass\n"
+              "class LoneError(DataError): pass\n")
+    caller = ("try:\n    pass\nexcept (FormatError, OSError):\n    pass\n"
+              "except errors.TieError as err:\n    pass\nexcept Exception:\n    pass\n"
+              "raise GapError('raised, never caught')\n")
+    assert uncaught_error_classes(errors, [caller]) == ["GapError", "LoneError"]

@@ -2,14 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from helpers import bow_reference, exact_cosine_1nn_maximizers, w2v_rows_by_word_loop
+from helpers import bow_reference, exact_cosine_1nn_maximizers, w2v_rows_by_word_loop, whole
 from wordspace.corpus import Corpus, Document
-from wordspace.errors import (
-    DegenerateQueryError,
-    NumericalError,
-    SubspaceRankError,
-    TrainingDataError,
-)
+from wordspace.errors import DataError, DegenerateQueryError, NumericalError
 from wordspace.features import FeatureSpec, feature_matrix, fit_feature_spec
 from wordspace.lsa import LsaModel, train_lsa, truncated_svd
 from wordspace.model_io import load_model, save_model
@@ -90,8 +85,11 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(s, [5.0], rtol=1e-12)
         u, s = truncated_svd(np.zeros((3, 2)), 2)
         assert u.shape == (3, 0) and s.shape == (0,)
-        with pytest.raises(SubspaceRankError):
-            truncated_svd(X, 0)
+        # a dimension below 1 is refused as such, not as a cap overflow
+        for k in (0, -1):
+            with pytest.raises(NumericalError,
+                               match=whole(f"subspace dimension must be >= 1, got {k}")):
+                truncated_svd(X, k)
 
     def test_sparse_matches_dense(self):
         rng = np.random.default_rng(1)
@@ -136,6 +134,18 @@ class TestLsa:
         model = train_lsa(corpus, spec, 1)
         np.testing.assert_allclose(model.predict(("a", "a", "a")).scores,
                                    [1.0, 1.0])
+
+    def test_empty_vocabulary_errors(self):
+        corpus = Corpus([Document("c0", ()), Document("c1", ())])
+        with pytest.raises(DataError, match=whole("training corpus has an empty vocabulary")):
+            train_lsa(corpus, fit_feature_spec("binbow", corpus), 1)
+
+    def test_non_finite_projection_raises(self):
+        corpus = Corpus([Document("c0", ("a",)), Document("c1", ("b",))])
+        model = train_lsa(corpus, fit_feature_spec("binbow", corpus), 2)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
+                NumericalError, match=whole("lsa query projection is not finite")):
+            model.class_scores_from_projection(np.full(2, np.inf))
 
     def test_zero_projection_raises(self):
         corpus = Corpus([Document("c0", ("a",)), Document("c1", ("b",))])
@@ -193,7 +203,8 @@ class TestSvm:
         assert preds == labels
 
     def test_single_class_errors(self):
-        with pytest.raises(TrainingDataError):
+        with pytest.raises(DataError,
+                           match=whole("linear SVM training needs at least 2 classes")):
             fit_linear_svm(np.array([[1.0]]), ["only"], ("only",),
                            binbow_spec(["f0"]))
 
