@@ -7,12 +7,21 @@ package is whitespace splitting only; no stemming or typo handling.
 """
 
 import logging
+import re
 from dataclasses import dataclass
 
 from .errors import DataError, EmptyCorpusError, FormatError
 from .utils import read_lines
 
 log = logging.getLogger(__name__)
+
+# matches exactly the characters str.split breaks at (str.isspace)
+_SPACE = re.compile(r"\s")
+
+
+def is_word(text):
+    """The rule for a label or token: a non-empty run without whitespace."""
+    return text.split() == [text]
 
 
 @dataclass(frozen=True)
@@ -25,10 +34,20 @@ class Document:
     def __post_init__(self):
         if not self.label:
             raise DataError("document label must be non-empty")
-        object.__setattr__(self, "tokens", tuple(self.tokens))
-        for t in self.tokens:
-            if t.split() != [t]:  # str.split breaks at exactly what isspace() accepts
-                raise DataError(f"token {t!r} is empty or contains whitespace")
+        if not is_word(self.label):
+            raise DataError(f"document label {self.label!r} contains whitespace")
+        tokens = tuple(self.tokens)
+        object.__setattr__(self, "tokens", tokens)
+        # one test of the whole document; the loop below names the culprit
+        # and keeps each refusal's exception for a token that is not a str
+        try:
+            clean = _SPACE.search("".join(tokens)) is None and "" not in tokens
+        except TypeError:
+            clean = False
+        if not clean:
+            for t in tokens:
+                if not is_word(t):
+                    raise DataError(f"token {t!r} is empty or contains whitespace")
 
 
 class Corpus:
@@ -74,7 +93,9 @@ def parse_corpus(source) -> Corpus:
     Empty lines are skipped.  A line with a label but no tokens is
     accepted as an empty document (logged as a warning).  A non-empty
     line containing only whitespace has no label and is a format error.
+    Equal tokens of one parse share one ``str``.
     """
+    words = {}
     documents = []
     for lineno, line in enumerate(read_lines(source, "corpus"), start=1):
         if line == "":
@@ -85,5 +106,5 @@ def parse_corpus(source) -> Corpus:
         label, tokens = fields[0], fields[1:]
         if not tokens:
             log.warning("corpus line %d: document %r has no tokens", lineno, label)
-        documents.append(Document(label, tuple(tokens)))
+        documents.append(Document(label, tuple(map(words.setdefault, tokens, tokens))))
     return Corpus(documents)

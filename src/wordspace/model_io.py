@@ -18,6 +18,7 @@ import zipfile
 
 import numpy as np
 
+from .corpus import is_word
 from .errors import FormatError
 from .evaluation import STRATEGIES
 from .utils import container_array, container_text
@@ -104,8 +105,15 @@ def load_model(path):
         hyper = json.loads(container_text(arrays, "hyper_json", str))
         if not isinstance(hyper, dict):
             raise FormatError("hyper_json must hold a JSON object")
-        if not container_text(arrays, "classes"):
+        classes = container_text(arrays, "classes")
+        if not classes:
             raise FormatError("a model needs at least one class")
+        for i, label in enumerate(classes):
+            # classify prints each label as one tab-separated field
+            if not is_word(label):
+                raise FormatError(f"class label {label!r} is empty or contains whitespace")
+            if label in classes[:i]:
+                raise FormatError(f"class label {label!r} is repeated")
         return STRATEGIES[strategy].model.from_container(hyper, arrays)
     except KeyError as err:
         raise FormatError(f"model container lacks entry {err}") from None

@@ -19,12 +19,12 @@ from wordspace import classifiers, evaluation
 from wordspace.bayes import NaiveBayesModel
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
-from wordspace.errors import DataError, DegenerateQueryError, NumericalError
+from wordspace.errors import DataError, DegenerateQueryError, FormatError, NumericalError
 from wordspace.features import feature_matrix, fit_feature_spec
 from wordspace.lsa import LsaModel
 from wordspace.svm import DEFAULT_EPOCHS, LinearSvmModel
 from wordspace.subspace import unit_columns
-from wordspace.utils import parallel_map
+from wordspace.utils import parallel_map, read_lines
 
 
 def whole(message):
@@ -494,6 +494,28 @@ def text_source(kind, text, tmp_path):
     if kind == "text":
         return io.StringIO(text)
     return list(io.StringIO(text, newline=""))
+
+
+def check_tokens_by_loop(tokens):
+    """`Document`'s token check as it was before it tested a document at
+    once: each token on its own, by `str.split`."""
+    for t in tokens:
+        if t.split() != [t]:
+            raise DataError(f"token {t!r} is empty or contains whitespace")
+
+
+def parse_corpus_by_loop(source):
+    """`corpus.parse_corpus` as it was before equal tokens shared one
+    ``str``: every field of every line is its own object."""
+    documents = []
+    for lineno, line in enumerate(read_lines(source, "corpus"), start=1):
+        if line == "":
+            continue
+        fields = line.split()
+        if not fields:
+            raise FormatError(f"corpus line {lineno}: whitespace only, no label")
+        documents.append(Document(fields[0], tuple(fields[1:])))
+    return Corpus(documents)
 
 
 def bow_row_by_dict_loop(spec, tokens):

@@ -510,6 +510,15 @@ BAD_INPUTS = {
                                               flags=("--rank", "3")),
     "svm-spec-name-not-text": _classify_doctored("svm", _set("spec_name", np.zeros(2))),
     "model-no-classes": _classify_doctored("msm", _set("classes", np.array([], dtype=np.str_))),
+    # classify prints each label as one field of a tab-separated line
+    "model-class-label-tab": _classify_doctored(
+        "mnb", _set("classes", np.array(["c\t0", "c1", "c2", "c3"]))),
+    "model-class-label-newline": _classify_doctored(
+        "mnb", _set("classes", np.array(["c0", "c\n1", "c2", "c3"]))),
+    "model-class-label-empty": _classify_doctored(
+        "mnb", _set("classes", np.array(["c0", "c1", "", "c3"]))),
+    "model-class-label-repeated": _classify_doctored(
+        "mnb", _set("classes", np.array(["c0", "c1", "c2", "c1"]))),
     "lsa-class-without-documents": _classify_doctored("lsa", _relabel_first_class,
                                                       flags=("--rank", "3")),
     "model-zip-version-unsupported": _zip_bytes(_central_field(6, 109)),
@@ -646,6 +655,20 @@ def test_loaded_basis_refusal_names_its_entry(case, entry, workspace, tmp_path, 
     ("sa-normalize-not-a-bool", "normalize must be a boolean, found 'off'"),
 ])
 def test_container_setting_refusal_names_it(case, message, workspace, tmp_path, capsys):
+    make_argv, _ = BAD_INPUTS[case]
+    argv = make_argv(workspace, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("case,message", [
+    ("model-class-label-tab", "class label 'c\\t0' is empty or contains whitespace"),
+    ("model-class-label-newline", "class label 'c\\n1' is empty or contains whitespace"),
+    ("model-class-label-empty", "class label '' is empty or contains whitespace"),
+    ("model-class-label-repeated", "class label 'c1' is repeated"),
+])
+def test_class_label_refusal_names_it(case, message, workspace, tmp_path, capsys):
     make_argv, _ = BAD_INPUTS[case]
     argv = make_argv(workspace, tmp_path)
     capsys.readouterr()

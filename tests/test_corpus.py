@@ -1,14 +1,27 @@
+import gc
 import io
 import logging
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
-from helpers import INLINE_BREAKS, LINE_ENDS, SOURCE_KINDS, text_source, whole
+from helpers import (
+    INLINE_BREAKS,
+    LINE_ENDS,
+    SOURCE_KINDS,
+    check_tokens_by_loop,
+    parse_corpus_by_loop,
+    text_source,
+    whole,
+)
+from wordspace import corpus as corpus_module
 from wordspace.classifiers import class_vectors
-from wordspace.corpus import Corpus, Document, parse_corpus
+from wordspace.corpus import Corpus, Document, is_word, parse_corpus
 from wordspace.embeddings import EmbeddingTable
 from wordspace.errors import DataError, EmptyCorpusError, FormatError
 from wordspace.features import feature_matrix, fit_feature_spec
@@ -239,3 +252,134 @@ class TestDocumentValidation:
             Document("c", ("",))
         # not whitespace to str.isspace(): kept
         assert Document("c", ("a\u200bb", "\x00")).tokens == ("a\u200bb", "\x00")
+
+
+# every character str.split breaks at
+SPACES = tuple(chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace())
+
+
+def outcome(parse, source):
+    """What ``parse`` makes of ``source``: its documents and classes, or
+    its refusal's type and message."""
+    try:
+        corpus = parse(source)
+    except DataError as err:
+        return type(err), str(err)
+    return [(d.label, d.tokens) for d in corpus], corpus.classes
+
+
+@st.composite
+def corpus_texts(draw):
+    """A corpus text: lines of fields drawn from a few words, so tokens
+    repeat, between runs of any whitespace, each line ended by a line
+    end, behind an optional byte-order mark."""
+    gap = st.text(st.sampled_from(SPACES), max_size=3)
+    words = st.sampled_from(["c0", "c1", "wheat", "a\u200bb", "\x00", "é", "x"])
+    text = draw(st.sampled_from(["", "\ufeff"]))
+    for fields in draw(st.lists(st.lists(words, max_size=6), max_size=8)):
+        text += "".join(draw(gap) + f for f in fields) + draw(gap)
+        text += draw(st.sampled_from(LINE_ENDS))
+    return text
+
+
+class TestParseParity:
+    """`parse_corpus` against the parse loop it replaced, which kept one
+    ``str`` per token occurrence."""
+
+    def test_drawn_texts_parse_as_by_the_loop(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("parity")
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=200,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(corpus_texts(), st.sampled_from(SOURCE_KINDS))
+        @example("\ufeffc0" + "x".join(SPACES) + "x\r\nc1 x x\rc0 wheat\n", "lines")
+        def check(text, kind):
+            want = outcome(parse_corpus_by_loop, text_source(kind, text, root))
+            assert outcome(parse_corpus, text_source(kind, text, root)) == want
+            if isinstance(want[0], list):
+                shared = {}
+                for doc in parse_corpus(text_source(kind, text, root)):
+                    assert all(shared.setdefault(t, t) is t for t in doc.tokens)
+
+        check()
+
+    def test_equal_tokens_are_one_object(self):
+        corpus = parse_corpus(io.StringIO("c0 wheat corn wheat\nc1 corn wheat\n"))
+        first, second = (doc.tokens for doc in corpus)
+        assert first[0] is first[2] is second[1]
+        assert first[1] is second[0]
+
+    def test_parsed_corpus_holds_each_distinct_token_once(self):
+        # 100,000 Zipf-drawn tokens over 1,000 words, 50 to a document
+        rng = np.random.default_rng(24)
+        p = 1.0 / np.arange(1, 1001)
+        draws = rng.choice(1000, size=100_000, p=p / p.sum()).reshape(-1, 50)
+        text = "".join(f"c{i % 8} " + " ".join(f"word{j}" for j in row) + "\n"
+                       for i, row in enumerate(draws))
+
+        def held(parse):
+            source = io.StringIO(text)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                corpus = parse(source)
+                size = tracemalloc.get_traced_memory()[0]
+            finally:
+                tracemalloc.stop()
+            assert sum(len(d.tokens) for d in corpus) == 100_000
+            return size
+
+        assert held(parse_corpus) <= held(parse_corpus_by_loop) / 3
+
+
+def refusal(check, tokens):
+    """The type and message of what ``check(tokens)`` raises, or None."""
+    try:
+        check(tokens)
+    except Exception as err:  # whatever it is, it is compared
+        return type(err), str(err)
+    return None
+
+
+class TestDocumentRefusalParity:
+    """`Document` refuses as the per-token loop it tests a document before."""
+
+    def test_same_refusal_as_the_loop(self):
+        bad = [c + t for c in SPACES for t in ("", "b")]
+        bad += ["a" + t for t in bad] + ["", None, 1, b"a b", b"ab"]
+        for token in bad:
+            for tokens in ((token,), ("a", token), (token, "b", ""), ("a", "b", token)):
+                assert refusal(lambda ts: Document("c", ts), tokens) \
+                    == refusal(check_tokens_by_loop, tokens)
+
+    def test_none_and_int_raise_attribute_error_and_bytes_pass(self):
+        with pytest.raises(AttributeError):
+            Document("c", (1,))
+        with pytest.raises(AttributeError):
+            Document("c", ("a", None))
+        assert Document("c", (b"ab", "a")).tokens == (b"ab", "a")
+
+    def test_the_pattern_matches_exactly_what_isspace_accepts(self):
+        pattern = corpus_module._SPACE
+        assert [c for c in map(chr, range(sys.maxunicode + 1))
+                if (pattern.match(c) is not None) != c.isspace()] == []
+
+
+class TestWordRule:
+    """One rule for a label, a token and a model's class label."""
+
+    @pytest.mark.parametrize("text,want", [
+        ("grain", True), ("a\u200bb", True), ("", False), ("gr\tain", False),
+        ("gr\nain", False), (" grain", False), ("grain\u3000", False),
+    ])
+    def test_is_word(self, text, want):
+        assert is_word(text) is want
+
+    @pytest.mark.parametrize("label", ["gr\tain", "gr\nain", " c", "c\u2028"])
+    def test_document_refuses_a_label_with_whitespace(self, label):
+        with pytest.raises(DataError, match=whole(f"document label {label!r} contains whitespace")):
+            Document(label, ("a",))
+
+    def test_empty_label_keeps_its_message(self):
+        with pytest.raises(DataError, match=whole("document label must be non-empty")):
+            Document("", ("a",))
