@@ -10,9 +10,9 @@ binary (``.bin``):
 
 text (``.txt`` / ``.vec``):
   Optional header line ``"<count> <dim>"`` (two integer tokens).
-  Each subsequent line: ``word c1 c2 ... cdim`` with decimal reals,
-  space-separated, UTF-8.  Without a header the dimension is inferred
-  from the first data line.
+  Each subsequent line: ``word c1 c2 ... cdim``, separated by any
+  whitespace, UTF-8; each component is what Python's ``float`` accepts.
+  Without a header the dimension is inferred from the first data line.
 
 Vectors are stored exactly as parsed: binary tables in float32, their
 file's precision, and text tables in float64, since their decimals are
@@ -23,6 +23,7 @@ construction and safe for concurrent reads.
 """
 
 import array
+import itertools
 import logging
 import re
 from collections import Counter
@@ -136,10 +137,14 @@ def _parse_header_tokens(tokens, where):
 def load_binary(source) -> EmbeddingTable:
     """Parse the binary embedding format.
 
-    ``source`` is a file path or a binary file object.  The values are
-    stored as float32, the file's own precision, so the full 3M-word
-    pretrained model takes about 3.6 GB beside the file's bytes while it
-    loads; filter afterwards with `filter_roman`.
+    ``source`` is a file path or a binary file object.  Each kept
+    record's ``4 * dim`` bytes are copied by one slice assignment into a
+    preallocated little-endian float32 table, the file's own precision,
+    so the full 3M-word pretrained model takes about 3.6 GB beside the
+    file's bytes while it loads; filter afterwards with `filter_roman`.
+    A truncated record, an empty word or a repeated word is refused; of
+    two words whose invalid UTF-8 bytes both decode to the same word
+    with U+FFFD, the first is kept and the other dropped with a warning.
     """
     if hasattr(source, "read"):
         buf = source.read()
@@ -166,7 +171,10 @@ def load_binary(source) -> EmbeddingTable:
     # declares more fails as truncated at the first record past them, and
     # without one row that fits, no array of its dim is asked for
     rows = min(count, (len(buf) - pos) // (record_bytes + 2))
-    vectors = np.empty((rows, dim if rows or not count else 0), dtype=np.float32)
+    vectors = np.empty((rows, dim if rows or not count else 0), dtype="<f4")
+    # each kept record's bytes go straight into its row: byte views of the
+    # file and of the table copy by slice, with no array made per record
+    src, dst = memoryview(buf), memoryview(vectors.reshape(-1).view(np.uint8))
     kept, replaced = set(), set()  # the words with U+FFFD, and their raw bytes
     dropped = 0
     for i in range(count):
@@ -197,7 +205,8 @@ def load_binary(source) -> EmbeddingTable:
                 f"binary embedding stream ended inside the vector of {word!r}"
                 f" (record starting at byte offset {start})")
         if fresh:
-            vectors[len(words)] = np.frombuffer(buf, dtype="<f4", count=dim, offset=pos)
+            at = len(words) * record_bytes
+            dst[at:at + record_bytes] = src[pos:pos + record_bytes]
             words.append(word)
         else:
             dropped += 1
@@ -209,23 +218,81 @@ def load_binary(source) -> EmbeddingTable:
 
 
 def load_text(source) -> EmbeddingTable:
-    """Parse the text embedding format (optional header, UTF-8)."""
-    raw_lines = read_lines(source, "text embedding stream")
+    """Parse the text embedding format (optional header, UTF-8).
 
-    words = []
-    values = array.array("d")  # every component, row after row, as C doubles
-    dim = None
+    ``source`` is a path, a text or bytes file object, or an iterable of
+    lines (see `utils.read_lines`).  A first line of exactly two integer
+    tokens is the header ``"<count> <dim>"``; without one, the first data
+    line sets the dimension.  Lines are split at `str.split` whitespace
+    and blank lines are skipped.  Each component is parsed exactly as
+    Python's ``float`` parses it, to float64.
+
+    The components after each line's word go to numpy's C text reader,
+    which parses with CPython's correctly rounded string-to-double, so
+    the matrix is bitwise what ``float`` gives.  Where that reader
+    refuses the text (a non-numeric component, a ragged row, a line with
+    a word and no components) or its row or column count differs from
+    the lines', the lines are parsed again one component at a time.
+    That loop names the line of a fault, and it accepts what ``float``
+    accepts beyond the C reader's grammar, such as ``1_0`` or non-ASCII
+    digits.
+    """
+    lines = read_lines(source, "text embedding stream")
     declared = None
     start_line = 1
-    if raw_lines:
-        first = raw_lines[0].split()
+    if lines:
+        first = lines[0].split()
         if len(first) == 2 and all(_is_int(tok) for tok in first):
             # an integer pair can only be a header; validate it strictly
             declared = _parse_header_tokens(first, "text embedding stream")
-            dim = declared[1]
             start_line = 2
+    dim = None if declared is None else declared[1]
+    rows = lines[start_line - 1 :]
+    words, matrix = _rows_by_reader(rows, dim) or _rows_by_loop(rows, start_line, dim)
+    del lines, rows  # the line strings, before the table checks the matrix
+    if declared is not None and len(words) != declared[0]:
+        raise FormatError(
+            f"text embedding stream declared {declared[0]} words, found {len(words)}"
+        )
+    return EmbeddingTable(words, matrix)
 
-    for lineno, line in enumerate(raw_lines[start_line - 1 :], start=start_line):
+
+def _rows_by_reader(lines, dim):
+    """``(words, matrix)`` of the data ``lines`` by numpy's C text reader,
+    or None where it refuses them or its shape is not one row per word
+    and ``dim`` columns (any one count when ``dim`` is None)."""
+    words = []
+
+    def components():  # one line's text at a time: no second copy is held
+        for line in lines:
+            fields = line.split(None, 1)
+            if fields:
+                words.append(fields[0])
+                yield fields[1] if len(fields) == 2 else ""
+
+    rest = components()
+    first = next(rest, "")
+    if not first:  # no data line (the reader warns on empty input), or no component
+        return None
+    try:
+        matrix = np.loadtxt(itertools.chain((first,), rest), dtype=np.float64,
+                            comments=None, ndmin=2)
+    except ValueError:
+        return None
+    # the reader skips a line with no component, so a word without one
+    # leaves a row missing
+    if matrix.shape != (len(words), dim or matrix.shape[1]):
+        return None
+    return words, matrix
+
+
+def _rows_by_loop(lines, start_line, dim):
+    """``(words, matrix)`` of the data ``lines``, numbered from
+    ``start_line``, by ``float`` on each component; a `FormatError` names
+    the first line at fault."""
+    words = []
+    values = array.array("d")  # every component, row after row, as C doubles
+    for lineno, line in enumerate(lines, start=start_line):
         fields = line.split()
         if not fields:
             continue
@@ -248,16 +315,9 @@ def load_text(source) -> EmbeddingTable:
                 f"text embedding line {lineno}: non-numeric component"
             ) from None
         words.append(word)
-    del raw_lines
-
-    if declared is not None and len(words) != declared[0]:
-        raise FormatError(
-            f"text embedding stream declared {declared[0]} words, found {len(words)}"
-        )
     if dim is None:
         raise FormatError("text embedding stream is empty and has no header")
-    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(words), dim)
-    return EmbeddingTable(words, matrix)
+    return words, np.frombuffer(values, dtype=np.float64).reshape(len(words), dim)
 
 
 def save_text(table: EmbeddingTable, destination, header: bool = True):

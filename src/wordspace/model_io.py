@@ -9,8 +9,9 @@ table of `evaluation` names the class that reads them back.  See
 README.md for the full entry list.
 
 String sequences (tuples or lists of str) are stored as unicode arrays
-and read back as tuples; a scalar string reads back as ``str``.  Float
-entries must be finite.
+and read back as tuples; a scalar string reads back as ``str``.  Such
+an array drops a string's trailing NUL characters, so `save_model`
+refuses a string ending in one.  Float entries must be finite.
 """
 
 import json
@@ -19,7 +20,7 @@ import zipfile
 import numpy as np
 
 from .corpus import is_word
-from .errors import FormatError
+from .errors import DataError, FormatError
 from .evaluation import STRATEGIES
 from .utils import container_array, container_text
 
@@ -27,14 +28,24 @@ FORMAT_VERSION = 1
 
 
 def _savez_exact(path, entries):
-    entries = {
-        k: np.asarray(list(v), dtype=np.str_) if isinstance(v, (tuple, list)) else v
-        for k, v in entries.items()
-    }
+    entries = {k: _text_array(k, v) if isinstance(v, (tuple, list)) else v
+               for k, v in entries.items()}
     # np.savez appends ".npz" to bare paths; an open handle keeps the
     # name exactly as given
     with open(path, "wb") as fh:
         np.savez(fh, **entries)
+
+
+def _text_array(name, strings):
+    """``strings`` as a unicode array.  Such an array pads its strings
+    with NUL characters and drops them when read, so a string that ends
+    in one is refused: it would read back as another word."""
+    arr = np.asarray(list(strings), dtype=np.str_)
+    for word, stored in zip(strings, arr):
+        if word != stored:
+            raise DataError(f"container entry {name!r} cannot hold {word!r}: "
+                            "a stored string loses its trailing NUL characters")
+    return arr
 
 
 def _decoded(arr):

@@ -6,10 +6,13 @@ neighbor with raw cosines, and canonical angles through a dense
 eigensolver.
 """
 
+import array
 import io
 import itertools
+import logging
 import math
 import re
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -18,7 +21,7 @@ import scipy.sparse as sp
 from wordspace import classifiers, evaluation
 from wordspace.bayes import NaiveBayesModel
 from wordspace.corpus import Corpus, Document
-from wordspace.embeddings import EmbeddingTable
+from wordspace.embeddings import EmbeddingTable, _is_int, _parse_header_tokens
 from wordspace.errors import DataError, DegenerateQueryError, FormatError, NumericalError
 from wordspace.features import feature_matrix, fit_feature_spec
 from wordspace.lsa import LsaModel
@@ -479,6 +482,8 @@ LINE_ENDS = ("\n", "\r\n", "\r")
 # where str.splitlines also breaks; str.split takes each as whitespace
 INLINE_BREAKS = ("\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 SOURCE_KINDS = ("path", "bytes", "text", "lines")
+# every character `str.split` splits at
+SPACES = tuple(chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace())
 
 
 def text_source(kind, text, tmp_path):
@@ -599,3 +604,128 @@ def svm_fold_per_reg(train_c, val_docs, table, regs, feature, normalize, seed):
         hits.append(np.sum(predicted == val_labels))
     best = int(np.argmax(hits))
     return models[best], {"reg": regs[best]}
+
+
+def load_binary_by_record(source):
+    """`embeddings.load_binary` as it was before it copied each record's
+    bytes by slice: one ``np.frombuffer`` array and one row write per
+    kept record."""
+    if hasattr(source, "read"):
+        buf = source.read()
+    else:
+        with open(source, "rb") as fh:
+            buf = fh.read()
+
+    newline = buf.find(b"\n")
+    if newline < 0:
+        raise FormatError("malformed header in binary embedding stream: no newline")
+    try:
+        header = buf[:newline].decode("ascii")
+    except UnicodeDecodeError:
+        raise FormatError(
+            "malformed header in binary embedding stream: not ASCII"
+        ) from None
+    count, dim = _parse_header_tokens(header.split(), "binary embedding stream")
+
+    words = []
+    pos = newline + 1
+    record_bytes = 4 * dim
+    # rows only for the records the bytes can hold, at 4 * dim + 2 bytes or
+    # more each (a one-byte word, the space, the vector): a header that
+    # declares more fails as truncated at the first record past them, and
+    # without one row that fits, no array of its dim is asked for
+    rows = min(count, (len(buf) - pos) // (record_bytes + 2))
+    vectors = np.empty((rows, dim if rows or not count else 0), dtype=np.float32)
+    kept, replaced = set(), set()  # the words with U+FFFD, and their raw bytes
+    dropped = 0
+    for i in range(count):
+        while pos < len(buf) and buf[pos] == 0x0A:  # consume newlines between records
+            pos += 1
+        start = pos
+        sep = buf.find(b" ", pos)
+        if sep < 0:
+            raise DataError(
+                f"binary embedding stream ended while reading word {i + 1} of {count}"
+                f" (record starting at byte offset {start})")
+        raw_word = buf[pos:sep]
+        if raw_word == b"":
+            raise FormatError(f"empty word in binary embedding record {i + 1}")
+        word = raw_word.decode("utf-8", errors="replace")
+        # Decoding is one-to-one except where invalid bytes became U+FFFD,
+        # so only such words can repeat without repeating their bytes; the
+        # table refuses every other repeat.
+        fresh = word not in kept
+        if "\ufffd" in word:
+            if raw_word in replaced:
+                raise DataError(f"duplicate word in embedding file: {word!r}")
+            replaced.add(raw_word)
+            kept.add(word)
+        pos = sep + 1
+        if pos + record_bytes > len(buf):
+            raise DataError(
+                f"binary embedding stream ended inside the vector of {word!r}"
+                f" (record starting at byte offset {start})")
+        if fresh:
+            vectors[len(words)] = np.frombuffer(buf, dtype="<f4", count=dim, offset=pos)
+            words.append(word)
+        else:
+            dropped += 1
+        pos += record_bytes
+    if dropped:
+        logging.getLogger("wordspace.embeddings").warning(
+            "dropped %d binary embedding words whose invalid UTF-8 bytes "
+            "decode to an earlier word", dropped)
+    return EmbeddingTable(words, vectors[:len(words)])
+
+
+def load_text_by_loop(source):
+    """`embeddings.load_text` as it was before numpy's C reader parsed
+    the components: Python's ``float`` on each one, line by line."""
+    raw_lines = read_lines(source, "text embedding stream")
+
+    words = []
+    values = array.array("d")  # every component, row after row, as C doubles
+    dim = None
+    declared = None
+    start_line = 1
+    if raw_lines:
+        first = raw_lines[0].split()
+        if len(first) == 2 and all(_is_int(tok) for tok in first):
+            # an integer pair can only be a header; validate it strictly
+            declared = _parse_header_tokens(first, "text embedding stream")
+            dim = declared[1]
+            start_line = 2
+
+    for lineno, line in enumerate(raw_lines[start_line - 1 :], start=start_line):
+        fields = line.split()
+        if not fields:
+            continue
+        word, comps = fields[0], fields[1:]
+        if dim is None:
+            dim = len(comps)
+            if dim < 1:
+                raise FormatError(
+                    f"text embedding line {lineno}: no vector components"
+                )
+        if len(comps) != dim:
+            raise FormatError(
+                f"text embedding line {lineno}: expected {dim} components, "
+                f"got {len(comps)}"
+            )
+        try:
+            values.extend(map(float, comps))
+        except ValueError:
+            raise FormatError(
+                f"text embedding line {lineno}: non-numeric component"
+            ) from None
+        words.append(word)
+    del raw_lines
+
+    if declared is not None and len(words) != declared[0]:
+        raise FormatError(
+            f"text embedding stream declared {declared[0]} words, found {len(words)}"
+        )
+    if dim is None:
+        raise FormatError("text embedding stream is empty and has no header")
+    matrix = np.frombuffer(values, dtype=np.float64).reshape(len(words), dim)
+    return EmbeddingTable(words, matrix)

@@ -415,6 +415,13 @@ def _huge_rows_train(strategy):
         _write(d / "huge.txt", text.encode()), "--out", str(d / "refused")], 3)
 
 
+def _nul_ended_train(corpus):
+    """``train --strategy mnb`` on the raw ``corpus``, whose words may end
+    in a NUL character."""
+    return (lambda ws, d: ["train", "--strategy", "mnb", "--corpus",
+                           _write(d / "nul.txt", corpus), "--out", str(d / "refused")], 3)
+
+
 # input -> (argv given the workspace and a scratch directory, exit code)
 BAD_INPUTS = {
     "corpus-is-directory": (lambda ws, d: [
@@ -519,6 +526,12 @@ BAD_INPUTS = {
         "mnb", _set("classes", np.array(["c0", "c1", "", "c3"]))),
     "model-class-label-repeated": _classify_doctored(
         "mnb", _set("classes", np.array(["c0", "c1", "c2", "c1"]))),
+    # a container string loses its trailing NULs: train would write
+    # "grain" twice as a class, and "wheat" twice as a term
+    "train-class-label-ends-in-nul": _nul_ended_train(
+        b"grain\x00 wheat corn\nearn profit wheat\x00\ngrain corn\n"),
+    "train-term-ends-in-nul": _nul_ended_train(
+        b"grain wheat corn\nearn profit wheat\x00\ngrain corn\n"),
     "lsa-class-without-documents": _classify_doctored("lsa", _relabel_first_class,
                                                       flags=("--rank", "3")),
     "model-zip-version-unsupported": _zip_bytes(_central_field(6, 109)),
@@ -674,6 +687,21 @@ def test_class_label_refusal_names_it(case, message, workspace, tmp_path, capsys
     capsys.readouterr()
     assert main(argv) == 3
     assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("case,message", [
+    ("train-class-label-ends-in-nul", "container entry 'classes' cannot hold 'grain\\x00'"),
+    ("train-term-ends-in-nul", "container entry 'terms' cannot hold 'wheat\\x00'"),
+])
+def test_nul_ended_word_is_refused_before_the_container_is_written(
+        case, message, workspace, tmp_path, capsys):
+    make_argv, _ = BAD_INPUTS[case]
+    argv = make_argv(workspace, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 3
+    assert capsys.readouterr() == (
+        "", f"error: {message}: a stored string loses its trailing NUL characters\n")
+    assert not (tmp_path / "refused").exists()
 
 
 # strategies whose models cannot score a document without in-vocabulary

@@ -14,6 +14,7 @@ from helpers import (
     INLINE_BREAKS,
     LINE_ENDS,
     SOURCE_KINDS,
+    SPACES,
     check_tokens_by_loop,
     parse_corpus_by_loop,
     text_source,
@@ -255,9 +256,6 @@ class TestDocumentValidation:
 
 
 # every character str.split breaks at
-SPACES = tuple(chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace())
-
-
 def outcome(parse, source):
     """What ``parse`` makes of ``source``: its documents and classes, or
     its refusal's type and message."""

@@ -4,17 +4,21 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     INLINE_BREAKS,
     LINE_ENDS,
     SOURCE_KINDS,
+    SPACES,
+    load_binary_by_record,
+    load_text_by_loop,
     table_index_by_word_loop,
     text_source,
     whole,
 )
+from wordspace import embeddings
 from wordspace.embeddings import (
     EmbeddingTable,
     filter_roman,
@@ -238,6 +242,159 @@ class TestLoadText:
         assert again.words == table.words
         for w in table.words:
             np.testing.assert_array_equal(again.vector(w), table.vector(w))
+
+
+def loaded(load, source):
+    """What ``load`` makes of ``source``: the words, dtype, shape and bytes
+    of its table's matrix, or its refusal's type and message."""
+    try:
+        table = load(source)
+    except DataError as err:
+        return type(err), str(err)
+    matrix = table._matrix
+    return table.words, matrix.dtype.str, matrix.shape, matrix.tobytes()
+
+
+# the separators within a line: `read_lines` ends a line at the others
+INLINE_SPACES = tuple(c for c in SPACES if c not in "\r\n")
+# components the C reader parses, each as `float` does
+C_GRAMMAR = ("0", "-0", "1", "+.5", "1.", "2.5E-3", "-1e-400", "5e-324",
+             "1.7976931348623157e308", "0." + "3" * 60, "12345678901234567890.5e-30")
+# components `float` accepts and the C reader refuses
+FLOAT_ONLY = ("1_0", "2_5.0_1", "\u0661\u0662", "\uff11", "\u0663.\u0665e\u0661")
+NOT_FINITE = ("inf", "-Infinity", "nan", "1e400")
+NOT_NUMBERS = ("x", "1,5", "0x10", "1\x00", "1__0", "_1", "1_", "1e", "--1")
+
+
+@st.composite
+def text_tables(draw):
+    """A text table: an optional header, right or wrong, then lines of a
+    word and components drawn from one of three pools, between runs of
+    any whitespace within a line, with blank lines; mostly regular rows,
+    sometimes ragged ones."""
+    dim = draw(st.integers(1, 3))
+    pool = draw(st.sampled_from([C_GRAMMAR, C_GRAMMAR + FLOAT_ONLY,
+                                 C_GRAMMAR + FLOAT_ONLY + NOT_FINITE + NOT_NUMBERS]))
+    component = st.one_of(st.sampled_from(pool),
+                          st.floats(allow_nan=False, allow_infinity=False).map(repr))
+    gap = st.text(st.sampled_from(INLINE_SPACES), min_size=1, max_size=2)
+    ragged = draw(st.integers(0, 3)) == 0
+    lines = []
+    for i in range(draw(st.integers(0, 5))):
+        if draw(st.integers(0, 5)) == 0:
+            lines.append(draw(st.sampled_from(["", " ", "\t"])))
+            continue
+        word = draw(st.sampled_from([f"w{i}"] * 4 + ["w0", "1", "é", "a\x00"]))
+        n = draw(st.integers(0, dim + 1)) if ragged else dim
+        fields = [word] + [draw(component) for _ in range(n)]
+        lines.append(draw(st.sampled_from(["", " "])) + "".join(f + draw(gap) for f in fields))
+    words = sum(1 for line in lines if line.split())
+    header = draw(st.sampled_from([None, None, f"{words} {dim}", f"{words} {dim}",
+                                   f"{words + 1} {dim}", f"{words} {dim + 1}", "-1 2"]))
+    if header is not None:
+        lines.insert(0, header)
+    text = draw(st.sampled_from(["", "\ufeff"]))
+    return text + "".join(line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
+
+
+class TestTextParity:
+    """`load_text` against the per-component loop it replaced."""
+
+    def test_drawn_tables_load_as_by_the_loop(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("text-parity")
+
+        @settings(derandomize=True, database=None, deadline=None, max_examples=300,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(text_tables(), st.sampled_from(SOURCE_KINDS))
+        @example("a" + "".join(c + "1" for c in INLINE_SPACES)
+                 + "\nb 1_0 \u0661" + " 2" * (len(INLINE_SPACES) - 2) + "\r\n", "lines")
+        @example("a 1 -0\rb inf 2\n", "bytes")
+        @example("a 1\n\nb\n", "text")
+        def check(text, kind):
+            want = loaded(load_text_by_loop, text_source(kind, text, root))
+            assert loaded(load_text, text_source(kind, text, root)) == want
+
+        check()
+
+    def test_the_loop_runs_only_where_the_reader_refuses(self, monkeypatch):
+        calls = []
+        loop = embeddings._rows_by_loop
+        monkeypatch.setattr(embeddings, "_rows_by_loop",
+                            lambda *args: calls.append(args) or loop(*args))
+        for text in ("2 2\na 1 -0\n\nb\t1e-3 .5 \n", "a 1\nb 2\n",
+                     "a" + "".join(c + "1" for c in INLINE_SPACES) + "\n"):
+            load_text(io.StringIO(text))
+        assert calls == []
+        # the last, a header alone, gives the reader no line
+        for text in ("a 1_0 2\n", "a \u0661 2\n", "a 1 2\nb 3\n", "a 1 2\nb\n", "1 2\na 1\n",
+                     "a x 2\n", "a\nb 1\n", "0 3\n"):
+            calls.clear()
+            try:
+                load_text(io.StringIO(text))
+            except FormatError:
+                pass
+            assert len(calls) == 1, text
+
+
+def test_text_load_holds_the_text_twice_at_most(tmp_path):
+    # `read_lines` holds the decoded text beside its lines, twice the
+    # file's bytes; the C reader is fed one line's components at a time,
+    # so its matrix fits beside the lines below that peak.  A list of
+    # every line's components would hold the text a third time.
+    n, dim = 20000, 300
+    rng = np.random.default_rng(0)
+    pool = np.array([f"{v:.6f}" for v in rng.standard_normal(1000)])
+    path = tmp_path / "vectors.txt"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"{n} {dim}\n")
+        for i, row in enumerate(pool[rng.integers(0, 1000, (n, dim))].tolist()):
+            fh.write(f"w{i:05d} {' '.join(row)}\n")
+    tracemalloc.start()
+    try:
+        table = load_text(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert table._matrix.shape == (n, dim)
+    line_allowance = 200 * n  # each line's string header, the lists and the words
+    assert peak < 2 * path.stat().st_size + line_allowance
+
+
+@st.composite
+def binary_tables(draw):
+    """A binary table: records of words that may collide after U+FFFD
+    replacement, behind runs of newlines, under a header that may
+    declare one record more or less, cut at any byte or not at all."""
+    dim = draw(st.integers(1, 3))
+    word = st.sampled_from([b"a", b"b", b"caf\xe9", b"caf\xff", "caf\ufffd".encode(),
+                            "é".encode(), b"a\nb", b"\xff", b"\x00"])
+    vector = st.lists(st.floats(width=32), min_size=dim, max_size=dim)
+    records = draw(st.lists(st.tuples(word, vector, st.integers(0, 2)), max_size=5))
+    count = max(0, len(records) + draw(st.sampled_from([0, 0, 0, -1, 1])))
+    raw = f"{count} {dim}\n".encode() + b"".join(
+        b"\n" * newlines + w + b" " + struct.pack(f"<{dim}f", *v)
+        for w, v, newlines in records)
+    if draw(st.booleans()):
+        raw = raw[:draw(st.integers(0, len(raw)))]
+    return raw
+
+
+class TestBinaryParity:
+    """`load_binary` against the record loop it replaced, which made one
+    array per record."""
+
+    @settings(derandomize=True, database=None, deadline=None, max_examples=300)
+    @given(binary_tables())
+    def test_drawn_tables_load_as_by_the_record_loop(self, raw):
+        assert loaded(load_binary, io.BytesIO(raw)) \
+            == loaded(load_binary_by_record, io.BytesIO(raw))
+
+    def test_every_truncation_refuses_as_the_record_loop(self):
+        raw = pack_binary([(b"caf\xe9", [1.0, -0.0]), (b"caf\xff", [3.0, 4.0]),
+                           (b"ab", [5.0, 6.0])], 2).replace(b"\nab", b"\n\n\nab")
+        for cut in range(len(raw) + 1):
+            assert loaded(load_binary, io.BytesIO(raw[:cut])) \
+                == loaded(load_binary_by_record, io.BytesIO(raw[:cut])), cut
 
 
 class TestFilterRoman:
