@@ -141,19 +141,13 @@ def _subspace_fold(strategy, train_c, val_docs, val_queries, table, grid, featur
     mc_arr = np.asarray([min(d, int(full.class_dims.max())) for d in class_dims],
                         dtype=np.int64)
     mq_arr = np.asarray([min(d, full.embed_dim) for d in query_dims], dtype=np.int64)
-    blocks = [(slice(start, start + dim), np.minimum(mc_arr, dim))
-              for start, dim in zip(full.class_starts, full.class_dims)]
     correct = np.zeros((len(class_dims), len(query_dims)), dtype=np.int64)
     for doc, query in zip(val_docs, val_queries):
         if query is None:
             continue  # counts as wrong at every grid point
-        mq_caps = np.minimum(mq_arr, query.dimension)
-        g = full.basis_products(query)
-        sq = g * g
-        stack = np.empty((len(classes), len(class_dims), len(query_dims)))
-        for c, (cols, mc_caps) in enumerate(blocks):
-            stack[c] = grid_mean_sq_cosines(sq[:, cols].T, mc_caps, mq_caps)
-        correct += classes[np.argmax(stack, axis=0)] == doc.label
+        scores = grid_mean_sq_cosines(full.basis_products(query), full.class_dims,
+                                      mc_arr, mq_arr)
+        correct += classes[np.argmax(scores, axis=0)] == doc.label
 
     i, j = np.unravel_index(np.argmax(correct), correct.shape)
     params = {"class_dim": class_dims[i], "query_dim": query_dims[j]}

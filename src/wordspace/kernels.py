@@ -3,38 +3,48 @@
 The per-sample hinge-loss subgradient updates of the one-vs-rest linear
 SVM, the sweep over (class-dim, query-dim) hyperparameter grids and the
 product of one sparse document row with a dense table are the package's
-only such steps.  The grid sweep and the row product are one array
-expression each; the hinge SGD is one Python pass over the samples that
-updates every class at every regularization strength of a grid at once.
+only such steps.  The row product is one array expression; the grid
+sweep scores every class of a document in one pass over its query
+directions and one prefix sum over the class directions; the hinge SGD
+is one Python pass over the samples that updates every class at every
+regularization strength of a grid at once.
 """
 
 import numpy as np
 
 
-def grid_mean_sq_cosines(sq_gram, class_dims, query_dims):
-    """Mean squared canonical cosine at every grid point.
+def grid_mean_sq_cosines(products, class_dims, class_grid, query_grid):
+    """Mean squared canonical cosine of every class at every grid point.
 
-    Parameters
-    ----------
-    sq_gram : (mc_max, mq_max) array
-        Elementwise square of ``class_basis.T @ query_basis`` at the
-        maximal dimensions.
-    class_dims, query_dims : int arrays
-        Grid axes; entries larger than the available dimensions must be
-        capped by the caller.
-
-    Returns
-    -------
-    (len(class_dims), len(query_dims)) array of similarities: for the
-    grid point (mc, mq), the sum of ``sq_gram[:mc, :mq]`` divided by
-    ``min(mc, mq)``.  The sum of *all* squared cosines between two
-    subspaces equals the squared Frobenius norm of their basis product,
-    so each entry is the subspace similarity with every available angle.
+    ``products`` is a query's `SubspaceModel.basis_products`: one block of
+    ``class_dims[c]`` columns per class.  Grid entries are >= 1; a class's
+    dim caps the class axis and the query's (the rows of ``products``)
+    the query axis.  Returns the (n_classes, len(class_grid),
+    len(query_grid)) similarities: at the capped point (mc, mq), the sum
+    of the squares of the class block's ``[:mq, :mc]``, which is the sum
+    of all squared canonical cosines, divided by ``min(mc, mq)`` and
+    clipped at 1.  Each sum adds the query directions in order, then the
+    class directions, so it is bitwise the former per-class
+    ``cumsum(cumsum(block.T ** 2, axis=1), axis=0)`` at that point.
     """
-    prefix = np.cumsum(np.cumsum(sq_gram, axis=1), axis=0)
-    mc = np.asarray(class_dims, dtype=np.int64)
-    mq = np.asarray(query_dims, dtype=np.int64)
-    return np.minimum(prefix[np.ix_(mc - 1, mq - 1)] / np.minimum.outer(mc, mq), 1.0)
+    class_dims = np.asarray(class_dims, dtype=np.int64)
+    n = len(class_dims)
+    mq = np.minimum(np.asarray(query_grid, dtype=np.int64), products.shape[0])
+    mc = np.minimum.outer(class_dims, np.asarray(class_grid, dtype=np.int64))
+    points = np.unique(mq)
+    # query-axis prefix sums, in place row by row: a cumsum along that axis
+    # runs one strided loop per column
+    sq = products[:points[-1]] * products[:points[-1]]
+    for prev, row in zip(sq, sq[1:]):
+        np.add(prev, row, out=row)
+    # class-axis prefix sums of each class's columns, zero-padded to the widest
+    offsets = np.arange(products.shape[1]) - np.repeat(np.cumsum(class_dims) - class_dims,
+                                                       class_dims)
+    padded = np.zeros((len(points), n, int(class_dims.max())))
+    padded[:, np.repeat(np.arange(n), class_dims), offsets] = sq[points - 1]
+    sums = np.cumsum(padded, axis=2)[:, np.arange(n)[:, None], mc - 1]
+    sums = sums[np.searchsorted(points, mq)].transpose(1, 2, 0)
+    return np.minimum(sums / np.minimum(mc[:, :, None], mq), 1.0)
 
 
 def row_product(cols, vals, table):

@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+from hypothesis import HealthCheck, settings
 
 from wordspace import classifiers, evaluation
 from wordspace.bayes import NaiveBayesModel
@@ -28,6 +29,11 @@ from wordspace.lsa import LsaModel
 from wordspace.svm import DEFAULT_EPOCHS, LinearSvmModel
 from wordspace.subspace import unit_columns
 from wordspace.utils import parallel_map, read_lines
+
+
+# derandomized: the suite sees the same drawn inputs on every run
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=50,
+                suppress_health_check=[HealthCheck.too_slow])
 
 
 def whole(message):
@@ -604,6 +610,60 @@ def svm_fold_per_reg(train_c, val_docs, table, regs, feature, normalize, seed):
         hits.append(np.sum(predicted == val_labels))
     best = int(np.argmax(hits))
     return models[best], {"reg": regs[best]}
+
+
+def grid_by_class_loop(sq_gram, class_dims, query_dims):
+    """`kernels.grid_mean_sq_cosines` for one class, as it was before it
+    scored every class in one call: ``sq_gram`` is the class's
+    (mc_max, mq_max) block of squared basis products, and both grid axes
+    are capped by the caller.  Returns the (len(class_dims),
+    len(query_dims)) similarities."""
+    prefix = np.cumsum(np.cumsum(sq_gram, axis=1), axis=0)
+    mc = np.asarray(class_dims, dtype=np.int64)
+    mq = np.asarray(query_dims, dtype=np.int64)
+    return np.minimum(prefix[np.ix_(mc - 1, mq - 1)] / np.minimum.outer(mc, mq), 1.0)
+
+
+def subspace_fold_by_class_loop(strategy, train_c, val_docs, val_queries, table, grid,
+                                feature, normalize, seed):
+    """`evaluation._subspace_fold` as it was before one kernel call scored
+    every class: per validation document, one `grid_by_class_loop` call
+    per class, stacked, and the first class with the highest score at
+    each grid point."""
+    class_dims = tuple(sorted(set(grid["class_dim"])))
+    query_dims = tuple(sorted(set(grid["query_dim"])))
+    full = strategy.fit(train_c, table, feature, normalize,
+                        {"class_dim": max(class_dims)})
+
+    classes = np.asarray(full.classes, dtype=object)
+    mc_arr = np.asarray([min(d, int(full.class_dims.max())) for d in class_dims],
+                        dtype=np.int64)
+    mq_arr = np.asarray([min(d, full.embed_dim) for d in query_dims], dtype=np.int64)
+    blocks = [(slice(start, start + dim), np.minimum(mc_arr, dim))
+              for start, dim in zip(full.class_starts, full.class_dims)]
+    correct = np.zeros((len(class_dims), len(query_dims)), dtype=np.int64)
+    for doc, query in zip(val_docs, val_queries):
+        if query is None:
+            continue
+        mq_caps = np.minimum(mq_arr, query.dimension)
+        g = full.basis_products(query)
+        sq = g * g
+        stack = np.empty((len(classes), len(class_dims), len(query_dims)))
+        for c, (cols, mc_caps) in enumerate(blocks):
+            stack[c] = grid_by_class_loop(sq[:, cols].T, mc_caps, mq_caps)
+        correct += classes[np.argmax(stack, axis=0)] == doc.label
+
+    i, j = np.unravel_index(np.argmax(correct), correct.shape)
+    params = {"class_dim": class_dims[i], "query_dim": query_dims[j]}
+    subspaces = {
+        label: sub.truncated(min(params["class_dim"], sub.dimension))
+        for label, sub in full.subspaces.items()
+    }
+    model = classifiers.SubspaceModel(
+        strategy.name, full.classes, subspaces, class_dim=params["class_dim"],
+        query_dim=params["query_dim"], normalize=normalize, embed_dim=full.embed_dim,
+    )
+    return model, params, []
 
 
 def load_binary_by_record(source):

@@ -4,18 +4,22 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from helpers import (
+    FUZZ,
     orthogonal_table,
     report_fitting_queries_per_fold,
     shared_centre_corpus,
     shared_vocabulary_corpus,
     spectrum_by_eigvalsh,
+    subspace_fold_by_class_loop,
     svm_fold_per_reg,
     synth_corpus,
     whole,
 )
-from wordspace import classifiers, lsa
+from wordspace import classifiers, evaluation, lsa
 from wordspace.classifiers import class_vectors
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
@@ -270,6 +274,61 @@ class TestSvmFoldIsOnePass:
                 (tmp_path / f"want{i}.npz").read_bytes()
 
 
+@st.composite
+def subspace_folds(draw):
+    """``(strategy, normalize, train corpus, validation documents, table,
+    grid)`` of a drawn msm/tfmsm fold.  The table has 3-10 words in 2-5
+    dims, with small integer components (exact ties between classes) or
+    Gaussian ones.  Each of the 2-4 classes has training documents of
+    table words; the validation documents may hold an out-of-vocabulary
+    word, and one holds nothing else.  Each grid axis has 1-4 points."""
+    dim, n_words = draw(st.integers(2, 5)), draw(st.integers(3, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        vectors = rng.integers(-2, 3, size=(n_words, dim)).astype(np.float64)
+        vectors[~vectors.any(axis=1), 0] = 1.0
+    else:
+        vectors = rng.standard_normal((n_words, dim))
+    words = [f"w{i}" for i in range(n_words)]
+    n_classes = draw(st.integers(2, 4))
+    train = [Document(f"c{i % n_classes}", tuple(
+                 words[t] for t in draw(st.lists(st.integers(0, n_words - 1),
+                                                 min_size=1, max_size=5))))
+             for i in range(draw(st.integers(n_classes, 3 * n_classes)))]
+    val_docs = [Document(f"c{draw(st.integers(0, n_classes - 1))}", tuple(
+                    (words + ["oov"])[t] for t in draw(st.lists(st.integers(0, n_words),
+                                                                min_size=1, max_size=5))))
+                for _ in range(draw(st.integers(1, 12)))]
+    val_docs.insert(draw(st.integers(0, len(val_docs))), Document("c0", ("oov",)))
+    grid = {axis: tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
+            for axis in ("class_dim", "query_dim")}
+    return (draw(st.sampled_from(("msm", "tfmsm"))), draw(st.booleans()), Corpus(train),
+            val_docs, EmbeddingTable(words, vectors), grid)
+
+
+class TestSubspaceFoldParity:
+    """One grid call per validation document selects as the per-class loop did."""
+
+    @FUZZ
+    @given(subspace_folds())
+    def test_params_and_bases_equal_the_class_loop(self, case):
+        strategy, normalize, train_c, val_docs, table, grid = case
+        entry = STRATEGIES[strategy]
+        queries = _fit_queries(Corpus(val_docs), table, strategy, normalize,
+                               max(grid["query_dim"]))
+        assert queries.count(None) >= 1
+        args = (entry, train_c, val_docs, queries, table, grid, "w2v", normalize,
+                DEFAULT_SEED)
+        got, got_params, _ = evaluation._subspace_fold(*args)
+        want, want_params, _ = subspace_fold_by_class_loop(*args)
+        assert got_params == want_params
+        (got_hyper, got_arrays), (want_hyper, want_arrays) = got.container(), want.container()
+        assert got_hyper == want_hyper
+        assert got_arrays.keys() == want_arrays.keys()
+        for name, array in got_arrays.items():
+            assert np.asarray(array).tobytes() == np.asarray(want_arrays[name]).tobytes()
+
+
 def _cache_setup(seed=4, dim=8):
     """A topic corpus plus two documents without a table word, and a
     random ``dim``-dimensional table: queries below and at ambient rank."""
@@ -307,6 +366,24 @@ class TestQueryCache:
         assert max(fits.values()) == 1
         assert sum(fits.values()) == len(corpus)
         assert caps == {6}
+
+    @pytest.mark.parametrize("strategy", ["msm", "tfmsm"])
+    def test_one_grid_call_per_classifiable_validation_document(self, strategy,
+                                                                monkeypatch):
+        table, corpus = _cache_setup()
+        plan = make_folds(corpus, seed=7)
+        calls = []
+        grid = evaluation.grid_mean_sq_cosines
+
+        def counting(*args):
+            calls.append(args)
+            return grid(*args)
+
+        monkeypatch.setattr(evaluation, "grid_mean_sq_cosines", counting)
+        run_experiment(corpus, strategy, plan, table=table)
+        ghosts = [len(_ghosts(corpus, fold.validation)) for fold in plan.folds]
+        assert any(ghosts)
+        assert len(calls) == sum(len(fold.validation) for fold in plan.folds) - sum(ghosts)
 
     @pytest.mark.parametrize("strategy", ["msm", "tfmsm"])
     @pytest.mark.parametrize("grids,normalize,threads", [

@@ -32,10 +32,11 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    FUZZ,
     bow_row_by_dict_loop,
     lsa_class_scores_by_loop,
     make_prediction_by_numpy,
@@ -63,9 +64,6 @@ from wordspace.subspace import (
     similarity,
 )
 from wordspace.svm import train_svm
-
-FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=50,
-                suppress_health_check=[HealthCheck.too_slow])
 
 
 @pytest.fixture(scope="module")

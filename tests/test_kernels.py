@@ -1,33 +1,81 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from helpers import hinge_sgd_one_reg
+from helpers import FUZZ, grid_by_class_loop, hinge_sgd_one_reg
 from wordspace import kernels
 
 
 def random_grid_case(rng):
-    mc_max = int(rng.integers(1, 12))
+    """Products of a query with 1-4 classes, and grids that reach past
+    some class dims and past the query dim."""
+    dims = rng.integers(1, 12, size=int(rng.integers(1, 5)))
     mq_max = int(rng.integers(1, 12))
-    g = rng.standard_normal((mc_max, mq_max)) * 0.4
-    class_dims = np.unique(rng.integers(1, mc_max + 1, size=3)).astype(np.int64)
-    query_dims = np.unique(rng.integers(1, mq_max + 1, size=3)).astype(np.int64)
-    return g, class_dims, query_dims
+    g = rng.standard_normal((mq_max, int(dims.sum()))) * 0.4
+    class_grid = np.unique(rng.integers(1, dims.max() + 3, size=3))
+    query_grid = np.unique(rng.integers(1, mq_max + 3, size=3))
+    return g, dims, class_grid, query_grid
+
+
+def grid_by_class_stack(products, class_dims, class_grid, query_grid):
+    """Every class's `grid_by_class_loop` scores, stacked in class order."""
+    starts = np.cumsum(class_dims) - class_dims
+    sq = products * products
+    mq = np.minimum(query_grid, products.shape[0])
+    return np.stack([grid_by_class_loop(sq[:, start:start + dim].T,
+                                        np.minimum(class_grid, dim), mq)
+                     for start, dim in zip(starts, class_dims)])
+
+
+@st.composite
+def grid_cases(draw):
+    """``(products, class_dims, class_grid, query_grid)``: 1-5 classes of
+    1-8 dims, a 1-8 direction query, and unsorted grids with repeats
+    that reach past some class dims and past the query dim."""
+    class_dims = np.asarray(draw(st.lists(st.integers(1, 8), min_size=1, max_size=5)))
+    rows = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 1))
+    products = rng.standard_normal((rows, int(class_dims.sum()))) * scale
+    class_grid = draw(st.lists(st.integers(1, int(class_dims.max()) + 2),
+                               min_size=1, max_size=5))
+    query_grid = draw(st.lists(st.integers(1, rows + 3), min_size=1, max_size=6))
+    return products, class_dims, np.asarray(class_grid), np.asarray(query_grid)
 
 
 class TestGridMeanSqCosines:
     def test_matches_svd_oracle(self):
         # each grid cell must equal the mean of ALL squared singular
-        # values of the submatrix, computed independently via SVD
+        # values of the class's capped block, computed independently via SVD
         rng = np.random.default_rng(0)
         for _ in range(50):
-            g, class_dims, query_dims = random_grid_case(rng)
-            got = kernels.grid_mean_sq_cosines(g * g, class_dims, query_dims)
-            for i, mc in enumerate(class_dims):
-                for j, mq in enumerate(query_dims):
-                    sing = np.linalg.svd(g[:mc, :mq], compute_uv=False)
-                    want = float(np.sum(sing**2)) / min(mc, mq)
-                    assert got[i, j] == pytest.approx(min(want, 1.0), abs=1e-12)
+            g, dims, class_grid, query_grid = random_grid_case(rng)
+            got = kernels.grid_mean_sq_cosines(g, dims, class_grid, query_grid)
+            assert got.shape == (len(dims), len(class_grid), len(query_grid))
+            starts = np.cumsum(dims) - dims
+            for c, (start, dim) in enumerate(zip(starts, dims)):
+                for i, mc in enumerate(np.minimum(class_grid, dim)):
+                    for j, mq in enumerate(np.minimum(query_grid, g.shape[0])):
+                        sing = np.linalg.svd(g[:mq, start:start + mc], compute_uv=False)
+                        want = float(np.sum(sing**2)) / min(mc, mq)
+                        assert got[c, i, j] == pytest.approx(min(want, 1.0), abs=1e-12)
+
+    @FUZZ
+    @given(grid_cases())
+    @example((np.array([[0.3, -0.5, 0.8]]), np.array([3]), np.array([1, 2, 5]),
+              np.array([1, 4])))                                  # one row, one class
+    @example((np.array([[0.6], [-0.2], [0.7]]), np.array([1]), np.array([1, 3]),
+              np.array([3, 1, 2])))                               # one column
+    @example((np.arange(12.0).reshape(2, 6) / 9.0, np.array([2, 4]), np.array([3, 1]),
+              np.array([2, 5, 9, 2])))                            # capped query points repeat
+    def test_bitwise_the_per_class_stack(self, case):
+        products, class_dims, class_grid, query_grid = case
+        got = kernels.grid_mean_sq_cosines(products, class_dims, class_grid, query_grid)
+        want = grid_by_class_stack(products, class_dims, class_grid, query_grid)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 def per_class_pegasos(data, indices, indptr, labels, lam, epochs, order, n_features):

@@ -21,8 +21,8 @@ from wordspace.evaluation import DEFAULT_SEED, STRATEGIES, make_folds, run_exper
 import workloads  # perfbench/, put on the path by test_scale
 
 PINS = os.path.join(os.path.dirname(__file__), "eval_pins.json")
-CASES = [("short", s) for s in STRATEGIES] + [("long", s)
-                                              for s in workloads.WORKLOADS["long-docs"].strategies]
+LONG_STRATEGIES = workloads.WORKLOADS["long-docs"].strategies
+CASES = [("short", s) for s in STRATEGIES] + [("long", s) for s in LONG_STRATEGIES]
 
 
 def _shapes():
