@@ -27,7 +27,7 @@ CASES = [("short", s) for s in STRATEGIES] + [("long", s) for s in LONG_STRATEGI
 
 def _shapes():
     """The seed-1 (table, corpus) of each input shape."""
-    return {name: _inputs(getattr(workloads, name.upper()), 0)[:2]
+    return {name: _inputs(getattr(workloads, name.upper()))[:2]
             for name in ("short", "long")}
 
 

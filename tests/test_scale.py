@@ -10,6 +10,7 @@ long shape (documents of 600-1100 tokens) checks the serving fit of
 ``classify`` at ambient rank.
 """
 
+import functools
 import os
 import sys
 
@@ -43,20 +44,22 @@ FLOORS = {"msm": 0.90, "tfmsm": 0.90, "sa": 0.80}
 STREAM_QUERIES = 150
 
 
-def _inputs(shape, stream_queries):
+@functools.cache  # each shape is generated once per session (test_pins reads it too)
+def _inputs(shape):
     """The shape's seed-1 table (the corpus's words only), corpus and stream."""
     data = gen.generate(shape, SEED)
     used = {t for docs in (data.corpus, data.stream) for _, toks in docs for t in toks}
     keep = [i for i, w in enumerate(data.words) if w in used]
     table = EmbeddingTable([data.words[i] for i in keep], data.vectors[keep])
     corpus = Corpus([Document(label, tuple(toks)) for label, toks in data.corpus])
-    stream = [tuple(toks) for _, toks in data.stream[:stream_queries]]
+    stream = [tuple(toks) for _, toks in data.stream]
     return table, corpus, stream
 
 
 @pytest.fixture(scope="module")
 def r8_short():
-    return _inputs(workloads.SHORT, STREAM_QUERIES)
+    table, corpus, stream = _inputs(workloads.SHORT)
+    return table, corpus, stream[:STREAM_QUERIES]
 
 
 @pytest.mark.parametrize("strategy", sorted(FLOORS))
@@ -106,7 +109,8 @@ def test_spectrum_curves(r8_short):
 def test_long_queries_solve_only_the_served_directions(partial_solves):
     # the benchmark's serving model: tfmsm at class dim 150, query dim 10;
     # a long query has p = 300 <= N and takes the partial eigensolve
-    table, corpus, stream = _inputs(workloads.LONG, 30)
+    table, corpus, stream = _inputs(workloads.LONG)
+    stream = stream[:30]
     model = train_tfmsm(corpus, table, workloads.SUBSPACE_SERVING["class_dim"])
     model.query_dim = workloads.SUBSPACE_SERVING["query_dim"]
     for tokens in stream:
