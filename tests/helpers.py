@@ -27,7 +27,7 @@ from wordspace.errors import DataError, DegenerateQueryError, FormatError, Numer
 from wordspace.features import feature_matrix, fit_feature_spec
 from wordspace.lsa import LsaModel
 from wordspace.svm import DEFAULT_EPOCHS, LinearSvmModel
-from wordspace.subspace import unit_columns
+from wordspace.subspace import _selectable_rank, unit_columns
 from wordspace.utils import parallel_map, read_lines
 
 
@@ -471,6 +471,48 @@ def lsa_class_scores_by_loop(model, projection):
         best = np.max(sims[members]) if members.size else -np.inf
         scores[j] = best if np.isfinite(best) else -1.0
     return scores
+
+
+def truncated_svd_by_gesdd(X, k):
+    """`lsa.truncated_svd`'s dense route as it was before it went through
+    the subspace eigensolver: LAPACK ``gesdd`` on the dense matrix, the
+    leading ``k`` triplets, cut where sigma <= RANK_RTOL * sigma_1."""
+    dense = X.toarray() if sp.issparse(X) else np.asarray(X, dtype=np.float64)
+    u, s, _ = np.linalg.svd(dense, full_matrices=False)
+    u, s = u[:, :k], s[:k]
+    rank = _selectable_rank(s)
+    return u[:, :rank], s[:rank]
+
+
+def lsa_class_scores_by_row(model, projection):
+    """`LsaModel.class_scores_from_projection` as it was before it scored
+    a matrix of projections: one GEMV for one ``U.T @ d`` row, then each
+    class's best cosine by one ``np.maximum.reduceat`` over the documents
+    in class order; None for a zero projection.  The document weights,
+    norms and class order are rebuilt from the model's public fields as
+    the model built them."""
+    weighted = model.doc_coords * model.sigma
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(weighted, axis=1)
+    column = {label: j for j, label in enumerate(model.classes)}
+    by_class = np.array([column[label] for label in model.labels], dtype=np.intp)
+    order = np.argsort(by_class, kind="stable")
+    sizes = np.bincount(by_class, minlength=len(model.classes))
+    has_docs = sizes > 0
+    starts = (np.cumsum(sizes) - sizes)[has_docs]
+
+    weighted_q = np.asarray(projection, dtype=np.float64)[: model.rank]
+    qnorm = np.linalg.norm(weighted_q)
+    if qnorm == 0.0:
+        return None
+    sims = weighted @ weighted_q
+    denom = norms * qnorm
+    if not np.all(np.isfinite(denom)):
+        raise NumericalError("lsa query projection is not finite")
+    sims = np.divide(sims, denom, out=np.full_like(sims, -np.inf), where=denom > 0.0)
+    best = np.full(len(model.classes), -np.inf)
+    best[has_docs] = np.maximum.reduceat(sims[order], starts)
+    return np.where(np.isfinite(best), best, -1.0)
 
 
 def make_prediction_by_numpy(classes, scores):

@@ -32,18 +32,20 @@ import warnings
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
     FUZZ,
     bow_row_by_dict_loop,
     lsa_class_scores_by_loop,
+    lsa_class_scores_by_row,
     make_prediction_by_numpy,
     orthogonal_table,
     projector,
     scores_by_one_row_matrix,
     synth_corpus,
+    truncated_svd_by_gesdd,
 )
 from wordspace import evaluation
 from wordspace.bayes import train_mnb, train_mvb
@@ -51,12 +53,13 @@ from wordspace.classifiers import SubspaceModel, make_prediction
 from wordspace.cli import main
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable, save_text
-from wordspace.errors import DegenerateQueryError
+from wordspace.errors import DegenerateQueryError, NumericalError
 from wordspace.features import FeatureSpec, bow_row, fit_feature_spec
 from wordspace.lsa import LsaModel, train_lsa, truncated_svd
 from wordspace.subspace import (
     ORTHONORMALITY_TOL,
     PARTIAL_SOLVE_RATIO,
+    RANK_RTOL,
     _selectable_rank,
     full_weighted_word_subspace,
     full_word_subspace,
@@ -341,6 +344,52 @@ def test_truncated_svd_keeps_the_numerical_rank(case):
         assert u.tobytes() == wide_u[:, :s.size].tobytes()
 
 
+@st.composite
+def planted_spectrum_matrices(draw):
+    """``(X, k, big_k)``: a dense n x N matrix ``U diag(sigma) V^T`` with
+    random orthonormal ``U`` and ``V`` and distinct singular values from
+    1 down to 1e-3, some exactly 0 (so roundoff in X), scaled by
+    10^-100 to 10^100, and two requested ranks ``k <= big_k``."""
+    n = draw(st.integers(2, 40))
+    m = draw(st.sampled_from((max(2, n // 3), n, 3 * n)))
+    order = min(n, m)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    sigma = np.sort(10.0 ** rng.uniform(-3.0, 0.0, size=order))[::-1]
+    sigma[draw(st.integers(1, order)):] = 0.0
+    u = np.linalg.qr(rng.standard_normal((n, order)))[0]
+    v = np.linalg.qr(rng.standard_normal((m, order)))[0]
+    X = (u * sigma) @ v.T * 10.0 ** draw(st.integers(-100, 100))
+    k = draw(st.integers(1, order))
+    return X, k, draw(st.integers(k, order))
+
+
+@FUZZ
+@given(st.one_of(term_document_matrices(), planted_spectrum_matrices()))
+def test_truncated_svd_keeps_gesdd_directions(case):
+    """The dense route keeps the directions gesdd kept: the same count,
+    singular values within 1e-12 sigma_1 and the projector onto the kept
+    directions within 1e-12, wherever no sigma^2 lies within 1e-6
+    (relative) of the rank cut and the kept sigma^2 stand apart from the
+    next one by more than 1e-6 sigma_1^2 (tied directions span no
+    unique projector)."""
+    X, k, _ = case
+    if sp.issparse(X) and k < min(X.shape) - 1:
+        return  # the ARPACK route, which this does not compare
+    dense = X.toarray() if sp.issparse(X) else X
+    full = np.linalg.svd(dense, compute_uv=False)
+    u, s = truncated_svd(X, k)
+    ref_u, ref_s = truncated_svd_by_gesdd(X, k)
+    if full[0] == 0.0:
+        assert s.size == ref_s.size == 0
+        return
+    ratio = (full / full[0]) ** 2
+    assume(not np.any(np.abs(ratio / RANK_RTOL - 1.0) <= 1e-6))
+    assert s.size == ref_s.size
+    assert np.max(np.abs(s - ref_s), initial=0.0) <= 1e-12 * full[0]
+    if s.size and ratio[s.size - 1] - (ratio[s.size] if s.size < full.size else 0.0) > 1e-6:
+        assert np.max(np.abs(u @ u.T - ref_u @ ref_u.T)) <= 1e-12
+
+
 # two to four word matrices in one ambient dimension: classes, then a query
 SHARED_DIM_MATRICES = st.integers(1, 40).flatmap(
     lambda p: st.lists(word_matrices(st.just(p)), min_size=2, max_size=4))
@@ -510,6 +559,56 @@ def test_lsa_masked_max_equals_class_loop(data):
     assert (got is None) == (want is None)
     if want is not None:
         assert got.tobytes() == want.tobytes()
+
+
+def _scores_of_rows(model, projections):
+    """Each row's class scores from `LsaModel.class_scores_from_projection`,
+    None for a row with a zero projection."""
+    return [model.class_scores_from_projection(row) for row in projections]
+
+
+@FUZZ
+@given(st.data())
+def test_lsa_scores_of_many_rows_equal_row_by_row(data):
+    """The scores of a matrix of projections are each row's own, as the
+    per-row scorer gives them: the same None rows and -1.0 entries,
+    scores within 1e-13 and the same label wherever the reference's two
+    best scores differ by more than that, and a `NumericalError` on the
+    same inputs.  Rows are drawn zero, finite, wider than the rank, or
+    holding an infinity; documents zero-norm or not, classes with or
+    without documents."""
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    classes = [f"c{j}" for j in range(data.draw(st.integers(1, 5), label="classes"))]
+    labels = data.draw(st.lists(st.sampled_from(classes), min_size=1, max_size=40))
+    k = data.draw(st.integers(1, 12), label="rank")
+    coords = rng.standard_normal((len(labels), k))
+    coords[rng.random(len(labels)) < data.draw(st.sampled_from([0.0, 0.2]))] = 0.0
+    sigma = np.sort(10.0 ** rng.uniform(-3.0, 3.0, size=k))[::-1]
+    spec = FeatureSpec("binbow", terms=tuple(f"t{i}" for i in range(k)))
+    model = LsaModel(classes, labels, np.eye(k), sigma, coords, spec)
+    n = data.draw(st.integers(1, 30), label="rows")
+    projections = rng.standard_normal((n, k + data.draw(st.integers(0, 3))))
+    projections[rng.random(n) < 0.2, :k] = 0.0
+    if data.draw(st.booleans(), label="infinite"):
+        projections[rng.integers(n), rng.integers(k)] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            want = [lsa_class_scores_by_row(model, row) for row in projections]
+        except NumericalError:
+            with pytest.raises(NumericalError):
+                _scores_of_rows(model, projections)
+            return
+        got = _scores_of_rows(model, projections)
+    for row_want, row_got in zip(want, got):
+        assert (row_got is None) == (row_want is None)
+        if row_want is None:
+            continue
+        np.testing.assert_array_equal(row_got == -1.0, row_want == -1.0)
+        assert np.max(np.abs(row_got - row_want)) <= 1e-13
+        top = np.sort(row_want)[::-1]
+        if top.size == 1 or top[0] - top[1] > 1e-13:
+            assert make_prediction(classes, row_got).label == \
+                make_prediction(classes, row_want).label
 
 
 SCORES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, 1e308, -1e308, 5e-324,

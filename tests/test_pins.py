@@ -4,8 +4,10 @@ The ``.kv`` and ``.txt`` reports hold only decisions (per-fold accuracy
 is a count ratio, plus the selected grid points and the notes), so a
 change to a scoring or selection path that keeps every decision keeps
 their bytes.  ``eval_pins.json`` holds their sha256 for every strategy
-on the short shape and for the long-docs strategies on the long shape,
-at the default grids and seed.  A change that moves a pin updates the
+on the short shape, and on the long shape for the long-docs strategies
+and for lsa, whose 48-document folds take the Gram route of its
+factorization and skip infeasible grid ranks with a note, at the
+default grids and seed.  A change that moves a pin updates the
 file in the same commit; ``python tests/test_pins.py`` rewrites it.
 """
 
@@ -22,7 +24,8 @@ import workloads  # perfbench/, put on the path by test_scale
 
 PINS = os.path.join(os.path.dirname(__file__), "eval_pins.json")
 LONG_STRATEGIES = workloads.WORKLOADS["long-docs"].strategies
-CASES = [("short", s) for s in STRATEGIES] + [("long", s) for s in LONG_STRATEGIES]
+CASES = ([("short", s) for s in STRATEGIES]
+         + [("long", s) for s in (*LONG_STRATEGIES, "lsa")])
 
 
 def _shapes():
