@@ -174,15 +174,21 @@ def _lsa_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
     if not feasible:
         raise DataError(f"every grid rank exceeds the numerical rank {full.rank}")
 
-    # query coordinates at the largest rank
+    # query coordinates at the largest rank, scored one product per rank on
+    # blocks of rows that keep each cosine matrix near 2^20 entries
     projections = feature_matrix(spec, val_docs, table) @ full.basis
+    labels = np.asarray([doc.label for doc in val_docs], dtype=object)
+    classes = np.asarray(full.classes, dtype=object)
+    block = max(1, 2**20 // len(full.labels))
     models = [full.truncated(k) for k in feasible]
     hits = np.zeros(len(models), dtype=np.int64)
-    for i, model in enumerate(models):
-        for row, doc in enumerate(val_docs):
-            scores = model.class_scores_from_projection(projections[row])
-            if scores is not None:
-                hits[i] += model.classes[int(np.argmax(scores))] == doc.label
+    for start in range(0, len(val_docs), block):
+        rows = slice(start, start + block)
+        for i, model in enumerate(models):
+            scores = model.class_scores_from_projection(projections[rows])
+            # a zero projection (NaN row) counts as wrong
+            hits[i] += np.count_nonzero((classes[np.argmax(scores, axis=1)] == labels[rows])
+                                        & ~np.isnan(scores[:, 0]))
     best = int(np.argmax(hits))
     return models[best], {"rank": feasible[best]}, notes
 

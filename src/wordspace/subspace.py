@@ -191,24 +191,25 @@ def _spectral_basis(X, normalizer, max_dim=None):
     - either eigenproblem with a small ``max_dim``: only its leading
       eigenpairs are solved (`_leading_eigh`).
 
-    A LAPACK failure is raised as `NumericalError`.
+    A zero X has no selectable direction: a (p, 0) basis.  A LAPACK
+    failure escapes as ``LinAlgError``, which each caller names as its
+    own solver's failure (`_fit` as the subspace eigensolver's).
     """
     p, n = X.shape
-    with solver_errors("subspace eigensolver"):
-        if p <= n:
-            evals, evecs = _leading_eigh(X @ X.T, max_dim)
-            order = np.argsort(evals)[::-1]
-            return _selectable(evecs[:, order], evals[order] / normalizer)
-        evals, evecs = _leading_eigh(X.T @ X, max_dim)
-        order = np.argsort(-evals, kind="stable")
-        evals = evals[order]
-        spectrum = evals / normalizer
-        keep = _selectable_rank(spectrum)  # >= 1: X has a nonzero column
-        basis = (X @ evecs[:, order[:keep]]) / np.sqrt(evals[:keep])
-        if orthonormality_defect(basis) <= ORTHONORMALITY_TOL:
-            return basis, spectrum[:keep]
-        basis, sing, _ = np.linalg.svd(X, full_matrices=False)
-        basis, _ = np.linalg.qr(basis)
+    if p <= n:
+        evals, evecs = _leading_eigh(X @ X.T, max_dim)
+        order = np.argsort(evals)[::-1]
+        return _selectable(evecs[:, order], evals[order] / normalizer)
+    evals, evecs = _leading_eigh(X.T @ X, max_dim)
+    order = np.argsort(-evals, kind="stable")
+    evals = evals[order]
+    spectrum = evals / normalizer
+    keep = _selectable_rank(spectrum)
+    basis = (X @ evecs[:, order[:keep]]) / np.sqrt(evals[:keep])
+    if keep == 0 or orthonormality_defect(basis) <= ORTHONORMALITY_TOL:
+        return basis, spectrum[:keep]
+    basis, sing, _ = np.linalg.svd(X, full_matrices=False)
+    basis, _ = np.linalg.qr(basis)
     return _selectable(basis, (sing * sing) / normalizer)
 
 
@@ -298,11 +299,12 @@ def _fit(X, weights, max_dim):
         root = np.sqrt(w)
         X, norms, normalizer = X * root, norms * root, float(np.sum(w))
     _, exponent = np.frexp(np.max(norms))
-    if abs(exponent) <= SAFE_EXPONENT:
-        basis, spectrum = _spectral_basis(X, normalizer, max_dim)
-    else:
-        basis, spectrum = _spectral_basis(np.ldexp(X, -exponent), normalizer, max_dim)
-        spectrum = np.ldexp(spectrum, 2 * exponent)
+    with solver_errors("subspace eigensolver"):
+        if abs(exponent) <= SAFE_EXPONENT:
+            basis, spectrum = _spectral_basis(X, normalizer, max_dim)
+        else:
+            basis, spectrum = _spectral_basis(np.ldexp(X, -exponent), normalizer, max_dim)
+            spectrum = np.ldexp(spectrum, 2 * exponent)
     cap = basis.shape[1]
     if cap == 0:
         raise NumericalError("data matrix has numerical rank zero")

@@ -449,7 +449,8 @@ def scores_by_one_row_matrix(model, tokens):
     if isinstance(model, NaiveBayesModel):
         return model._base + (row @ model._table)[0]
     if isinstance(model, LsaModel):
-        return model.class_scores_from_projection((row @ model.basis)[0])
+        [scores] = model.class_scores_from_projection(row @ model.basis)
+        return None if np.isnan(scores[0]) else scores
     return model.decision_matrix(row)[0]
 
 
@@ -457,12 +458,13 @@ def lsa_class_scores_by_loop(model, projection):
     """`LsaModel.class_scores_from_projection` as it was before the
     masked max: each class's best cosine from its own members, -1.0 when
     that best is not finite or the class has no members."""
+    weighted = model.doc_coords * model.sigma
     weighted_q = np.asarray(projection, dtype=np.float64)[: model.rank]
     qnorm = np.linalg.norm(weighted_q)
     if qnorm == 0.0:
         return None
-    sims = model._weighted @ weighted_q
-    denom = model._norms * qnorm
+    sims = weighted @ weighted_q
+    denom = np.linalg.norm(weighted, axis=1) * qnorm
     sims = np.divide(sims, denom, out=np.full_like(sims, -np.inf), where=denom > 0.0)
     labels = np.asarray(model.labels, dtype=object)
     scores = np.full(len(model.classes), -1.0)

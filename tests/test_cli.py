@@ -772,7 +772,8 @@ SOLVER_FAILURES = {
     "lsa-svds-arpack": ([(spla, "svds")], spla.ArpackError(-9999), _lsa_rank_3),
     "lsa-svds-arpack-no-convergence": ([(spla, "svds")], spla.ArpackNoConvergence(
         "ARPACK did not converge", np.zeros(0), np.zeros((0, 0))), _lsa_rank_3),
-    "lsa-dense-svd": ([(np.linalg, "svd")], LAPACK, lambda ws, d: [
+    # the dense route is the subspace eigensolver, with its SVD fallback
+    "lsa-dense-svd": ([(np.linalg, "eigh"), (np.linalg, "svd")], LAPACK, lambda ws, d: [
         "train", "--strategy", "lsa", "--rank", "15", "--corpus", ws["corpus"],
         "--out", str(d / "m.npz")]),
     "spectrum": ([(np.linalg, "eigh"), (np.linalg, "svd")], LAPACK, lambda ws, d: [

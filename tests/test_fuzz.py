@@ -309,16 +309,21 @@ def test_subspace_fit(case):
 @st.composite
 def term_document_matrices(draw):
     """``(X, k, big_k)``: an n x N integer matrix, dense or CSR, with N
-    below, at or above n, built from at most four distinct columns, so
+    below, at or above n, built from at most three distinct columns, so
     it is rank-deficient, and two requested ranks ``k <= big_k``.
 
-    Its entries are 0..3: a nonzero singular value is then at least
-    sigma_1^(1-r) (the product of the r nonzero ones is at least 1), far
-    above the rank cut, and a zero one is roundoff, far below it."""
+    Its entries are 0..3 and n <= 10, N <= 20, so sigma_1^2 <= ||X||_F^2
+    <= 9 * 200.  The product of the r <= 3 nonzero sigma^2 is a sum of
+    Gram determinants of integer columns, at least 1, so the smallest is
+    at least sigma_1^(2 - 2r) and sigma_r^2 / sigma_1^2 >= sigma_1^(-2r)
+    >= 1800^-3 = 1.7e-10: above the rank cut (RANK_RTOL = 1e-10 on
+    sigma^2) by a margin roundoff cannot cross, while a zero sigma is
+    roundoff, far below it.  With four distinct columns the ratio could
+    fall to about 1e-13, under the cut."""
     n = draw(st.integers(1, 10))
     m = draw(st.sampled_from((max(1, n // 2), n, 2 * n)))
     base = np.asarray(draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
-                                    min_size=1, max_size=4)), dtype=np.float64).T
+                                    min_size=1, max_size=3)), dtype=np.float64).T
     X = base[:, draw(st.lists(st.integers(0, base.shape[1] - 1), min_size=m, max_size=m))]
     if draw(st.booleans()):
         X = sp.csr_matrix(X)
@@ -334,7 +339,7 @@ def test_truncated_svd_keeps_the_numerical_rank(case):
     X, k, big_k = case
     u, s = truncated_svd(X, k)
     dense = X.toarray() if sp.issparse(X) else X
-    assert s.size == _selectable_rank(np.linalg.svd(dense, compute_uv=False)[:k])
+    assert s.size == _selectable_rank(np.linalg.svd(dense, compute_uv=False)[:k] ** 2)
     assert u.shape == (X.shape[0], s.size)
     assert s.size == 0 or orthonormality_defect(u) <= ORTHONORMALITY_TOL
     assert np.all(s > 0.0) and np.all(np.diff(s) <= 0.0)
@@ -500,16 +505,17 @@ def test_baseline_rows_equal_one_row_matrix(baselines):
 
 
 def test_lsa_fold_projects_as_predict(baselines, monkeypatch):
-    """A validation row of `_lsa_fold`'s one CSR product is bitwise the
-    projection `predict` takes from `row_product`."""
+    """A validation row of `_lsa_fold`'s one CSR product, which the fold
+    scores as one matrix, is bitwise the projection `predict` takes from
+    `row_product` and scores as a one-row matrix."""
     _, specs, corpus = baselines
     words = list(specs[0].terms) + ["oov"]
     seen = []
     real = LsaModel.class_scores_from_projection
 
-    def recording(model, projection):
-        seen.append(projection)
-        return real(model, projection)
+    def recording(model, projections):
+        seen.append(projections)
+        return real(model, projections)
 
     monkeypatch.setattr(LsaModel, "class_scores_from_projection", recording)
 
@@ -522,15 +528,17 @@ def test_lsa_fold_projects_as_predict(baselines, monkeypatch):
             model, _, _ = evaluation._lsa_fold(
                 evaluation.STRATEGIES["lsa"], corpus, val_docs, None, None,
                 {"rank": (8,)}, spec.name, True, 0)
-            rows = seen[:]  # one grid rank: one projection per validation document
+            # one grid rank and a few documents: one matrix for the fold
+            [matrix] = seen
             seen.clear()
             for doc in val_docs:
                 try:
                     model.predict(doc.tokens)
                 except DegenerateQueryError:
                     pass
-            assert len(rows) == len(seen) == len(val_docs)
-            for row, projection in zip(rows, seen):
+            assert len(matrix) == len(seen) == len(val_docs)
+            assert all(one.shape[0] == 1 for one in seen)
+            for row, [projection] in zip(matrix, seen):
                 assert row.size == projection.size == model.rank
                 assert row.tobytes() == projection.tobytes()
 
@@ -555,16 +563,17 @@ def test_lsa_masked_max_equals_class_loop(data):
     model = LsaModel(classes, labels, np.eye(k), sigma, coords, spec)
     projection = np.array(data.draw(st.lists(value, min_size=k, max_size=k)))
     want = lsa_class_scores_by_loop(model, projection)
-    got = model.class_scores_from_projection(projection)
+    [got] = _scores_of_rows(model, projection[np.newaxis])
     assert (got is None) == (want is None)
     if want is not None:
         assert got.tobytes() == want.tobytes()
 
 
 def _scores_of_rows(model, projections):
-    """Each row's class scores from `LsaModel.class_scores_from_projection`,
-    None for a row with a zero projection."""
-    return [model.class_scores_from_projection(row) for row in projections]
+    """Each row's class scores from one `LsaModel.class_scores_from_projection`
+    call, None for a row with a zero projection (a NaN row)."""
+    scores = model.class_scores_from_projection(projections)
+    return [None if np.isnan(row[0]) else row for row in scores]
 
 
 @FUZZ

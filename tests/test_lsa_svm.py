@@ -8,6 +8,7 @@ from wordspace.errors import DataError, DegenerateQueryError, NumericalError
 from wordspace.features import FeatureSpec, feature_matrix, fit_feature_spec
 from wordspace.lsa import LsaModel, train_lsa, truncated_svd
 from wordspace.model_io import load_model, save_model
+from wordspace.subspace import full_word_subspace
 from wordspace.svm import LinearSvmModel, fit_linear_svm, train_svm
 
 
@@ -85,11 +86,29 @@ class TestTruncatedSvd:
         np.testing.assert_allclose(s, [5.0], rtol=1e-12)
         u, s = truncated_svd(np.zeros((3, 2)), 2)
         assert u.shape == (3, 0) and s.shape == (0,)
+        # a zero CSR matrix, which ARPACK cannot start on, has none either
+        u, s = truncated_svd(sp.csr_matrix((5, 6)), 1)
+        assert u.shape == (5, 0) and s.shape == (0,)
+        # the cut is on sigma^2: sigma_2^2 = 1e-12 sigma_1^2 is under it
+        u, s = truncated_svd(np.diag([1.0, 1e-6]), 2)
+        assert u.shape == (2, 1) and s.tolist() == [1.0]
         # a dimension below 1 is refused as such, not as a cap overflow
         for k in (0, -1):
             with pytest.raises(NumericalError,
                                match=whole(f"subspace dimension must be >= 1, got {k}")):
                 truncated_svd(X, k)
+
+    def test_solver_failure_names_the_solver(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing)
+        with pytest.raises(NumericalError, match=whole(
+                "truncated SVD failed: Eigenvalues did not converge")):
+            truncated_svd(np.ones((3, 2)), 1)
+        with pytest.raises(NumericalError, match=whole(
+                "subspace eigensolver failed: Eigenvalues did not converge")):
+            full_word_subspace(np.ones((3, 2)))
 
     def test_sparse_matches_dense(self):
         rng = np.random.default_rng(1)
@@ -145,7 +164,7 @@ class TestLsa:
         model = train_lsa(corpus, fit_feature_spec("binbow", corpus), 2)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(
                 NumericalError, match=whole("lsa query projection is not finite")):
-            model.class_scores_from_projection(np.full(2, np.inf))
+            model.class_scores_from_projection(np.full((1, 2), np.inf))
 
     def test_zero_projection_raises(self):
         corpus = Corpus([Document("c0", ("a",)), Document("c1", ("b",))])

@@ -11,6 +11,7 @@ from wordspace.subspace import (
     PARTIAL_SOLVE_RATIO,
     RANK_RTOL,
     Subspace,
+    _spectral_basis,
     canonical_cosines,
     full_weighted_word_subspace,
     full_word_subspace,
@@ -205,6 +206,13 @@ class TestGramRoute:
         sub = full_word_subspace(X)
         np.testing.assert_array_equal(np.abs(sub.basis), X)
         np.testing.assert_array_equal(sub.spectrum, [1 / 3] * 3)
+
+    @pytest.mark.parametrize("shape", [(3, 2), (2, 3)])
+    def test_zero_matrix_has_no_direction(self, shape):
+        # (3, 2) takes the Gram route, whose empty basis has no defect to
+        # measure; (2, 3) eigh(X X^T)
+        basis, spectrum = _spectral_basis(np.zeros(shape), 1.0)
+        assert basis.shape == (shape[0], 0) and spectrum.shape == (0,)
 
     def test_rank_deficient_query_keeps_only_selectable_directions(self):
         rng = np.random.default_rng(24)
