@@ -156,7 +156,7 @@ class LsaModel:
         zero = qnorms == 0.0
         denom = np.multiply.outer(self._norms, qnorms)
         # the stored norms are finite: an overflow here is a query's
-        if not np.all(np.isfinite(denom[:, ~zero])):
+        if not np.all(np.isfinite(denom) | zero):
             raise NumericalError("lsa query projection is not finite")
         sims = np.divide(self._weighted @ queries.T, denom,
                          out=np.full(denom.shape, -np.inf), where=denom > 0.0)

@@ -583,7 +583,8 @@ def test_lsa_scores_of_many_rows_equal_row_by_row(data):
     per-row scorer gives them: the same None rows and -1.0 entries,
     scores within 1e-13 and the same label wherever the reference's two
     best scores differ by more than that, and a `NumericalError` on the
-    same inputs.  Rows are drawn zero, finite, wider than the rank, or
+    same inputs.  A one-row matrix, as `predict` scores, is bitwise the
+    per-row scorer's.  Rows are drawn zero, finite, wider than the rank, or
     holding an infinity; documents zero-norm or not, classes with or
     without documents."""
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
@@ -608,10 +609,12 @@ def test_lsa_scores_of_many_rows_equal_row_by_row(data):
                 _scores_of_rows(model, projections)
             return
         got = _scores_of_rows(model, projections)
-    for row_want, row_got in zip(want, got):
-        assert (row_got is None) == (row_want is None)
+        alone = [_scores_of_rows(model, row[np.newaxis])[0] for row in projections]
+    for row_want, row_got, row_alone in zip(want, got, alone):
+        assert (row_got is None) == (row_alone is None) == (row_want is None)
         if row_want is None:
             continue
+        assert row_alone.tobytes() == row_want.tobytes()
         np.testing.assert_array_equal(row_got == -1.0, row_want == -1.0)
         assert np.max(np.abs(row_got - row_want)) <= 1e-13
         top = np.sort(row_want)[::-1]
