@@ -14,12 +14,16 @@ catches it by name:
 - `DegenerateQueryError`: ``classify`` and the evaluation map a query
   with no usable content to "unclassifiable" instead of aborting.  It
   sits outside the families because it is always recovered from.
+
+`solver_errors` turns a solver's failure into a `NumericalError`.  It
+knows numpy's ``LinAlgError`` alone; a caller whose solver raises other
+types names them, as lsa names ARPACK's, so importing this module loads
+no scipy.
 """
 
 import contextlib
 
 import numpy as np
-from scipy.sparse.linalg import ArpackError
 
 
 class WordspaceError(Exception):
@@ -47,12 +51,13 @@ class NumericalError(WordspaceError):
 
 
 @contextlib.contextmanager
-def solver_errors(what):
-    """Re-raise a LAPACK failure (``LinAlgError``) or an ARPACK one
-    (``ArpackError``, ``ArpackNoConvergence`` included) as `NumericalError`."""
+def solver_errors(what, *extra):
+    """Re-raise a LAPACK failure (``LinAlgError``), or one of the ``extra``
+    exception types the caller names (lsa: ARPACK's ``ArpackError``,
+    ``ArpackNoConvergence`` included), as `NumericalError`."""
     try:
         yield
-    except (np.linalg.LinAlgError, ArpackError) as err:
+    except (np.linalg.LinAlgError, *extra) as err:
         raise NumericalError(f"{what} failed: {err}") from None
 
 

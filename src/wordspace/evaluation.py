@@ -21,7 +21,6 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from . import bayes, classifiers, lsa, svm
 from .corpus import Corpus
@@ -570,6 +569,8 @@ def paired_ttest(acc_a, acc_b) -> TTestResult:
     The statistic is mean(d) / (sd(d) / sqrt(n)) on the per-fold
     differences d with n-1 degrees of freedom.
     """
+    from scipy import special
+
     a = np.asarray(acc_a, dtype=np.float64)
     b = np.asarray(acc_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:

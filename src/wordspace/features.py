@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
 
 from .corpus import Corpus
 from .embeddings import first_occurrence_counts, lookup_all
@@ -135,6 +134,8 @@ def feature_matrix(spec: FeatureSpec, docs, table=None):
         for i, doc in enumerate(docs):
             out[i] = dense_row(spec, doc.tokens, table)
         return out
+
+    import scipy.sparse as sp
 
     rows = [bow_row(spec, doc.tokens) for doc in docs]
     indptr = np.zeros(len(docs) + 1, dtype=np.int64)

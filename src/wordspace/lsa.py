@@ -29,8 +29,6 @@ finite.
 """
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .classifiers import Prediction, make_prediction
 from .errors import (
@@ -58,12 +56,15 @@ def truncated_svd(X, k: int):
     prefix).  A zero matrix has no triplet.  Raises `NumericalError`
     when the solver fails.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n_min = min(X.shape)
     if k < 1:
         raise NumericalError(f"subspace dimension must be >= 1, got {k}")
     if sp.issparse(X) and X.count_nonzero() == 0:
         return np.zeros((X.shape[0], 0)), np.zeros(0)  # ARPACK refuses a zero start
-    with solver_errors("truncated SVD"):
+    with solver_errors("truncated SVD", spla.ArpackError):
         if sp.issparse(X) and k < n_min - 1:
             v0 = np.full(n_min, 1.0 / np.sqrt(n_min))
             u, s, _ = spla.svds(X, k=k, v0=v0)
@@ -184,6 +185,8 @@ class LsaModel:
 def train_lsa(corpus, spec: FeatureSpec, k: int, table=None) -> LsaModel:
     """Factorize the training term-document matrix at rank ``k``, or at
     its numerical rank when that is lower (possibly 0)."""
+    import scipy.sparse as sp
+
     docs = list(corpus)
     feats = feature_matrix(spec, docs, table)
     X = feats.T if sp.issparse(feats) else feats.T.copy()  # terms x documents

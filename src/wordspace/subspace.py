@@ -21,7 +21,6 @@ squared cosines, a number in [0, 1].
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import DataError, FormatError, NumericalError, solver_errors
 
@@ -248,6 +247,8 @@ def _leading_eigh(A, cap):
     """
     n = A.shape[0]
     if cap is not None and 1 <= cap <= n // PARTIAL_SOLVE_RATIO:
+        import scipy.linalg
+
         # syevr, scipy's default for a standard problem
         evals, evecs = scipy.linalg.eigh(A, subset_by_index=[n - cap - 1, n - 1],
                                          check_finite=False)

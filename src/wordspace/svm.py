@@ -15,7 +15,6 @@ query, and a w2v query from its dense row.
 """
 
 import numpy as np
-import scipy.sparse as sp
 
 from .classifiers import Prediction, make_prediction
 from .errors import DataError, NumericalError
@@ -74,6 +73,8 @@ def fit_linear_svm(feats, labels, classes, spec: FeatureSpec, *, regs=(DEFAULT_R
     """One-vs-rest scorers on a prebuilt feature matrix, one model per
     strength in ``regs``, in order; `NumericalError` names a strength
     whose weights are not finite (one too small for its step sizes)."""
+    import scipy.sparse as sp
+
     classes = tuple(classes)
     if len(classes) < 2:
         raise DataError("linear SVM training needs at least 2 classes")
