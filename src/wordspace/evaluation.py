@@ -570,7 +570,6 @@ def paired_ttest(acc_a, acc_b) -> TTestResult:
     differences d with n-1 degrees of freedom.
     """
     from scipy import special
-
     a = np.asarray(acc_a, dtype=np.float64)
     b = np.asarray(acc_b, dtype=np.float64)
     if a.shape != b.shape or a.ndim != 1:

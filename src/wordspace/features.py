@@ -136,7 +136,6 @@ def feature_matrix(spec: FeatureSpec, docs, table=None):
         return out
 
     import scipy.sparse as sp
-
     rows = [bow_row(spec, doc.tokens) for doc in docs]
     indptr = np.zeros(len(docs) + 1, dtype=np.int64)
     np.cumsum([cols.size for cols, _ in rows], out=indptr[1:])

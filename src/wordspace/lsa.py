@@ -58,7 +58,6 @@ def truncated_svd(X, k: int):
     """
     import scipy.sparse as sp
     import scipy.sparse.linalg as spla
-
     n_min = min(X.shape)
     if k < 1:
         raise NumericalError(f"subspace dimension must be >= 1, got {k}")
@@ -186,7 +185,6 @@ def train_lsa(corpus, spec: FeatureSpec, k: int, table=None) -> LsaModel:
     """Factorize the training term-document matrix at rank ``k``, or at
     its numerical rank when that is lower (possibly 0)."""
     import scipy.sparse as sp
-
     docs = list(corpus)
     feats = feature_matrix(spec, docs, table)
     X = feats.T if sp.issparse(feats) else feats.T.copy()  # terms x documents

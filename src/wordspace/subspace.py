@@ -248,7 +248,6 @@ def _leading_eigh(A, cap):
     n = A.shape[0]
     if cap is not None and 1 <= cap <= n // PARTIAL_SOLVE_RATIO:
         import scipy.linalg
-
         # syevr, scipy's default for a standard problem
         evals, evecs = scipy.linalg.eigh(A, subset_by_index=[n - cap - 1, n - 1],
                                          check_finite=False)

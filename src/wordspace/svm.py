@@ -74,7 +74,6 @@ def fit_linear_svm(feats, labels, classes, spec: FeatureSpec, *, regs=(DEFAULT_R
     strength in ``regs``, in order; `NumericalError` names a strength
     whose weights are not finite (one too small for its step sizes)."""
     import scipy.sparse as sp
-
     classes = tuple(classes)
     if len(classes) < 2:
         raise DataError("linear SVM training needs at least 2 classes")

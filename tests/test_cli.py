@@ -798,6 +798,23 @@ def test_solver_failure_exits_four(case, workspace, tmp_path, capsys, monkeypatc
     assert err.startswith("error: ") and str(error) in err
 
 
+@pytest.mark.parametrize("case,message", [
+    ("lsa-svds-arpack", "ARPACK error -9999: Unknown error"),
+    ("lsa-svds-arpack-no-convergence", "ARPACK error -1: ARPACK did not converge"),
+])
+def test_arpack_failure_is_named_as_the_truncated_svd(case, message, workspace, tmp_path,
+                                                      capsys, monkeypatch):
+    _, error, make_argv = SOLVER_FAILURES[case]
+
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(spla, "svds", fail)
+    capsys.readouterr()
+    assert main(make_argv(workspace, tmp_path)) == 4
+    assert capsys.readouterr() == ("", f"error: truncated SVD failed: {message}\n")
+
+
 class TestEval:
     def test_perfect_strategies_report_one(self, workspace, capsys):
         prefix = str(workspace["root"] / "report")
@@ -953,6 +970,27 @@ class TestSpectrum:
         assert code == 2
 
 
+# Run in a fresh interpreter with a JSON object of step name -> argv:
+# prints, as its last line, step -> [exit code, scipy modules loaded so far]
+SCIPY_FOOTPRINT = """
+import contextlib, io, json, sys
+
+def step(code):
+    return [code, sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))]
+
+import wordspace, wordspace.cli
+loaded = {"import": step(0)}
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        wordspace.cli.main(["--help"])
+    except SystemExit as stop:
+        loaded["--help"] = step(stop.code)
+    for name, argv in json.loads(sys.argv[1]).items():
+        loaded[name] = step(wordspace.cli.main(argv))
+print(json.dumps(loaded))
+"""
+
+
 class TestConsoleEntry:
     def test_module_invocation(self, workspace, tmp_path):
         result = subprocess.run(
@@ -1006,6 +1044,30 @@ class TestConsoleEntry:
         first, again = run(1), run(2)
         assert len(first[1]) == 2 * len(STRATEGIES) + 4  # reports, ttest, model, csv
         assert first == again
+
+    def test_commands_that_never_call_scipy_leave_it_unloaded(self, workspace, tmp_path):
+        """One fresh interpreter imports the package, prints --help and
+        classifies with every strategy's train model, loading no scipy
+        module; then an lsa/svm eval with a t-test, which calls scipy,
+        loads it and exits 0.  No document has 8 x --query-dim distinct
+        words, so no msm/tfmsm query takes the partial eigensolve."""
+        files = ["--embeddings", workspace["vecs"], "--corpus", workspace["corpus"]]
+        steps = {}
+        for strategy in STRATEGIES:
+            model = str(tmp_path / f"{strategy}.npz")
+            rank = ["--rank", "3"] if strategy == "lsa" else []
+            assert main(["train", "--strategy", strategy, *files, "--out", model, *rank]) == 0
+            steps[f"classify {strategy}"] = ["classify", "--model", model, *files]
+        unloaded = {step: [0, []] for step in ("import", "--help", *steps)}
+        steps["eval"] = ["eval", "--strategy", "lsa,svm", "--ttest", *files,
+                         "--out", str(tmp_path / "r")]
+        child = subprocess.run([sys.executable, "-c", SCIPY_FOOTPRINT, json.dumps(steps)],
+                               capture_output=True, text=True, check=True)
+        loaded = json.loads(child.stdout.splitlines()[-1])
+        eval_code, eval_modules = loaded.pop("eval")
+        assert loaded == unloaded
+        assert eval_code == 0
+        assert {"scipy.sparse.linalg", "scipy.special"} <= set(eval_modules)
 
     def test_import_leaves_scipy_stats_unloaded(self):
         result = subprocess.run(

@@ -1,5 +1,6 @@
-"""Every name a `wordspace` module imports is used in that module, and
-every exception class it defines is one that some caller tells apart.
+"""Every name a `wordspace` module imports is used in that module, every
+exception class it defines is one that some caller tells apart, and no
+module loads scipy when it is imported.
 
 A deletion that leaves an import behind (a name read nowhere else in the
 module) fails here.  A name in a module's ``__all__`` counts as used:
@@ -9,6 +10,13 @@ An exception class in ``errors.py`` is either a root, one per CLI exit
 code and the package base, or named in some ``except`` clause of the
 package: a subclass nobody catches by name adds a type with no behaviour
 behind it.
+
+scipy costs more to import than numpy and the rest of the package
+together, and most commands (``--help``, every ``classify`` of short
+documents) never call it.  So a module imports it only inside the
+function that calls it.  This is checked on the source: the test
+session itself loads scipy (``conftest.py``), so an in-process check
+could not see a module-level import come back.
 """
 
 import ast
@@ -51,6 +59,43 @@ def test_checker_finds_an_unused_import():
     source = ("import numpy as np\nimport scipy.sparse as sp\nfrom os import path, sep\n"
               "__all__ = ['sep']\nx = np.zeros(1)\n")
     assert unused_imports(source) == [("sp", 2), ("path", 3)]
+
+
+def import_time_scipy_imports(source):
+    """Lines of the ``import scipy...`` and ``from scipy...`` statements
+    that run when ``source`` is imported: those outside any function."""
+    lines = []
+    todo = list(ast.parse(source).body)
+    while todo:
+        node = todo.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue  # runs when called
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            names = []
+        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+            lines.append(node.lineno)
+        todo.extend(ast.iter_child_nodes(node))
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_imports_scipy_only_inside_functions(path):
+    lines = import_time_scipy_imports(path.read_text(encoding="utf-8"))
+    assert lines == [], f"{path.name} imports scipy at import time on lines {lines}"
+
+
+def test_checker_finds_an_import_time_scipy_import():
+    source = ("import numpy, scipy.sparse\nfrom scipy import special\nimport scipyx\n"
+              "try:\n    import scipy.linalg\nexcept ImportError:\n    pass\n"
+              "class A:\n    from scipy.sparse import linalg\n"
+              "def f():\n    import scipy.linalg\n    return scipy.linalg\n"
+              "async def g():\n    from scipy import special\n"
+              "from . import scipy\n")
+    assert import_time_scipy_imports(source) == [1, 2, 5, 9]
 
 
 def uncaught_error_classes(errors_source, sources):

@@ -78,12 +78,11 @@ def _classify_hash(paths, strategy, root):
     """sha256 of the label column of ``classify`` with a default ``train`` model."""
     model = os.path.join(root, f"{strategy}.npz")
     table = ["--embeddings", paths["table"]] if STRATEGIES[strategy].feature == "w2v" else []
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    with contextlib.redirect_stdout(io.StringIO()):
         assert main(["train", "--strategy", strategy, "--corpus", paths["corpus"],
                      "--out", model, *table]) == 0
-        out.truncate(0)
-        out.seek(0)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
         assert main(["classify", "--model", model, "--corpus", paths["stream"], *table]) == 0
     labels = [line.split("\t")[1] for line in out.getvalue().splitlines()]
     return hashlib.sha256("\n".join(labels).encode()).hexdigest()
