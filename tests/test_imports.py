@@ -76,7 +76,7 @@ def import_time_scipy_imports(source):
             names = [node.module]
         else:
             names = []
-        if any(name == "scipy" or name.startswith("scipy.") for name in names):
+        if any(name.split(".")[0] == "scipy" for name in names):
             lines.append(node.lineno)
         todo.extend(ast.iter_child_nodes(node))
     return sorted(lines)
