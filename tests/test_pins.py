@@ -1,5 +1,6 @@
-"""Byte-identity pins: the eval reports and the ``classify`` labels on
-the benchmark's seed-1 inputs.
+"""Pins on the benchmark's seed-1 inputs: the eval reports and the
+``classify`` labels byte for byte, and the ``classify`` scores to a
+tolerance.
 
 The ``.kv`` and ``.txt`` reports hold only decisions (per-fold accuracy
 is a count ratio, plus the selected grid points and the notes), so a
@@ -12,17 +13,25 @@ default grids and seed.  Under its ``classify`` key it holds the
 sha256 of the label column ``wordspace classify`` prints for a model
 ``wordspace train`` built at its defaults: every strategy on the short
 shape's first 500 stream documents, and the long-docs strategies on
-the long shape's 150.  A change that moves a pin updates the file in
-the same commit; ``python tests/test_pins.py`` rewrites it.
+the long shape's 150.  Under its ``classify_scores`` key it holds the
+score column of those same runs, parsed as floats (null where a
+document is unclassifiable).  The scores are compared to within
+`SCORE_ATOL`, a few units in the sixth decimal that ``classify``
+prints, so a BLAS build that rounds differently still passes while a
+change to the scoring arithmetic does not.  A change that moves a pin
+updates the file in the same commit; ``python tests/test_pins.py``
+rewrites it.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import math
 import os
 import tempfile
 
+import numpy as np
 import pytest
 
 from test_scale import _inputs
@@ -38,6 +47,8 @@ CASES = ([("short", s) for s in STRATEGIES]
          + [("long", s) for s in (*LONG_STRATEGIES, "lsa")])
 CLASSIFY_CASES = [("short", s) for s in STRATEGIES] + [("long", s) for s in LONG_STRATEGIES]
 CLASSIFIED_DOCS = {"short": 500, "long": 150}
+# printed scores may differ by one unit in the sixth decimal on another BLAS
+SCORE_ATOL = 3e-6
 
 
 def _shapes():
@@ -74,8 +85,9 @@ def _write_files(inputs, shape, root):
     return paths
 
 
-def _classify_hash(paths, strategy, root):
-    """sha256 of the label column of ``classify`` with a default ``train`` model."""
+def _classify_columns(paths, strategy, root):
+    """The label and score columns of ``classify`` with a default ``train``
+    model; an unclassifiable document's score is NaN."""
     model = os.path.join(root, f"{strategy}.npz")
     table = ["--embeddings", paths["table"]] if STRATEGIES[strategy].feature == "w2v" else []
     with contextlib.redirect_stdout(io.StringIO()):
@@ -84,14 +96,26 @@ def _classify_hash(paths, strategy, root):
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["classify", "--model", model, "--corpus", paths["stream"], *table]) == 0
-    labels = [line.split("\t")[1] for line in out.getvalue().splitlines()]
+    rows = [line.split("\t") for line in out.getvalue().splitlines()]
+    return [row[1] for row in rows], [float(row[2]) for row in rows]
+
+
+def _label_hash(labels):
     return hashlib.sha256("\n".join(labels).encode()).hexdigest()
 
 
 @pytest.fixture(scope="module")
-def classify_files(shapes, tmp_path_factory):
+def classified(shapes, tmp_path_factory):
+    """``(shape, strategy) -> (labels, scores)``, each case run once."""
     root = str(tmp_path_factory.mktemp("classify"))
-    return root, {shape: _write_files(shapes, shape, root) for shape in CLASSIFIED_DOCS}
+    files = {shape: _write_files(shapes, shape, root) for shape in CLASSIFIED_DOCS}
+    runs = {}
+
+    def columns(shape, strategy):
+        if (shape, strategy) not in runs:
+            runs[shape, strategy] = _classify_columns(files[shape], strategy, root)
+        return runs[shape, strategy]
+    return columns
 
 
 @pytest.mark.parametrize("shape,strategy", CASES)
@@ -102,11 +126,21 @@ def test_eval_reports_match_their_pins(shape, strategy, shapes):
 
 
 @pytest.mark.parametrize("shape,strategy", CLASSIFY_CASES)
-def test_classify_labels_match_their_pins(shape, strategy, classify_files):
-    root, files = classify_files
+def test_classify_labels_match_their_pins(shape, strategy, classified):
     with open(PINS) as fh:
         pins = json.load(fh)
-    assert _classify_hash(files[shape], strategy, root) == pins["classify"][shape][strategy]
+    labels, _ = classified(shape, strategy)
+    assert _label_hash(labels) == pins["classify"][shape][strategy]
+
+
+@pytest.mark.parametrize("shape,strategy", CLASSIFY_CASES)
+def test_classify_scores_match_their_pins(shape, strategy, classified):
+    with open(PINS) as fh:
+        pins = json.load(fh)
+    _, scores = classified(shape, strategy)
+    # null pins read as NaN, which equals NaN here
+    want = np.array(pins["classify_scores"][shape][strategy], dtype=np.float64)
+    np.testing.assert_allclose(scores, want, rtol=0, atol=SCORE_ATOL)
 
 
 if __name__ == "__main__":
@@ -117,8 +151,10 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as root:
         files = {shape: _write_files(inputs, shape, root) for shape in CLASSIFIED_DOCS}
         for shape, strategy in CLASSIFY_CASES:
-            pins.setdefault("classify", {}).setdefault(shape, {})[strategy] = \
-                _classify_hash(files[shape], strategy, root)
+            labels, scores = _classify_columns(files[shape], strategy, root)
+            pins.setdefault("classify", {}).setdefault(shape, {})[strategy] = _label_hash(labels)
+            pins.setdefault("classify_scores", {}).setdefault(shape, {})[strategy] = \
+                [None if math.isnan(score) else score for score in scores]
     with open(PINS, "w") as fh:
         json.dump(pins, fh, indent=2, sort_keys=True)
         fh.write("\n")
