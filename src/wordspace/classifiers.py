@@ -25,7 +25,6 @@ from .subspace import (
     Subspace,
     full_weighted_word_subspace,
     full_word_subspace,
-    similarity,
     stored_subspace,
     unit_columns,
 )
@@ -98,13 +97,12 @@ class SubspaceModel:
     """Per-class word subspaces plus query-time policies."""
 
     def __init__(self, strategy, classes, subspaces, *, class_dim, query_dim=None,
-                 angle_count=None, normalize=True, embed_dim=None):
+                 normalize=True, embed_dim=None):
         self.strategy = strategy
         self.classes = tuple(classes)
         self.subspaces = dict(subspaces)
         self.class_dim = class_dim
         self.query_dim = query_dim
-        self.angle_count = angle_count
         self.normalize = normalize
         self.embed_dim = embed_dim
         bases = [self.subspaces[label].basis for label in self.classes]
@@ -126,7 +124,7 @@ class SubspaceModel:
         hyper = {
             "class_dim": self.class_dim,
             "query_dim": self.query_dim,
-            "angle_count": self.angle_count,
+            "angle_count": None,  # format 1's field: every canonical angle
             "normalize": self.normalize,
             "embed_dim": self.embed_dim,
         }
@@ -151,8 +149,10 @@ class SubspaceModel:
             except FormatError as err:
                 raise FormatError(f"class {i} subspace: {err}") from None
         normalize = _boolean(hyper, "normalize")
+        if hyper["angle_count"] is not None:  # would score unlike its training
+            raise FormatError(f"angle_count must be null, found {hyper['angle_count']!r}")
         caps = {name: _positive_int(hyper, name, nullable=True)
-                for name in ("class_dim", "query_dim", "angle_count")}
+                for name in ("class_dim", "query_dim")}
         return cls(arrays["strategy"], classes, subspaces, **caps,
                    normalize=normalize, embed_dim=embed_dim)
 
@@ -169,25 +169,17 @@ class SubspaceModel:
         """Classify a query subspace built under the model's policies.
 
         A query wider than the model's ``query_dim`` is cut to its
-        leading ``query_dim`` directions.  The model's ``angle_count``
-        caps the number of canonical angles, None meaning every
-        available angle, i.e. min(class dim, query dim).
+        leading ``query_dim`` directions.  Every canonical angle counts,
+        min(class dim, query dim) of them per class.
         """
         if self.query_dim is not None and query.dimension > self.query_dim:
             query = query.truncated(self.query_dim)
         limits = np.minimum(self.class_dims, query.dimension)
-        if self.angle_count is None or self.angle_count >= limits.max():
-            # every angle: the sum of squared cosines is the squared Frobenius
-            # norm of each class's block of the stacked basis product
-            g = self.basis_products(query)
-            sums = np.add.reduceat(np.einsum("ij,ij->j", g, g), self.class_starts)
-            scores = np.minimum(sums / limits, 1.0)
-        else:
-            scores = np.array([
-                similarity(self.subspaces[label], query, min(limit, self.angle_count))
-                for label, limit in zip(self.classes, limits)
-            ])
-        return make_prediction(self.classes, scores)
+        # the sum of squared cosines is the squared Frobenius norm of each
+        # class's block of the stacked basis product
+        g = self.basis_products(query)
+        sums = np.add.reduceat(np.einsum("ij,ij->j", g, g), self.class_starts)
+        return make_prediction(self.classes, np.minimum(sums / limits, 1.0))
 
 
 def _word_subspace(matrix, counts, max_dim, normalize, strategy):

@@ -86,8 +86,7 @@ def cmd_train(args) -> int:
     hyper = {name: hp.default if given[name] is None else given[name]
              for name, hp in HYPERPARAMETERS.items()}
     for name, value in hyper.items():
-        if value is not None:  # None: unset (every canonical angle)
-            check_positive(name, value)
+        check_positive(name, value)
     hyper["seed"] = seed
     corpus = parse_corpus(args.corpus)
     feature = strategy.resolve_feature(args.feature)

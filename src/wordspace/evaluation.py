@@ -213,24 +213,20 @@ def _svm_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
 
 # Fits at given hyperparameters: ``fit(corpus, table, feature, normalize,
 # hyper)``, where ``hyper`` holds the ``wordspace train`` settings
-# (class_dim, query_dim, angle_count, rank, reg, epochs, seed) or, inside
-# a fold, only what the fold sets.  Modules are looked up at call time so
-# that a caller that rebinds their functions (a tracer) sees every call.
+# (class_dim, query_dim, rank, reg, epochs, seed) or, inside a fold, only
+# what the fold sets.  Modules are looked up at call time so that a caller
+# that rebinds their functions (a tracer) sees every call.
 
-def _serving_policy(model, hyper):
+def _fit_msm(corpus, table, feature, normalize, hyper):
+    model = classifiers.train_msm(corpus, table, hyper.get("class_dim"), normalize)
     model.query_dim = hyper.get("query_dim")
-    model.angle_count = hyper.get("angle_count")
     return model
 
 
-def _fit_msm(corpus, table, feature, normalize, hyper):
-    return _serving_policy(
-        classifiers.train_msm(corpus, table, hyper.get("class_dim"), normalize), hyper)
-
-
 def _fit_tfmsm(corpus, table, feature, normalize, hyper):
-    return _serving_policy(
-        classifiers.train_tfmsm(corpus, table, hyper.get("class_dim"), normalize), hyper)
+    model = classifiers.train_tfmsm(corpus, table, hyper.get("class_dim"), normalize)
+    model.query_dim = hyper.get("query_dim")
+    return model
 
 
 def _fit_sa(corpus, table, feature, normalize, hyper):
@@ -314,8 +310,6 @@ HYPERPARAMETERS = {
                                 "comma-separated class-dimension grid"),
     "query_dim": Hyperparameter(int, 10, "query subspace dimension cap (msm/tfmsm)",
                                 "comma-separated query-dimension grid"),
-    "angle_count": Hyperparameter(int, None,
-                                  "canonical angles used (default: all available)"),
     "rank": Hyperparameter(int, 130, "approximation rank (lsa)",
                            "comma-separated lsa rank grid"),
     "reg": Hyperparameter(float, svm.DEFAULT_REG, "regularization strength (svm)",
@@ -329,7 +323,7 @@ HYPERPARAMETERS = {
 _SUBSPACE_GRID = {"class_dim": (50, 100, 150, 175, 200),
                   "query_dim": (1, 5, 10, 25, 50, 100, 200)}
 
-_SUBSPACE_SETTINGS = ("class_dim", "query_dim", "angle_count")
+_SUBSPACE_SETTINGS = ("class_dim", "query_dim")
 
 STRATEGIES = {s.name: s for s in (
     Strategy("msm", any_feature=False, grid=_SUBSPACE_GRID, fit=_fit_msm,

@@ -126,16 +126,13 @@ class TestPredictSubspace:
         with pytest.raises(DegenerateQueryError):
             model.predict(("not-a-word",), ortho_table)
 
-    def test_query_dim_and_angle_count_policies(self, ortho_table, ortho_corpus):
+    def test_query_dim_policy(self, ortho_table, ortho_corpus):
         model = train_msm(ortho_corpus, ortho_table)
         query = ("w0_0", "w0_1", "w1_0")
         full = model.predict(query, ortho_table)
         model.query_dim = 1
         capped = model.predict(query, ortho_table)
         assert full.scores.shape == capped.scores.shape
-        model.query_dim, model.angle_count = None, 1
-        one_angle = model.predict(query, ortho_table)
-        assert np.all(one_angle.scores >= full.scores - 1e-12)
 
     def test_tfmsm_prediction_uses_document_counts(self, ortho_table):
         corpus = Corpus([Document("c0", ("w0_0", "w0_1", "w0_2")),
@@ -151,14 +148,11 @@ class TestStackedScorer:
     """One GEMM against the stacked class bases scores like `similarity`."""
 
     @staticmethod
-    def per_class(model, tokens, table, angle_count=None):
+    def per_class(model, tokens, table):
         query = query_subspace(tokens, table, model.query_dim, **policies(model))
-        out = []
-        for label in model.classes:
-            sub = model.subspaces[label]
-            t = min(sub.dimension, query.dimension, angle_count or sub.dimension)
-            out.append(similarity(sub, query, t))
-        return np.array(out)
+        subs = [model.subspaces[label] for label in model.classes]
+        return np.array([similarity(sub, query, min(sub.dimension, query.dimension))
+                         for sub in subs])
 
     @pytest.fixture
     def unequal(self):
@@ -182,11 +176,9 @@ class TestStackedScorer:
         for served in (model, load_model(path)):
             for _ in range(30):
                 tokens = tuple(rng.choice(words, size=int(rng.integers(1, 15))))
-                for angle_count in (None, 1, 3, 12):
-                    served.angle_count = angle_count
-                    got = served.predict(tokens, table).scores
-                    want = self.per_class(served, tokens, table, angle_count)
-                    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+                got = served.predict(tokens, table).scores
+                want = self.per_class(served, tokens, table)
+                np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_stack_layout(self, unequal):
         table, corpus, _, _ = unequal
@@ -231,13 +223,11 @@ class TestQueryPrefix:
             assert max_abs(projector(fitted) - projector(reference)) <= 1e-12
 
     @pytest.mark.parametrize("trainer", [train_msm, train_tfmsm])
-    @pytest.mark.parametrize("query_dim,angle_count", [
-        (None, None), (1, None), (3, None), (3, 2), (None, 1)])
-    def test_predict_is_predict_query_of_query_subspace(self, trainer, query_dim,
-                                                        angle_count):
+    @pytest.mark.parametrize("query_dim", [None, 1, 3])
+    def test_predict_is_predict_query_of_query_subspace(self, trainer, query_dim):
         rng, words, table, corpus = _random_setup()
         model = trainer(corpus, table, 4)
-        model.query_dim, model.angle_count = query_dim, angle_count
+        model.query_dim = query_dim
         for _ in range(5):
             tokens = rng.choice(words + ["oov"], size=7).tolist()
             got = model.predict(tokens, table)
@@ -246,11 +236,11 @@ class TestQueryPrefix:
             assert got.scores.tobytes() == want.scores.tobytes()
 
     @pytest.mark.parametrize("trainer", [train_msm, train_tfmsm])
-    @pytest.mark.parametrize("query_dim,angle_count", [(1, None), (3, None), (3, 2)])
-    def test_predict_query_cuts_a_wider_query(self, trainer, query_dim, angle_count):
+    @pytest.mark.parametrize("query_dim", [1, 3])
+    def test_predict_query_cuts_a_wider_query(self, trainer, query_dim):
         rng, words, table, corpus = _random_setup()
         model = trainer(corpus, table, 4)
-        model.query_dim, model.angle_count = query_dim, angle_count
+        model.query_dim = query_dim
         for _ in range(5):
             query = query_subspace(rng.choice(words, size=9).tolist(), table,
                                    **policies(model))

@@ -166,7 +166,7 @@ class TestTrainAndClassify:
 # non-default `train` flags per strategy and the model attributes they set;
 # a strategy without an entry is trained with the defaults
 TRAIN_FLAGS = {
-    "tfmsm": (["--query-dim", "2", "--angle-count", "1"], {"query_dim": 2, "angle_count": 1}),
+    "tfmsm": (["--query-dim", "2"], {"query_dim": 2}),
     "lsa": (["--feature", "tfidfbow", "--rank", "3"], {"rank": 3}),
     "svm": (["--feature", "w2v", "--epochs", "3"], {"embed_dim": 16, "epochs": 3}),
 }
@@ -231,7 +231,7 @@ def test_option_values_only_go_down():
                     if isinstance(a, argparse._SubParsersAction)).choices
     options = [s for p in commands.values() for a in p._actions
                for s in a.option_strings if s not in ("-h", "--help")]
-    assert len(options) <= 37
+    assert len(options) <= 36
 
 
 class TestErrorPaths:
@@ -279,9 +279,14 @@ class TestErrorPaths:
          "unrecognized arguments: --strategies msm"),
         (["spectrum", "--embeddings", "{vecs}"],
          "the following arguments are required: --out"),
+        # every model scores with all canonical angles
+        (["train", "--strategy", "msm", "--out", "{d}/refused", "--angle-count", "0"],
+         "unrecognized arguments: --angle-count 0"),
+        (["train", "--strategy", "svm", "--out", "{d}/refused", "--angle-count", "1"],
+         "unrecognized arguments: --angle-count 1"),
     ], ids=["train-without-out", "train-without-strategy", "eval-without-out",
             "eval-without-strategy", "eval-strategies-unrecognized",
-            "spectrum-without-out"])
+            "spectrum-without-out", "train-angle-count-zero", "train-svm-angle-count"])
     def test_argparse_refusal(self, workspace, tmp_path, capsys, argv, message):
         argv = [a.format(d=tmp_path, vecs=workspace["vecs"]) for a in argv]
         with pytest.raises(SystemExit) as exc:
@@ -498,12 +503,14 @@ BAD_INPUTS = {
                                            '"angle_count": null, "normalize": true, '
                                            '"embed_dim": "16"}'))),
     "msm-query-dim-not-an-int": _classify_doctored("msm", _hyper(query_dim="5")),
-    "tfmsm-angle-count-not-an-int": _classify_doctored("tfmsm", _hyper(angle_count=[2])),
     # caps that would fail every document with exit 4: refused at load
     "msm-query-dim-zero": _classify_doctored("msm", _hyper(query_dim=0)),
     "msm-query-dim-negative": _classify_doctored("msm", _hyper(query_dim=-3)),
+    # a model scores with every canonical angle: any angle count is refused
+    "tfmsm-angle-count-not-an-int": _classify_doctored("tfmsm", _hyper(angle_count=[2])),
     "tfmsm-angle-count-zero": _classify_doctored("tfmsm", _hyper(angle_count=0)),
     "tfmsm-angle-count-true": _classify_doctored("tfmsm", _hyper(angle_count=True)),
+    "tfmsm-angle-count-two": _classify_doctored("tfmsm", _hyper(angle_count=2)),
     "sa-embed-dim-zero": _classify_doctored("sa", _hyper(embed_dim=0)),
     "msm-class-dim-not-an-int": _classify_doctored("msm", _hyper(class_dim="x")),
     # would normalize, as any value but false does
@@ -576,7 +583,6 @@ BAD_INPUTS = {
     "train-epochs-zero": _refused("train", "--strategy", "svm", "--epochs", "0"),
     "train-class-dim-zero": _refused("train", "--strategy", "msm", "--class-dim", "0"),
     "train-query-dim-negative": _refused("train", "--strategy", "msm", "--query-dim", "-3"),
-    "train-angle-count-zero": _refused("train", "--strategy", "msm", "--angle-count", "0"),
     "train-rank-zero": _refused("train", "--strategy", "lsa", "--rank", "0"),
     "eval-grid-reg-zero": _refused("eval", "--strategy", "svm", "--grid-reg", "0"),
     "eval-grid-class-dim-negative": _refused("eval", "--strategy", "msm",
@@ -610,7 +616,6 @@ BAD_INPUTS = {
     "train-sa-query-dim": _refused("train", "--strategy", "sa", "--query-dim", "10"),
     "train-msm-epochs": _refused("train", "--strategy", "msm", "--epochs", "3"),
     "train-lsa-class-dim": _refused("train", "--strategy", "lsa", "--class-dim", "5"),
-    "train-svm-angle-count": _refused("train", "--strategy", "svm", "--angle-count", "1"),
     "train-svm-rank-at-its-default": _refused("train", "--strategy", "svm", "--rank", "130"),
     "train-mnb-seed": _refused("train", "--strategy", "mnb", "--seed", "7"),
     "train-msm-seed-at-its-default": _refused("train", "--strategy", "msm", "--seed", "42"),
@@ -660,8 +665,10 @@ def test_loaded_basis_refusal_names_its_entry(case, entry, workspace, tmp_path, 
 @pytest.mark.parametrize("case,message", [
     ("msm-query-dim-zero", "query_dim must be a positive integer or null, found 0"),
     ("msm-query-dim-negative", "query_dim must be a positive integer or null, found -3"),
-    ("tfmsm-angle-count-zero", "angle_count must be a positive integer or null, found 0"),
-    ("tfmsm-angle-count-true", "angle_count must be a positive integer or null, found True"),
+    ("tfmsm-angle-count-not-an-int", "angle_count must be null, found [2]"),
+    ("tfmsm-angle-count-zero", "angle_count must be null, found 0"),
+    ("tfmsm-angle-count-true", "angle_count must be null, found True"),
+    ("tfmsm-angle-count-two", "angle_count must be null, found 2"),
     ("sa-embed-dim-zero", "embed_dim must be a positive integer, found 0"),
     ("msm-class-dim-not-an-int", "class_dim must be a positive integer or null, found 'x'"),
     ("msm-normalize-not-a-bool", "normalize must be a boolean, found 'off'"),
