@@ -14,20 +14,19 @@ sha256 of the label column ``wordspace classify`` prints for a model
 ``wordspace train`` built at its defaults: every strategy on the short
 shape's first 500 stream documents, and the long-docs strategies on
 the long shape's 150.  Under its ``classify_scores`` key it holds the
-score column of those same runs, parsed as floats (null where a
-document is unclassifiable).  The scores are compared to within
-`SCORE_ATOL`, a few units in the sixth decimal that ``classify``
-prints, so a BLAS build that rounds differently still passes while a
-change to the scoring arithmetic does not.  A change that moves a pin
-updates the file in the same commit; ``python tests/test_pins.py``
-rewrites it.
+score column of those same runs, parsed as floats, which are compared
+to within `SCORE_ATOL`: a few units in the sixth decimal that
+``classify`` prints, so a BLAS build that rounds differently still
+passes while a change to the scoring arithmetic does not.  A change
+that moves a pin updates the file in the same commit; ``python
+tests/test_pins.py`` rewrites it.
 """
 
 import contextlib
+import functools
 import hashlib
 import io
 import json
-import math
 import os
 import tempfile
 
@@ -109,13 +108,7 @@ def classified(shapes, tmp_path_factory):
     """``(shape, strategy) -> (labels, scores)``, each case run once."""
     root = str(tmp_path_factory.mktemp("classify"))
     files = {shape: _write_files(shapes, shape, root) for shape in CLASSIFIED_DOCS}
-    runs = {}
-
-    def columns(shape, strategy):
-        if (shape, strategy) not in runs:
-            runs[shape, strategy] = _classify_columns(files[shape], strategy, root)
-        return runs[shape, strategy]
-    return columns
+    return functools.cache(lambda shape, strategy: _classify_columns(files[shape], strategy, root))
 
 
 @pytest.mark.parametrize("shape,strategy", CASES)
@@ -138,9 +131,8 @@ def test_classify_scores_match_their_pins(shape, strategy, classified):
     with open(PINS) as fh:
         pins = json.load(fh)
     _, scores = classified(shape, strategy)
-    # null pins read as NaN, which equals NaN here
-    want = np.array(pins["classify_scores"][shape][strategy], dtype=np.float64)
-    np.testing.assert_allclose(scores, want, rtol=0, atol=SCORE_ATOL)
+    np.testing.assert_allclose(scores, pins["classify_scores"][shape][strategy],
+                               rtol=0, atol=SCORE_ATOL)
 
 
 if __name__ == "__main__":
@@ -153,8 +145,7 @@ if __name__ == "__main__":
         for shape, strategy in CLASSIFY_CASES:
             labels, scores = _classify_columns(files[shape], strategy, root)
             pins.setdefault("classify", {}).setdefault(shape, {})[strategy] = _label_hash(labels)
-            pins.setdefault("classify_scores", {}).setdefault(shape, {})[strategy] = \
-                [None if math.isnan(score) else score for score in scores]
+            pins.setdefault("classify_scores", {}).setdefault(shape, {})[strategy] = scores
     with open(PINS, "w") as fh:
         json.dump(pins, fh, indent=2, sort_keys=True)
         fh.write("\n")
