@@ -58,6 +58,10 @@ class NaiveBayesModel:
     def strategy(self):
         return self.kind
 
+    def decision_matrix(self, feats) -> np.ndarray:
+        """Log-space scores of every (row, class) pair of ``feats``."""
+        return self._base + feats @ self._table
+
     def predict(self, tokens, table=None) -> Prediction:
         # a non-finite score is refused by make_prediction, not warned about
         with np.errstate(over="ignore", invalid="ignore"):

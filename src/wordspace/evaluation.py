@@ -3,9 +3,9 @@
 The evaluation protocol builds a fixed number of independent random
 train/validation/test splits (60/20/20), selects hyperparameters per
 fold by validation accuracy, scores the test split with the selected
-model, and aggregates mean/std accuracy.  Documents that cannot be
-classified (empty or fully out-of-vocabulary) count as errors and are
-reported separately.
+model (mvb, mnb, lsa and svm with one product, the others per document)
+and aggregates mean/std accuracy.  Documents that cannot be classified
+(empty or fully out-of-vocabulary) count as errors, reported separately.
 
 `STRATEGIES` is the one table of what each strategy name means: how to
 fit it, how to select its hyperparameters on a fold, its default grid,
@@ -161,6 +161,25 @@ def _subspace_fold(strategy, train_c, val_docs, val_queries, table, grid, featur
     return model, params, []
 
 
+def _row_labels(model, feats):
+    """Each row's label from an mvb, mnb, lsa or svm model's one
+    `decision_matrix` product, as `predict` gives it: the first best
+    class, None for an lsa zero projection, or `make_prediction`'s error."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = model.decision_matrix(feats)
+    zero = np.isnan(scores[:, 0]) & (model.strategy == "lsa")
+    bad = ~np.isfinite(scores).all(axis=1) & ~zero
+    if bad.any():  # raises the per-document error
+        classifiers.make_prediction(model.classes, scores[bad][0])
+    return np.where(zero, None, np.asarray(model.classes, dtype=object)[scores.argmax(axis=1)])
+
+
+def _most_hits(models, feats, docs):
+    """Index of the first of ``models`` to label the most ``docs`` right from ``feats``."""
+    labels = [doc.label for doc in docs]
+    return int(np.argmax([np.count_nonzero(_row_labels(m, feats) == labels) for m in models]))
+
+
 def _lsa_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
               normalize, seed):
     spec = fit_feature_spec(feature, train_c, table, normalize)
@@ -173,22 +192,8 @@ def _lsa_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
     if not feasible:
         raise DataError(f"every grid rank exceeds the numerical rank {full.rank}")
 
-    # query coordinates at the largest rank, scored one product per rank on
-    # blocks of rows that keep each cosine matrix near 2^20 entries
-    projections = feature_matrix(spec, val_docs, table) @ full.basis
-    labels = np.asarray([doc.label for doc in val_docs], dtype=object)
-    classes = np.asarray(full.classes, dtype=object)
-    block = max(1, 2**20 // len(full.labels))
     models = [full.truncated(k) for k in feasible]
-    hits = np.zeros(len(models), dtype=np.int64)
-    for start in range(0, len(val_docs), block):
-        rows = slice(start, start + block)
-        for i, model in enumerate(models):
-            scores = model.class_scores_from_projection(projections[rows])
-            # a zero projection (NaN row) counts as wrong
-            hits[i] += np.count_nonzero((classes[np.argmax(scores, axis=1)] == labels[rows])
-                                        & ~np.isnan(scores[:, 0]))
-    best = int(np.argmax(hits))
+    best = _most_hits(models, feature_matrix(spec, val_docs, table), val_docs)
     return models[best], {"rank": feasible[best]}, notes
 
 
@@ -199,15 +204,10 @@ def _svm_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
     docs = list(train_c)
     feats = feature_matrix(spec, docs, table)
     labels = [d.label for d in docs]
-    val_feats = feature_matrix(spec, val_docs, table)
-    val_labels = np.asarray([d.label for d in val_docs], dtype=object)
-    classes = np.asarray(train_c.classes, dtype=object)
 
     # one pass trains every reg: they share the seed, so the visiting order
     models = svm.fit_linear_svm(feats, labels, train_c.classes, spec, regs=regs, seed=seed)
-    hits = [np.sum(classes[np.argmax(m.decision_matrix(val_feats), axis=1)] == val_labels)
-            for m in models]
-    best = int(np.argmax(hits))
+    best = _most_hits(models, feature_matrix(spec, val_docs, table), val_docs)
     return models[best], {"reg": regs[best]}, []
 
 
@@ -432,7 +432,8 @@ class EvalReport:
 def run_experiment(corpus: Corpus, strategy: str, plan: FoldPlan, *, table=None,
                    feature=None, grids=None, normalize=True, seed=DEFAULT_SEED,
                    threads=1) -> EvalReport:
-    """Train/select/test on every fold and aggregate accuracies."""
+    """Train/select/test on every fold and aggregate accuracies; ``threads``
+    reaches only msm, tfmsm and sa, which label a test split per document."""
     if strategy not in STRATEGIES:
         raise ConfigError(f"unknown strategy {strategy!r}")
     entry = STRATEGIES[strategy]
@@ -468,7 +469,9 @@ def run_experiment(corpus: Corpus, strategy: str, plan: FoldPlan, *, table=None,
             except DegenerateQueryError:
                 return None
 
-        predicted = parallel_map(_classify, fold.test, threads)
+        predicted = (_row_labels(model, feature_matrix(model.spec, test_docs, table))
+                     if hasattr(model, "decision_matrix")  # mvb, mnb, lsa and svm
+                     else parallel_map(_classify, fold.test, threads))
         n_correct = sum(p == d.label for p, d in zip(predicted, test_docs))
         n_degenerate = sum(p is None for p in predicted)
         accuracies.append(n_correct / len(test_docs))

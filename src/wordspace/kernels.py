@@ -6,8 +6,8 @@ product of one sparse document row with a dense table are the package's
 only such steps.  The row product is one array expression; the grid
 sweep scores every class of a document in one pass over its query
 directions and one prefix sum over the class directions; the hinge SGD
-is one Python pass over the samples that updates every class at every
-regularization strength of a grid at once.
+is one Python pass over the samples (each CSR row sliced once) that
+updates every class at every regularization strength of a grid at once.
 """
 
 import numpy as np
@@ -78,15 +78,14 @@ def hinge_sgd(data, indices, indptr, labels, lams, epochs, order, n_features):
 
     The problems share the visiting order, so the step sizes and each
     strength's running scale (the product of the shrinking factors
-    1 - lr*lam, about 1 / (t + 1)) do not depend on the data and are
-    computed up front; an update touches only the sample's nonzeros.
-    A subnormal lam overflows its first step size and yields non-finite
-    weights, which the caller must check.  Block r is bitwise the
-    weights of a pass with ``lams=[lams[r]]``: every operation is
-    elementwise per block, and each block is scored from its own
-    C-contiguous (nnz, n_classes) slice, as a single-strength pass
-    scores it (one product over all the blocks' columns rounds
-    differently when n_classes is not a multiple of the BLAS unroll).
+    1 - lr*lam, about 1 / (t + 1)) are computed up front; an update
+    touches only the sample's nonzeros, sliced once per call.  A
+    subnormal lam overflows its first step size and yields non-finite
+    weights, which the caller must check.  Block r is the weights of a
+    pass with ``lams=[lams[r]]``: every update is elementwise per block,
+    and a strided product of the same operands scores each block.  The
+    score only gates ``y * score < 1``, so a different summation order
+    can move a weight only through a margin within roundoff of 1.
     """
     labels = np.asarray(labels, dtype=np.float64)
     lams = np.asarray(lams, dtype=np.float64)
@@ -98,13 +97,11 @@ def hinge_sgd(data, indices, indptr, labels, lams, epochs, order, n_features):
     # row j holds feature j's weights in every block: a sample's rows are one gather
     u = np.zeros((n_features + 1, len(lams), labels.shape[1]), dtype=np.float64)
     bias = u[n_features]
-    for t, i in enumerate(order.ravel()):
-        lo, hi = indptr[i], indptr[i + 1]
-        cols = indices[lo:hi]
-        vals = data[lo:hi]
+    rows = [(indices[lo:hi], data[lo:hi]) for lo, hi in zip(indptr[:-1], indptr[1:])]
+    for t, i in enumerate(order.ravel().tolist()):
+        cols, vals = rows[i]
         w = u.take(cols, axis=0)
-        score = scale[t] * (np.matmul(vals, np.ascontiguousarray(w.transpose(1, 0, 2)))
-                            + bias)
+        score = scale[t] * (np.matmul(vals, w.transpose(1, 0, 2)) + bias)
         y = labels[i]
         hit = y * score < 1.0
         if np.count_nonzero(hit):

@@ -18,11 +18,11 @@ because the training vectors lie in the span of ``U_k`` and the
 query's out-of-span component shrinks every cosine by the same factor.
 
 A matrix of query projections is scored with one GEMM against the
-training documents, so an eval fold scores its validation documents at
-one grid rank with one product.  A bag-of-words query is projected from
-its ``(cols, vals)`` row by `kernels.row_product`, bitwise its row of
-the CSR product that projects validation documents; a w2v query by one
-``basis.T @ vec`` product.
+training documents (`decision_matrix`), so an eval fold scores its
+validation documents at one grid rank, and its test documents, with one
+product.  A bag-of-words query is projected from its ``(cols, vals)``
+row by `kernels.row_product`, bitwise its row of the CSR product that
+projects a fold's documents; a w2v query by one ``basis.T @ vec``.
 A container is refused unless its singular values are positive and
 non-increasing, its basis orthonormal and its weighted document norms
 finite.
@@ -167,6 +167,13 @@ class LsaModel:
         scores = np.where(np.isfinite(best), best, -1.0).T
         scores[zero] = np.nan
         return scores
+
+    def decision_matrix(self, feats) -> np.ndarray:
+        """`class_scores_from_projection` of the rows of ``feats``, projected
+        and scored in blocks that keep each cosine matrix near 2^20 entries."""
+        block = max(1, 2**20 // len(self.labels))
+        return np.vstack([self.class_scores_from_projection(feats[i:i + block] @ self.basis)
+                          for i in range(0, max(1, feats.shape[0]), block)])
 
     def predict(self, tokens, table=None) -> Prediction:
         # a non-finite projection is refused, not warned about

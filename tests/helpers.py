@@ -454,6 +454,20 @@ def scores_by_one_row_matrix(model, tokens):
     return model.decision_matrix(row)[0]
 
 
+def labels_per_document(model, docs, table=None):
+    """A fold's test labels as `run_experiment` took them from an mvb,
+    mnb, lsa or svm model before one product scored the split: each
+    document's `predict` label, None when it raises
+    `DegenerateQueryError` (an lsa zero projection)."""
+    labels = []
+    for doc in docs:
+        try:
+            labels.append(model.predict(doc.tokens, table).label)
+        except DegenerateQueryError:
+            labels.append(None)
+    return labels
+
+
 def lsa_class_scores_by_loop(model, projection):
     """`LsaModel.class_scores_from_projection` as it was before the
     masked max: each class's best cosine from its own members, -1.0 when

@@ -1,14 +1,16 @@
 import csv
+import dataclasses
 import io
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from helpers import (
     FUZZ,
+    labels_per_document,
     orthogonal_table,
     report_fitting_queries_per_fold,
     shared_centre_corpus,
@@ -19,15 +21,17 @@ from helpers import (
     synth_corpus,
     whole,
 )
-from wordspace import classifiers, evaluation, lsa
+from wordspace import classifiers, cli, evaluation, lsa
+from wordspace.bayes import train_mnb, train_mvb
 from wordspace.classifiers import class_vectors
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable
-from wordspace.features import fit_feature_spec
+from wordspace.features import feature_matrix, fit_feature_spec
 from wordspace.lsa import train_lsa
 from wordspace.model_io import save_model
 from wordspace.subspace import unit_columns
-from wordspace.errors import DataError, DegenerateTestError
+from wordspace.svm import train_svm
+from wordspace.errors import DataError, DegenerateTestError, NumericalError
 from wordspace.evaluation import (
     DEFAULT_SEED,
     STRATEGIES,
@@ -546,6 +550,153 @@ class TestRunExperiment:
         assert f"accuracy.mean={report.mean_accuracy!r}" in kv
         table_text = report.to_table_text()
         assert "mean accuracy" in table_text
+
+
+WORDS = tuple(f"w{i}" for i in range(6))
+UNSEEN = ("u0", "u1")  # in neither the table nor a training vocabulary
+
+
+@st.composite
+def baseline_test_splits(draw):
+    """``(train corpus, test documents, table)`` of a drawn baseline fold.
+    2-3 classes over six words, with one document repeated under every
+    class (exact ties).  The test documents always include one with no
+    tokens and one of unseen words only (an lsa zero projection), and
+    others of table and unseen words: their exact cosines often tie, so
+    the rounding decides (near-ties for lsa).  Word vectors have small
+    components, and some copy another word's vector a few ulps apart
+    (near-ties for w2v)."""
+    classes = [f"c{j}" for j in range(draw(st.integers(2, 3), label="classes"))]
+    tokens = st.lists(st.sampled_from(WORDS), max_size=5)
+    shared = draw(st.lists(st.sampled_from(WORDS), min_size=1, max_size=5), label="shared")
+    train = [Document(label, words) for label, words in
+             draw(st.lists(st.tuples(st.sampled_from(classes), tokens), max_size=10))]
+    train += [Document(label, shared) for label in classes]
+    test = [Document("c0", words) for words in draw(st.lists(
+        st.lists(st.sampled_from(WORDS + UNSEEN), max_size=6), min_size=1, max_size=8))]
+    test += [Document("c0", ()), Document("c0", UNSEEN[:1])]
+    vectors = np.array(draw(st.lists(st.lists(st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.0]),
+                                              min_size=3, max_size=3),
+                                     min_size=len(WORDS), max_size=len(WORDS))))
+    vectors[~vectors.any(axis=1), 0] = 1.0
+    for i, j, ulps in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                              st.integers(1, 4)), max_size=3)):
+        vectors[i] = vectors[j] + ulps * np.spacing(vectors[j])
+    return Corpus(train), test, EmbeddingTable(list(WORDS), vectors)
+
+
+def _baseline_models(train, table, rank, reg):
+    """mvb and mnb, and lsa and svm with each of binbow, tfidfbow and w2v."""
+    models = [train_mvb(train), train_mnb(train)]
+    for feature in ("binbow", "tfidfbow", "w2v"):
+        spec = fit_feature_spec(feature, train, table)
+        models += [train_lsa(train, spec, rank, table),
+                   train_svm(train, spec, table, reg=reg, epochs=3, seed=rank)]
+    return models
+
+
+# each doctored model scores some test documents non-finite; the message
+# is the per-document path's
+DOCTORED = {
+    "mvb": (lambda m: setattr(m, "_table", np.full_like(m._table, np.nan)),
+            "prediction scores must be finite"),
+    "mnb": (lambda m: setattr(m, "_table", np.full_like(m._table, np.inf)),
+            "prediction scores must be finite"),
+    # every row is NaN throughout, which only an lsa model may call unclassifiable
+    "svm": (lambda m: setattr(m, "offsets", np.full_like(m.offsets, np.nan)),
+            "prediction scores must be finite"),
+    # the squared projection norms overflow
+    "lsa": (lambda m: setattr(m, "basis", np.full_like(m.basis, 1e300)),
+            "lsa query projection is not finite"),
+}
+DOCS_TXT = ["grain wheat corn harvest", "earn profit dividend", "grain corn grain",
+            "earn shares profit earn"] * 6
+
+
+class TestBaselineTestSplitIsOneProduct:
+    """mvb, mnb, lsa and svm label a fold's test split with one product,
+    as each document's `predict` labelled it."""
+
+    @FUZZ
+    @given(baseline_test_splits(), st.integers(1, 4), st.sampled_from([1e-1, 1e-3]))
+    @example((Corpus([Document("c0", ("w0",)), Document("c1", ("w1",)),
+                      Document("c0", ("w0", "w1")), Document("c1", ("w0", "w1"))]),
+              [Document("c0", words) for words in
+               [("w0", "w1"), ("w1", "w0"), ("w0",), (), ("u0",), ("w2",), ("u0", "w1")]],
+              EmbeddingTable(list(WORDS), np.eye(6)[:, :3] + 1.0)),
+             2, 1e-1)                           # exact and rounded ties
+    def test_labels_equal_the_per_document_path(self, case, rank, reg):
+        train, test_docs, table = case
+        for model in _baseline_models(train, table, rank, reg):
+            want = labels_per_document(model, test_docs, table)
+            got = evaluation._row_labels(model, feature_matrix(model.spec, test_docs, table))
+            assert list(got) == want, (model.strategy, model.spec.name)
+
+    def test_lsa_tie_takes_the_first_class_and_zero_projection_none(self):
+        train = Corpus([Document("c0", ("w0",)), Document("c1", ("w0",))])
+        spec = fit_feature_spec("binbow", train)
+        model = train_lsa(train, spec, 1)
+        feats = feature_matrix(spec, [Document("c0", ("w0",)), Document("c0", ("u0",))])
+        [tie, zero] = model.decision_matrix(feats)
+        assert tie[0] == tie[1] and np.isnan(zero).all()
+        assert list(evaluation._row_labels(model, feats)) == ["c0", None]
+
+    @pytest.mark.parametrize("strategy", ["mvb", "mnb", "lsa", "svm"])
+    def test_reports_equal_the_per_document_path(self, strategy):
+        """Every fold's accuracy and unclassifiable count, with a test
+        document of no tokens and one of unseen words only."""
+        corpus = Corpus([Document(line.split()[0], tuple(line.split()[1:]))
+                         for line in DOCS_TXT + ["earn", "grain u0 u1"]])
+        plan = make_folds(corpus, seed=DEFAULT_SEED)
+        grid = _grid(STRATEGIES[strategy], {"rank": (1, 2)})
+        report = run_experiment(corpus, strategy, plan, grids={"rank": (1, 2)})
+        for k, fold in enumerate(plan.folds):
+            model, _, _ = _fit_fold(STRATEGIES[strategy], corpus, fold, grid, None,
+                                    table=None, feature=STRATEGIES[strategy].feature,
+                                    normalize=True, seed=DEFAULT_SEED)
+            test_docs = [corpus.documents[i] for i in fold.test]
+            want = labels_per_document(model, test_docs)
+            assert report.unclassifiable[k] == want.count(None)
+            assert report.accuracies[k] == sum(
+                p == d.label for p, d in zip(want, test_docs)) / len(test_docs)
+
+    @pytest.mark.parametrize("strategy", sorted(DOCTORED))
+    def test_non_finite_scores_fail_as_per_document(self, strategy):
+        doctor, message = DOCTORED[strategy]
+        corpus = Corpus([Document(line.split()[0], tuple(line.split()[1:]))
+                         for line in DOCS_TXT + ["earn"]])
+        fold = make_folds(corpus, seed=DEFAULT_SEED).folds[0]
+        grid = _grid(STRATEGIES[strategy], {"rank": (1, 2)})
+        model, _, _ = _fit_fold(STRATEGIES[strategy], corpus, fold, grid, None, table=None,
+                                feature=STRATEGIES[strategy].feature, normalize=True,
+                                seed=DEFAULT_SEED)
+        doctor(model)
+        docs = list(corpus.documents)
+        with pytest.raises(NumericalError, match=whole(message)) as per_document:
+            labels_per_document(model, docs)
+        with pytest.raises(NumericalError, match=whole(message)) as batched:
+            evaluation._row_labels(model, feature_matrix(model.spec, docs))
+        assert type(batched.value) is type(per_document.value)
+
+    @pytest.mark.parametrize("strategy", sorted(DOCTORED))
+    def test_non_finite_scores_exit_4_through_the_cli(self, strategy, monkeypatch,
+                                                      tmp_path, capsys):
+        doctor, message = DOCTORED[strategy]
+        entry = STRATEGIES[strategy]
+
+        def select(*args):
+            model, params, notes = entry.select(*args)
+            doctor(model)
+            return model, params, notes
+
+        monkeypatch.setitem(STRATEGIES, strategy, dataclasses.replace(entry, select=select))
+        path = tmp_path / "docs.txt"
+        path.write_text("".join(f"{line}\n" for line in DOCS_TXT + ["earn"]))
+        grid = ["--grid-rank", "1,2"] if strategy == "lsa" else []
+        assert cli.main(["eval", "--strategy", strategy, *grid, "--corpus", str(path),
+                         "--out", str(tmp_path / "r")]) == 4
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["docs.txt"]
 
 
 class TestSpectrumReport:

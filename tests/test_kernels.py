@@ -176,3 +176,47 @@ class TestRegBatchedParity:
         for r, lam in ((0, 1e-3), (2, 1e-2)):
             want = hinge_sgd_one_reg(data, indices, indptr, labels, lam, epochs, order, d)
             assert np.array_equal(got[r], want)
+
+
+@st.composite
+def pegasos_cases(draw, n_classes):
+    """``(data, indices, indptr, labels, lams, epochs, order, n_features)``:
+    2-20 samples whose rows hold no nonzero, one, or many (up to all of
+    the 1-12 features), labels of ``n_classes`` classes, 1-5 strengths
+    (repeats allowed) and 1-3 epochs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    d = draw(st.integers(1, 12), label="features")
+    counts = draw(st.lists(st.sampled_from([0, 1, d]) | st.integers(0, d),
+                           min_size=2, max_size=20), label="nonzeros")
+    scale = 10.0 ** draw(st.integers(-2, 2), label="scale")
+    indices = [np.sort(rng.choice(d, c, replace=False)) for c in counts]
+    indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+    data = rng.standard_normal(int(indptr[-1])) * scale
+    classes = rng.integers(0, n_classes, size=len(counts))
+    labels = np.where(classes[:, None] == np.arange(n_classes), 1.0, -1.0)
+    lams = draw(st.lists(st.sampled_from([1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0]),
+                         min_size=1, max_size=5), label="lams")
+    epochs = draw(st.integers(1, 3), label="epochs")
+    order = np.stack([rng.permutation(len(counts)) for _ in range(epochs)]).astype(np.int64)
+    return (data, np.concatenate(indices + [np.zeros(0)]).astype(np.int64), indptr, labels,
+            lams, epochs, order, d)
+
+
+@pytest.mark.parametrize("n_classes", range(2, 10))
+def test_copy_free_step_is_bitwise_the_single_reg_kernel(n_classes):
+    """Scoring every strength from the strided view of the gathered
+    weights keeps each block bitwise the single-strength pass, on both
+    sides of the BLAS kernels' unroll, with empty, one-nonzero and
+    dense rows."""
+
+    @FUZZ
+    @given(pegasos_cases(n_classes))
+    def check(case):
+        data, indices, indptr, labels, lams, epochs, order, d = case
+        got = kernels.hinge_sgd(data, indices, indptr, labels, lams, epochs, order, d)
+        assert got.shape == (len(lams), d + 1, n_classes)
+        for r, lam in enumerate(lams):
+            want = hinge_sgd_one_reg(data, indices, indptr, labels, lam, epochs, order, d)
+            assert got[r].tobytes() == want.tobytes()
+
+    check()
