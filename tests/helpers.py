@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
-from wordspace import classifiers, evaluation
+from wordspace import classifiers, evaluation, lsa, svm
 from wordspace.bayes import NaiveBayesModel
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable, _is_int, _parse_header_tokens
@@ -687,7 +687,9 @@ def subspace_fold_by_class_loop(strategy, train_c, val_docs, val_queries, table,
     """`evaluation._subspace_fold` as it was before one kernel call scored
     every class: per validation document, one `grid_by_class_loop` call
     per class, stacked, and the first class with the highest score at
-    each grid point."""
+    each grid point.  Returns ``(model, params, notes, correct)``, where
+    ``correct`` is the validation hit count at every (class dim, query
+    dim) point, with its own argmax."""
     class_dims = tuple(sorted(set(grid["class_dim"])))
     query_dims = tuple(sorted(set(grid["query_dim"])))
     full = strategy.fit(train_c, table, feature, normalize,
@@ -721,7 +723,47 @@ def subspace_fold_by_class_loop(strategy, train_c, val_docs, val_queries, table,
         strategy.name, full.classes, subspaces, class_dim=params["class_dim"],
         query_dim=params["query_dim"], normalize=normalize, embed_dim=full.embed_dim,
     )
-    return model, params, []
+    return model, params, [], correct
+
+
+def _validation_hits(models, feats, docs):
+    labels = [doc.label for doc in docs]
+    return [np.count_nonzero(evaluation._row_labels(m, feats) == labels) for m in models]
+
+
+def lsa_fold_by_argmax(strategy, train_c, val_docs, val_queries, table, grid, feature,
+                       normalize, seed):
+    """`evaluation._lsa_fold` as it was before one rule chose every
+    fold's point: one factorization at the largest feasible rank, a model
+    per feasible rank, and its own argmax over their validation hits.
+    Returns ``(model, params, notes)``."""
+    spec = fit_feature_spec(feature, train_c, table, normalize)
+    ranks = tuple(sorted(set(grid["rank"])))
+    full = lsa.train_lsa(train_c, spec, max(ranks), table)
+    feasible = [k for k in ranks if k <= full.rank]
+    notes = [f"rank={k} infeasible (numerical rank {full.rank})"
+             for k in ranks if k > full.rank]
+    if not feasible:
+        raise DataError(f"every grid rank exceeds the numerical rank {full.rank}")
+    models = [full.truncated(k) for k in feasible]
+    best = int(np.argmax(_validation_hits(models, feature_matrix(spec, val_docs, table),
+                                          val_docs)))
+    return models[best], {"rank": feasible[best]}, notes
+
+
+def svm_fold_by_argmax(strategy, train_c, val_docs, val_queries, table, grid, feature,
+                       normalize, seed):
+    """`evaluation._svm_fold` as it was before one rule chose every fold's
+    point: one batched pass over the reg grid as given, and its own argmax
+    over the models' validation hits.  Returns ``(model, params, notes)``."""
+    spec = fit_feature_spec(feature, train_c, table, normalize)
+    regs = grid["reg"]
+    docs = list(train_c)
+    models = svm.fit_linear_svm(feature_matrix(spec, docs, table), [d.label for d in docs],
+                                train_c.classes, spec, regs=regs, seed=seed)
+    best = int(np.argmax(_validation_hits(models, feature_matrix(spec, val_docs, table),
+                                          val_docs)))
+    return models[best], {"reg": regs[best]}, []
 
 
 def load_binary_by_record(source):

@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 from helpers import (
     FUZZ,
     labels_per_document,
+    lsa_fold_by_argmax,
     orthogonal_table,
     report_fitting_queries_per_fold,
     shared_centre_corpus,
     shared_vocabulary_corpus,
     spectrum_by_eigvalsh,
     subspace_fold_by_class_loop,
+    svm_fold_by_argmax,
     svm_fold_per_reg,
     synth_corpus,
     whole,
@@ -31,7 +33,7 @@ from wordspace.lsa import train_lsa
 from wordspace.model_io import save_model
 from wordspace.subspace import unit_columns
 from wordspace.svm import train_svm
-from wordspace.errors import DataError, DegenerateTestError, NumericalError
+from wordspace.errors import DataError, DegenerateTestError, NumericalError, WordspaceError
 from wordspace.evaluation import (
     DEFAULT_SEED,
     STRATEGIES,
@@ -279,13 +281,20 @@ class TestSvmFoldIsOnePass:
 
 
 @st.composite
-def subspace_folds(draw):
-    """``(strategy, normalize, train corpus, validation documents, table,
-    grid)`` of a drawn msm/tfmsm fold.  The table has 3-10 words in 2-5
-    dims, with small integer components (exact ties between classes) or
-    Gaussian ones.  Each of the 2-4 classes has training documents of
-    table words; the validation documents may hold an out-of-vocabulary
-    word, and one holds nothing else.  Each grid axis has 1-4 points."""
+def selection_folds(draw, strategy):
+    """``(feature, normalize, corpus, fold, table, grids)`` of a drawn
+    ``strategy`` (msm, tfmsm, lsa or svm) fold whose test split is empty.  The
+    table has 3-10 words in 2-5 dims, with small integer components
+    (exact ties between classes) or Gaussian ones.  Each of the 2-4
+    classes has training documents of table words; the validation
+    documents may hold an out-of-vocabulary word, and one holds nothing
+    else.  One more document stands in both splits under c0 and under
+    c1, so its scores tie and one of its copies is wrong at every point.
+    The dimension and rank axes have 1-4 values, repeats allowed and
+    unsorted, that run past the fold's caps, where points tie; the reg
+    axis has 1-4 distinct strengths in drawn order."""
+    feature = ("w2v" if strategy in ("msm", "tfmsm")
+               else draw(st.sampled_from(("binbow", "tfidfbow", "w2v"))))
     dim, n_words = draw(st.integers(2, 5)), draw(st.integers(3, 10))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -294,42 +303,74 @@ def subspace_folds(draw):
     else:
         vectors = rng.standard_normal((n_words, dim))
     words = [f"w{i}" for i in range(n_words)]
+
+    def tokens(vocab):
+        return tuple(vocab[t] for t in draw(st.lists(st.integers(0, len(vocab) - 1),
+                                                     min_size=1, max_size=5)))
+
     n_classes = draw(st.integers(2, 4))
-    train = [Document(f"c{i % n_classes}", tuple(
-                 words[t] for t in draw(st.lists(st.integers(0, n_words - 1),
-                                                 min_size=1, max_size=5))))
+    train = [Document(f"c{i % n_classes}", tokens(words))
              for i in range(draw(st.integers(n_classes, 3 * n_classes)))]
-    val_docs = [Document(f"c{draw(st.integers(0, n_classes - 1))}", tuple(
-                    (words + ["oov"])[t] for t in draw(st.lists(st.integers(0, n_words),
-                                                                min_size=1, max_size=5))))
+    val_docs = [Document(f"c{draw(st.integers(0, n_classes - 1))}", tokens(words + ["oov"]))
                 for _ in range(draw(st.integers(1, 12)))]
     val_docs.insert(draw(st.integers(0, len(val_docs))), Document("c0", ("oov",)))
-    grid = {axis: tuple(draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)))
-            for axis in ("class_dim", "query_dim")}
-    return (draw(st.sampled_from(("msm", "tfmsm"))), draw(st.booleans()), Corpus(train),
-            val_docs, EmbeddingTable(words, vectors), grid)
+    shared = tokens(words)
+    for docs in (train, val_docs):
+        for label in ("c0", "c1"):
+            docs.insert(draw(st.integers(0, len(docs))), Document(label, shared))
+    grids = {axis: tuple(draw(st.lists(st.integers(1, top), min_size=1, max_size=4)))
+             for axis, top in (("class_dim", 6), ("query_dim", 6), ("rank", 8))}
+    grids["reg"] = tuple(draw(st.lists(st.sampled_from((1.0, 1e-1, 1e-2, 1e-3, 1e-4, 1e-5)),
+                                       min_size=1, max_size=4, unique=True)))
+    corpus = Corpus(train + val_docs)
+    fold = Fold(np.arange(len(train)), np.arange(len(train), len(corpus)), np.arange(0))
+    return feature, draw(st.booleans()), corpus, fold, EmbeddingTable(words, vectors), grids
 
 
-class TestSubspaceFoldParity:
-    """One grid call per validation document selects as the per-class loop did."""
+SELECTORS_BY_ARGMAX = {"msm": subspace_fold_by_class_loop,
+                       "tfmsm": subspace_fold_by_class_loop,
+                       "lsa": lsa_fold_by_argmax, "svm": svm_fold_by_argmax}
 
+
+def _outcome(call, *args, **kwargs):
+    """``call``'s result, or the type and message of the `WordspaceError` it raised."""
+    try:
+        return call(*args, **kwargs)
+    except WordspaceError as err:
+        return type(err), str(err)
+
+
+class TestSelectionParity:
+    """`_fit_fold` selects each fold's point, and builds its model, as each
+    selector did with its own argmax (the subspace one scoring every class
+    in a loop)."""
+
+    @pytest.mark.parametrize("strategy", sorted(SELECTORS_BY_ARGMAX))
     @FUZZ
-    @given(subspace_folds())
-    def test_params_and_bases_equal_the_class_loop(self, case):
-        strategy, normalize, train_c, val_docs, table, grid = case
+    @given(data=st.data())
+    def test_first_best_point_equals_the_selectors_own_argmax(self, strategy, data):
+        feature, normalize, corpus, fold, table, grids = data.draw(selection_folds(strategy))
         entry = STRATEGIES[strategy]
-        queries = _fit_queries(Corpus(val_docs), table, strategy, normalize,
-                               max(grid["query_dim"]))
-        assert queries.count(None) >= 1
-        args = (entry, train_c, val_docs, queries, table, grid, "w2v", normalize,
-                DEFAULT_SEED)
-        got, got_params, _ = evaluation._subspace_fold(*args)
-        want, want_params, _ = subspace_fold_by_class_loop(*args)
-        assert got_params == want_params
-        (got_hyper, got_arrays), (want_hyper, want_arrays) = got.container(), want.container()
-        assert got_hyper == want_hyper
-        assert got_arrays.keys() == want_arrays.keys()
-        for name, array in got_arrays.items():
+        grid = _grid(entry, grids)
+        queries = (_fit_queries(corpus, table, strategy, normalize, max(grid["query_dim"]))
+                   if "query_dim" in grid else None)
+        val_docs = [corpus.documents[i] for i in fold.validation]
+        val_queries = None if queries is None else [queries[i] for i in fold.validation]
+        got = _outcome(_fit_fold, entry, corpus, fold, grid, queries, table=table,
+                       feature=feature, normalize=normalize, seed=DEFAULT_SEED)
+        want = _outcome(SELECTORS_BY_ARGMAX[strategy], entry, corpus.subset(fold.train),
+                        val_docs, val_queries, table, grids, feature, normalize,
+                        DEFAULT_SEED)
+        if isinstance(want[0], type):  # both refuse the fold alike
+            assert got == want
+            return
+        (model, params, notes), (want_model, want_params, want_notes) = got, want[:3]
+        assert repr(params) == repr(want_params)  # plain ints and floats
+        assert notes == want_notes
+        (hyper, arrays), (want_hyper, want_arrays) = model.container(), want_model.container()
+        assert repr(hyper) == repr(want_hyper)
+        assert arrays.keys() == want_arrays.keys()
+        for name, array in arrays.items():
             assert np.asarray(array).tobytes() == np.asarray(want_arrays[name]).tobytes()
 
 
