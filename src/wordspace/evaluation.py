@@ -89,13 +89,14 @@ def check_positive(name, value):
 
 
 def _grid(strategy, grids):
-    """The strategy's validation grid: each axis from ``grids`` or the default."""
+    """The strategy's validation grid: each axis from ``grids`` or the
+    default, without repeats, and ascending but for reg (see `_fit_fold`)."""
     grid = {}
     for key, default in strategy.grid.items():
-        values = tuple(grids.get(key, default) if grids else default)
+        values = [check_positive(key, v) for v in (grids or {}).get(key, default)]
         if not values:
             raise ConfigError(f"empty hyperparameter grid for {key!r}")
-        grid[key] = tuple(check_positive(key, v) for v in values)
+        grid[key] = tuple(dict.fromkeys(values if key == "reg" else sorted(values)))
     return grid
 
 
@@ -124,13 +125,13 @@ def _fit_queries(corpus, table, strategy, normalize, max_dim):
 def _fixed_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
                 normalize, seed):
     """A strategy without a grid: the fold's model is its plain fit."""
-    return strategy.fit(train_c, table, feature, normalize, {}), {}, []
+    return (np.zeros((), dtype=np.int64),
+            lambda params: strategy.fit(train_c, table, feature, normalize, params), [])
 
 
 def _subspace_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
                    normalize, seed):
-    class_dims = tuple(sorted(set(grid["class_dim"])))
-    query_dims = tuple(sorted(set(grid["query_dim"])))
+    class_dims, query_dims = grid["class_dim"], grid["query_dim"]
     full = strategy.fit(train_c, table, feature, normalize,
                         {"class_dim": max(class_dims)})
 
@@ -148,17 +149,12 @@ def _subspace_fold(strategy, train_c, val_docs, val_queries, table, grid, featur
                                       mc_arr, mq_arr)
         correct += classes[np.argmax(scores, axis=0)] == doc.label
 
-    i, j = np.unravel_index(np.argmax(correct), correct.shape)
-    params = {"class_dim": class_dims[i], "query_dim": query_dims[j]}
-    subspaces = {
-        label: sub.truncated(min(params["class_dim"], sub.dimension))
-        for label, sub in full.subspaces.items()
-    }
-    model = classifiers.SubspaceModel(
-        strategy.name, full.classes, subspaces, class_dim=params["class_dim"],
-        query_dim=params["query_dim"], normalize=normalize, embed_dim=full.embed_dim,
-    )
-    return model, params, []
+    def build(params):
+        subspaces = {label: sub.truncated(min(params["class_dim"], sub.dimension))
+                     for label, sub in full.subspaces.items()}
+        return classifiers.SubspaceModel(strategy.name, full.classes, subspaces, **params,
+                                         normalize=normalize, embed_dim=full.embed_dim)
+    return correct, build, []
 
 
 def _row_labels(model, feats):
@@ -174,16 +170,16 @@ def _row_labels(model, feats):
     return np.where(zero, None, np.asarray(model.classes, dtype=object)[scores.argmax(axis=1)])
 
 
-def _most_hits(models, feats, docs):
-    """Index of the first of ``models`` to label the most ``docs`` right from ``feats``."""
+def _hits(models, feats, docs):
+    """How many of ``docs`` each of ``models`` labels right from ``feats``."""
     labels = [doc.label for doc in docs]
-    return int(np.argmax([np.count_nonzero(_row_labels(m, feats) == labels) for m in models]))
+    return np.array([np.count_nonzero(_row_labels(m, feats) == labels) for m in models])
 
 
 def _lsa_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
               normalize, seed):
     spec = fit_feature_spec(feature, train_c, table, normalize)
-    ranks = tuple(sorted(set(grid["rank"])))
+    ranks = grid["rank"]
     # one factorization, capped at the numerical rank; lower ranks are its prefixes
     full = lsa.train_lsa(train_c, spec, max(ranks), table)
     feasible = [k for k in ranks if k <= full.rank]
@@ -192,9 +188,10 @@ def _lsa_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
     if not feasible:
         raise DataError(f"every grid rank exceeds the numerical rank {full.rank}")
 
-    models = [full.truncated(k) for k in feasible]
-    best = _most_hits(models, feature_matrix(spec, val_docs, table), val_docs)
-    return models[best], {"rank": feasible[best]}, notes
+    hits = np.full(len(ranks), -1, dtype=np.int64)
+    hits[[k <= full.rank for k in ranks]] = _hits(
+        [full.truncated(k) for k in feasible], feature_matrix(spec, val_docs, table), val_docs)
+    return hits, lambda params: full.truncated(params["rank"]), notes
 
 
 def _svm_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
@@ -202,13 +199,11 @@ def _svm_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
     spec = fit_feature_spec(feature, train_c, table, normalize)
     regs = grid["reg"]
     docs = list(train_c)
-    feats = feature_matrix(spec, docs, table)
-    labels = [d.label for d in docs]
-
     # one pass trains every reg: they share the seed, so the visiting order
-    models = svm.fit_linear_svm(feats, labels, train_c.classes, spec, regs=regs, seed=seed)
-    best = _most_hits(models, feature_matrix(spec, val_docs, table), val_docs)
-    return models[best], {"reg": regs[best]}, []
+    models = svm.fit_linear_svm(feature_matrix(spec, docs, table), [d.label for d in docs],
+                                train_c.classes, spec, regs=regs, seed=seed)
+    hits = _hits(models, feature_matrix(spec, val_docs, table), val_docs)
+    return hits, lambda params: models[regs.index(params["reg"])], []
 
 
 # Fits at given hyperparameters: ``fit(corpus, table, feature, normalize,
@@ -273,7 +268,7 @@ class Strategy:
     any_feature: bool   # accepts features other than its default
     grid: dict          # validation grid: axis -> default values
     fit: Callable       # fit at given hyperparameters (see above)
-    select: Callable    # one fold: (model, selected params, notes)
+    select: Callable    # one fold: (hits, build, notes), see `_fit_fold`
     model: type         # class that reads the strategy's model container
     settings: tuple = ()  # the `HYPERPARAMETERS` (and "seed") its ``fit`` reads
     summary: Callable = _document_count  # per-class line of ``wordspace train``
@@ -351,18 +346,21 @@ def _fit_fold(strategy, corpus, fold, grid, queries, *, table, feature, normaliz
     maximizing validation accuracy for one fold.
 
     ``queries`` is the run's `_fit_queries` list for a strategy with a
-    ``query_dim`` axis, None otherwise.  ``notes`` lists grid points
-    that were skipped as infeasible.  Every selector counts validation
-    hits in grid order and keeps the first best point.  The dimension
-    and rank grids are sorted ascending, so ties go to the smallest
-    class dimension, then the smallest query dimension, and to the
-    smallest rank; the reg grid keeps the order it is given in.
+    ``query_dim`` axis, None otherwise.  The selector returns ``(hits,
+    build, notes)``: the validation hits, one axis per grid axis (0-d and
+    not counted without a grid, -1 at an infeasible point), the fold's
+    model at given ``params``, and notes naming the infeasible points.
+    The first best point in grid order wins: ties go to the smallest
+    class dim, then query dim, to the smallest rank and the first reg.
     """
     train_c = corpus.subset(fold.train)
     val_docs = [corpus.documents[i] for i in fold.validation]
     val_queries = None if queries is None else [queries[i] for i in fold.validation]
-    return strategy.select(strategy, train_c, val_docs, val_queries, table, grid,
-                           feature, normalize, seed)
+    hits, build, notes = strategy.select(strategy, train_c, val_docs, val_queries, table,
+                                         grid, feature, normalize, seed)
+    point = np.unravel_index(np.argmax(hits), hits.shape)
+    params = {axis: values[i] for (axis, values), i in zip(grid.items(), point)}
+    return build(params), params, notes
 
 
 # ---------------------------------------------------------------------------

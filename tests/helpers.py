@@ -424,11 +424,12 @@ def report_fitting_queries_per_fold(corpus, strategy, plan, *, table, grids=None
 
     accuracies, params_per_fold, unclassifiable, test_sizes = [], [], [], []
     for fold in plan.folds:
-        val_docs = [corpus.documents[i] for i in fold.validation]
-        model, params, _ = entry.select(
-            entry, corpus.subset(fold.train), val_docs,
-            [fit_or_none(doc) for doc in val_docs],
-            table, grid, entry.feature, normalize, seed)
+        queries = [None] * len(corpus)
+        for i in fold.validation:
+            queries[i] = fit_or_none(corpus.documents[i])
+        model, params, _ = evaluation._fit_fold(entry, corpus, fold, grid, queries,
+                                                table=table, feature=entry.feature,
+                                                normalize=normalize, seed=seed)
         test_docs = [corpus.documents[i] for i in fold.test]
         predicted = parallel_map(lambda doc: classify(model, doc), test_docs, threads)
         accuracies.append(sum(p == d.label for p, d in zip(predicted, test_docs))

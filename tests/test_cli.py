@@ -952,6 +952,31 @@ def test_grid_flag_sets_each_fold_selection(strategy, axis, workspace, tmp_path)
     assert selected == [f"fold.{i}.selected.{axis}={value!r}" for i in range(10)]
 
 
+def test_repeated_unordered_grid_values_write_the_canonical_reports(tmp_path):
+    """A grid axis drops its repeats, and every axis but reg is sorted, so
+    ``2,1,2`` selects and reports as ``1,2``; ``1e-3,1e-2,1e-3`` as
+    ``1e-3,1e-2``, whose order breaks ties."""
+    rng = np.random.default_rng(77)
+    words = [f"t{i}" for i in range(12)]
+    vec_path = tmp_path / "vecs.txt"
+    save_text(EmbeddingTable(words, rng.standard_normal((12, 6))), vec_path)
+    lines = [f"c{i % 3} " + " ".join(rng.choice(words[3 * (i % 3):][:7], 5))
+             for i in range(45)]
+    corpus_path = _write(tmp_path / "noisy.txt", ("\n".join(lines) + "\n").encode())
+    strategies = ("msm", "tfmsm", "lsa", "svm")
+    grids = {"canonical": ("1,2", "1,2,5", "1,2", "1e-3,1e-2"),
+             "repeated": ("2,1,2", "5,1,2,1", "2,1,2", "1e-3,1e-2,1e-3")}
+    for name, (class_dims, query_dims, ranks, regs) in grids.items():
+        assert main(["eval", "--strategy", ",".join(strategies),
+                     "--grid-class-dim", class_dims, "--grid-query-dim", query_dims,
+                     "--grid-rank", ranks, "--grid-reg", regs, "--embeddings", str(vec_path),
+                     "--corpus", corpus_path, "--out", str(tmp_path / name)]) == 0
+    for strategy in strategies:
+        for kind in ("kv", "txt"):
+            assert (tmp_path / f"repeated.{strategy}.{kind}").read_bytes() == \
+                (tmp_path / f"canonical.{strategy}.{kind}").read_bytes()
+
+
 class TestSpectrum:
     def test_rank_one_class(self, tmp_path, capsys):
         table = EmbeddingTable(["a", "b"], np.eye(2))

@@ -23,7 +23,7 @@ from helpers import (
     synth_corpus,
     whole,
 )
-from wordspace import classifiers, cli, evaluation, lsa
+from wordspace import classifiers, cli, evaluation, lsa, svm
 from wordspace.bayes import train_mnb, train_mvb
 from wordspace.classifiers import class_vectors
 from wordspace.corpus import Corpus, Document
@@ -158,6 +158,73 @@ class TestSelectHyperparams:
         with pytest.raises(DataError,
                            match=whole("every grid rank exceeds the numerical rank 2")):
             _select("lsa", corpus, plan.folds[0], {"rank": (99,)})
+
+
+def _choose(name, hits, grids=None):
+    """The ``params`` `_fit_fold` keeps when strategy ``name``'s selector
+    counts ``hits`` on the grid `_grid` resolves from ``grids``."""
+    hits = np.asarray(hits, dtype=np.int64)
+    entry = dataclasses.replace(
+        STRATEGIES[name], select=lambda *args: (hits, lambda params: params, []))
+    corpus = Corpus([Document(f"c{i % 2}", ("w",)) for i in range(10)])
+    model, params, _ = _fit_fold(entry, corpus, make_folds(corpus, seed=1).folds[0],
+                                 _grid(entry, grids), None, table=None,
+                                 feature=entry.feature, normalize=True, seed=DEFAULT_SEED)
+    assert model is params  # the selector builds the kept point
+    return params
+
+
+class TestFirstBestPoint:
+    """`_fit_fold` keeps the first maximum of a selector's hits in grid
+    order, with the grid's own values."""
+
+    @pytest.mark.parametrize("name", ["sa", "mvb", "mnb"])
+    def test_no_grid_selects_no_setting(self, name):
+        assert _choose(name, 0) == {}
+
+    def test_a_tie_goes_to_the_first_point(self):
+        params = _choose("lsa", [3, 5, 5, 4], {"rank": (40, 20, 10, 30)})
+        assert repr(params) == "{'rank': 20}"  # a plain int
+
+    @pytest.mark.parametrize("hits,want", [
+        ([[0, 2, 2], [2, 0, 0], [0, 2, 0]], {"class_dim": 50, "query_dim": 5}),
+        ([[0, 0, 0], [2, 0, 2], [2, 0, 0]], {"class_dim": 100, "query_dim": 1}),
+    ])
+    def test_a_2d_tie_goes_to_the_smallest_class_dim_then_query_dim(self, hits, want):
+        params = _choose("msm", hits, {"class_dim": (150, 100, 50), "query_dim": (10, 5, 1)})
+        assert params == want
+        assert list(params) == ["class_dim", "query_dim"]
+
+    @pytest.mark.parametrize("hits,rank", [([0, 0, -1], 1), ([-1, 0, -1], 2),
+                                           ([-1, -1, 0], 3)])
+    def test_an_infeasible_point_is_never_chosen(self, hits, rank):
+        assert _choose("lsa", hits, {"rank": (1, 2, 3)}) == {"rank": rank}
+
+    @pytest.mark.parametrize("regs", [(1e-2, 1e-3), (1e-3, 1e-2)])
+    def test_a_reg_tie_goes_to_the_first_reg_as_given(self, regs):
+        params = _choose("svm", [4, 4], {"reg": regs})
+        assert repr(params) == repr({"reg": regs[0]})  # a plain float
+
+    def test_the_grid_drops_repeats_and_sorts_every_axis_but_reg(self):
+        grids = {"class_dim": (2, 1, 2), "query_dim": (5, 1, 2, 1), "rank": (2, 1, 2),
+                 "reg": (1e-3, 1e-2, 1e-3)}
+        assert _grid(STRATEGIES["msm"], grids) == {"class_dim": (1, 2), "query_dim": (1, 2, 5)}
+        assert _grid(STRATEGIES["lsa"], grids) == {"rank": (1, 2)}
+        assert _grid(STRATEGIES["svm"], grids) == {"reg": (1e-3, 1e-2)}
+
+    def test_svm_trains_each_reg_once(self, monkeypatch):
+        corpus = _topic_corpus(3)
+        passes = []
+        fit = svm.fit_linear_svm
+
+        def counting(*args, regs, **kwargs):
+            passes.append(regs)
+            return fit(*args, regs=regs, **kwargs)
+
+        monkeypatch.setattr(svm, "fit_linear_svm", counting)
+        report = run_experiment(corpus, "svm", make_folds(corpus, seed=3),
+                                grids={"reg": (1e-3, 1e-2, 1e-3, 1e-2)})
+        assert passes == [(1e-3, 1e-2)] * len(report.accuracies)
 
 
 def _topic_corpus(seed, n_docs=60, n_classes=4, words_per_class=12, shared=10):
@@ -343,7 +410,7 @@ def _outcome(call, *args, **kwargs):
 class TestSelectionParity:
     """`_fit_fold` selects each fold's point, and builds its model, as each
     selector did with its own argmax (the subspace one scoring every class
-    in a loop)."""
+    in a loop, whose hit counts the selector returns bitwise)."""
 
     @pytest.mark.parametrize("strategy", sorted(SELECTORS_BY_ARGMAX))
     @FUZZ
@@ -372,6 +439,13 @@ class TestSelectionParity:
         assert arrays.keys() == want_arrays.keys()
         for name, array in arrays.items():
             assert np.asarray(array).tobytes() == np.asarray(want_arrays[name]).tobytes()
+        if strategy in ("msm", "tfmsm"):
+            hits, _, _ = entry.select(entry, corpus.subset(fold.train), val_docs,
+                                      val_queries, table, grid, feature, normalize,
+                                      DEFAULT_SEED)
+            want_hits = want[3]
+            assert (hits.dtype, hits.shape) == (want_hits.dtype, want_hits.shape)
+            assert hits.tobytes() == want_hits.tobytes()
 
 
 def _cache_setup(seed=4, dim=8):
@@ -726,9 +800,13 @@ class TestBaselineTestSplitIsOneProduct:
         entry = STRATEGIES[strategy]
 
         def select(*args):
-            model, params, notes = entry.select(*args)
-            doctor(model)
-            return model, params, notes
+            hits, build, notes = entry.select(*args)
+
+            def doctored(params):
+                model = build(params)
+                doctor(model)
+                return model
+            return hits, doctored, notes
 
         monkeypatch.setitem(STRATEGIES, strategy, dataclasses.replace(entry, select=select))
         path = tmp_path / "docs.txt"

@@ -519,9 +519,10 @@ def test_lsa_fold_projects_as_predict(baselines, monkeypatch):
         val_docs = [Document("c0", tuple(tokens)) for tokens in documents]
         for spec in specs:
             seen.clear()
-            model, _, _ = evaluation._lsa_fold(
+            _, build, _ = evaluation._lsa_fold(
                 evaluation.STRATEGIES["lsa"], corpus, val_docs, None, None,
                 {"rank": (8,)}, spec.name, True, 0)
+            model = build({"rank": 8})
             # one grid rank and a few documents: one matrix for the fold
             [matrix] = seen
             seen.clear()

@@ -9,7 +9,9 @@ their bytes.  ``eval_pins.json`` holds their sha256 for every strategy
 on the short shape, and on the long shape for the long-docs strategies
 and for lsa, whose 48-document folds take the Gram route of its
 factorization and skip infeasible grid ranks with a note, at the
-default grids and seed.  Under its ``classify`` key it holds the
+default grids and seed; the short shape's reports also hold when the
+default grids are given twice over and out of order.  Under its
+``classify`` key it holds the
 sha256 of the label column ``wordspace classify`` prints for a model
 ``wordspace train`` built at its defaults: every strategy on the short
 shape's first 500 stream documents, and the long-docs strategies on
@@ -61,9 +63,10 @@ def shapes():
     return _shapes()
 
 
-def _hashes(inputs, shape, strategy):
+def _hashes(inputs, shape, strategy, grids=None):
     table, corpus, _ = inputs[shape]
-    report = run_experiment(corpus, strategy, make_folds(corpus, DEFAULT_SEED), table=table)
+    report = run_experiment(corpus, strategy, make_folds(corpus, DEFAULT_SEED), table=table,
+                            grids=grids)
     return {kind: hashlib.sha256(text.encode()).hexdigest()
             for kind, text in (("kv", report.to_kv_text()), ("txt", report.to_table_text()))}
 
@@ -116,6 +119,23 @@ def test_eval_reports_match_their_pins(shape, strategy, shapes):
     with open(PINS) as fh:
         pins = json.load(fh)
     assert _hashes(shapes, shape, strategy) == pins[shape][strategy]
+
+
+def _repeated(axis, values):
+    """``values`` twice over, and reversed unless ``axis`` is reg, whose
+    order breaks ties."""
+    return tuple(values) * 2 if axis == "reg" else tuple(reversed(values)) * 2
+
+
+@pytest.mark.parametrize("strategy", [name for name, s in STRATEGIES.items() if s.grid])
+def test_repeated_unordered_grids_write_the_pinned_reports(strategy, shapes):
+    """The default grid given twice over and out of order selects, and
+    reports, as the default grid: `kernels.hinge_sgd`, whose strided
+    scores may round differently with more strengths, sees each reg once."""
+    with open(PINS) as fh:
+        pins = json.load(fh)
+    grids = {axis: _repeated(axis, values) for axis, values in STRATEGIES[strategy].grid.items()}
+    assert _hashes(shapes, "short", strategy, grids) == pins["short"][strategy]
 
 
 @pytest.mark.parametrize("shape,strategy", CLASSIFY_CASES)
