@@ -350,14 +350,14 @@ class TestSvmFoldIsOnePass:
 @st.composite
 def selection_folds(draw, strategy):
     """``(feature, normalize, corpus, fold, table, grids)`` of a drawn
-    ``strategy`` (msm, tfmsm, lsa or svm) fold whose test split is empty.  The
-    table has 3-10 words in 2-5 dims, with small integer components
-    (exact ties between classes) or Gaussian ones.  Each of the 2-4
-    classes has training documents of table words; the validation
-    documents may hold an out-of-vocabulary word, and one holds nothing
-    else.  One more document stands in both splits under c0 and under
-    c1, so its scores tie and one of its copies is wrong at every point.
-    The dimension and rank axes have 1-4 values, repeats allowed and
+    msm, tfmsm, lsa or svm fold whose test split is empty.  The table
+    has 3-10 words in 2-5 dims, with small integer components (exact
+    ties between classes) or Gaussian ones.  Each of the 2-4 classes has
+    training documents of table words; the validation documents may
+    hold an out-of-vocabulary word, and one holds nothing else.  One
+    more document stands in both splits under c0 and under c1, so its
+    scores tie and one of its copies is wrong at every point.  The
+    dimension and rank axes have 1-4 values, repeats allowed and
     unsorted, that run past the fold's caps, where points tie; the reg
     axis has 1-4 distinct strengths in drawn order."""
     feature = ("w2v" if strategy in ("msm", "tfmsm")
