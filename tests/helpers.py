@@ -735,8 +735,8 @@ def _validation_hits(models, feats, docs):
 def lsa_fold_by_argmax(strategy, train_c, val_docs, val_queries, table, grid, feature,
                        normalize, seed):
     """`evaluation._lsa_fold` as it was before one rule chose every
-    fold's point: one factorization at the largest feasible rank, a model
-    per feasible rank, and its own argmax over their validation hits.
+    fold's point: one factorization at the largest grid rank, a model per
+    feasible rank, and its own argmax over their validation hits.
     Returns ``(model, params, notes)``."""
     spec = fit_feature_spec(feature, train_c, table, normalize)
     ranks = tuple(sorted(set(grid["rank"])))

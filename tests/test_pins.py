@@ -11,17 +11,17 @@ and for lsa, whose 48-document folds take the Gram route of its
 factorization and skip infeasible grid ranks with a note, at the
 default grids and seed; the short shape's reports also hold when the
 default grids are given twice over and out of order.  Under its
-``classify`` key it holds the
-sha256 of the label column ``wordspace classify`` prints for a model
-``wordspace train`` built at its defaults: every strategy on the short
-shape's first 500 stream documents, and the long-docs strategies on
-the long shape's 150.  Under its ``classify_scores`` key it holds the
-score column of those same runs, parsed as floats, which are compared
-to within `SCORE_ATOL`: a few units in the sixth decimal that
-``classify`` prints, so a BLAS build that rounds differently still
-passes while a change to the scoring arithmetic does not.  A change
-that moves a pin updates the file in the same commit; ``python
-tests/test_pins.py`` rewrites it.
+``classify`` key it holds the sha256 of the label column ``wordspace
+classify`` prints for a model ``wordspace train`` built at its
+defaults: every strategy on the short shape's first 500 stream
+documents, and the long-docs strategies on the long shape's 150.
+Under its ``classify_scores`` key it holds the score column of those
+same runs, parsed as floats, which are compared to within
+`SCORE_ATOL`: a few units in the sixth decimal that ``classify``
+prints, so a BLAS build that rounds differently still passes while a
+change to the scoring arithmetic does not.  A change that moves a pin
+updates the file in the same commit; ``python tests/test_pins.py``
+rewrites it.
 """
 
 import contextlib
