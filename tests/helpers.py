@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 from hypothesis import HealthCheck, settings
 
-from wordspace import classifiers, evaluation, lsa, svm
+from wordspace import bayes, classifiers, evaluation, lsa, svm
 from wordspace.bayes import NaiveBayesModel
 from wordspace.corpus import Corpus, Document
 from wordspace.embeddings import EmbeddingTable, _is_int, _parse_header_tokens
@@ -765,6 +765,49 @@ def svm_fold_by_argmax(strategy, train_c, val_docs, val_queries, table, grid, fe
     best = int(np.argmax(_validation_hits(models, feature_matrix(spec, val_docs, table),
                                           val_docs)))
     return models[best], {"reg": regs[best]}, []
+
+
+def _msm_fit_by_hyper(corpus, table, feature, normalize, hyper):
+    model = classifiers.train_msm(corpus, table, hyper.get("class_dim"), normalize)
+    model.query_dim = hyper.get("query_dim")
+    return model
+
+
+def _tfmsm_fit_by_hyper(corpus, table, feature, normalize, hyper):
+    model = classifiers.train_tfmsm(corpus, table, hyper.get("class_dim"), normalize)
+    model.query_dim = hyper.get("query_dim")
+    return model
+
+
+def _lsa_fit_by_hyper(corpus, table, feature, normalize, hyper):
+    spec = fit_feature_spec(feature, corpus, table, normalize)
+    model = lsa.train_lsa(corpus, spec, hyper["rank"], table)
+    if model.rank < hyper["rank"]:
+        raise NumericalError(f"requested subspace dimension {hyper['rank']} "
+                             f"exceeds the rank cap {model.rank}")
+    return model
+
+
+def _svm_fit_by_hyper(corpus, table, feature, normalize, hyper):
+    spec = fit_feature_spec(feature, corpus, table, normalize)
+    return svm.train_svm(corpus, spec, table, reg=hyper["reg"],
+                         epochs=hyper["epochs"], seed=hyper["seed"])
+
+
+# `Strategy.fit` of each strategy as it was before one fit served a whole
+# grid: ``fit(corpus, table, feature, normalize, hyper)``, the model at the
+# ``wordspace train`` settings in ``hyper`` (class_dim, query_dim, rank,
+# reg, epochs, seed)
+FITS_BY_HYPER = {
+    "msm": _msm_fit_by_hyper,
+    "tfmsm": _tfmsm_fit_by_hyper,
+    "sa": lambda corpus, table, feature, normalize, hyper:
+        classifiers.train_sa(corpus, table, normalize),
+    "mvb": lambda corpus, table, feature, normalize, hyper: bayes.train_mvb(corpus),
+    "mnb": lambda corpus, table, feature, normalize, hyper: bayes.train_mnb(corpus),
+    "lsa": _lsa_fit_by_hyper,
+    "svm": _svm_fit_by_hyper,
+}
 
 
 def load_binary_by_record(source):

@@ -1,19 +1,27 @@
 import argparse
+import contextlib
+import io
 import json
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given
+from hypothesis import strategies as st
 
-from helpers import orthogonal_table, synth_corpus
-from wordspace import cli
+from helpers import FITS_BY_HYPER, FUZZ, orthogonal_table, synth_corpus
+from wordspace import cli, lsa
 from wordspace.cli import main
+from wordspace.corpus import parse_corpus
 from wordspace.embeddings import EmbeddingTable, load_text, save_text
+from wordspace.errors import ConfigError, DataError, NumericalError, WordspaceError
 from wordspace.evaluation import DEFAULT_SEED, HYPERPARAMETERS, STRATEGIES
 from wordspace.model_io import load_model, save_model
 
@@ -189,6 +197,137 @@ def test_train_classify_resave_roundtrip(strategy, workspace, tmp_path, capsys):
     assert {line.split("\t")[1] for line in lines} <= set(model.classes)
     save_model(model, tmp_path / "again.npz")
     assert (tmp_path / "again.npz").read_bytes() == model_path.read_bytes()
+
+
+# exit code of each refusal family, as `cli.main` maps them
+EXIT_CODES = ((ConfigError, 2), (DataError, 3), (NumericalError, 4))
+TRAIN_FEATURES = {"lsa": ("binbow", "tfbow", "tfidfbow", "w2v"),
+                  "svm": ("binbow", "tfbow", "tfidfbow", "w2v")}
+# a drawn value for each train setting
+TRAIN_SETTINGS = {
+    "class_dim": st.integers(1, 8),
+    "query_dim": st.integers(1, 8),
+    "rank": st.integers(1, 12),
+    "reg": st.sampled_from((1.0, 1e-1, 1e-2, 1e-4, 1e-310)),
+    "epochs": st.integers(1, 4),
+    "seed": st.integers(0, 2**32 - 1),
+}
+
+
+@st.composite
+def train_runs(draw, strategy):
+    """``(argv flags, feature, normalize, table, corpus text)`` of a drawn
+    ``wordspace train`` run.  The table has 3-10 words in 2-5 dims; each
+    of the 2-3 classes has 1-5 documents of 1-6 tokens, out-of-vocabulary
+    ones allowed, so an lsa rank may exceed the numerical rank.  Each
+    setting the strategy reads is drawn or left at its default."""
+    dim, n_words = draw(st.integers(2, 5)), draw(st.integers(3, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    words = [f"w{i}" for i in range(n_words)]
+    table = EmbeddingTable(words, rng.standard_normal((n_words, dim)))
+    tokens = st.lists(st.sampled_from(words + ["oov"]), min_size=1, max_size=6)
+    lines = [f"c{c} {' '.join(draw(tokens))}"
+             for c in range(draw(st.integers(2, 3))) for _ in range(draw(st.integers(1, 5)))]
+    feature = draw(st.sampled_from(TRAIN_FEATURES.get(strategy, (STRATEGIES[strategy].feature,))))
+    flags = ["--feature", feature]
+    for name in STRATEGIES[strategy].settings:
+        if draw(st.integers(0, 3)):  # one run in four leaves the flag out
+            flags += [f"--{name.replace('_', '-')}", repr(draw(TRAIN_SETTINGS[name]))]
+    normalize = draw(st.booleans())
+    flags += ["--normalize-vectors", "on" if normalize else "off"]
+    return flags, feature, normalize, table, "".join(f"{line}\n" for line in lines)
+
+
+def _train_outcome(argv):
+    """``(exit code, stderr)`` of ``wordspace train`` run in-process."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("strategy", list(STRATEGIES))
+def test_train_writes_the_fit_of_its_settings(strategy, monkeypatch):
+    """``wordspace train`` writes, byte for byte, the container of the
+    strategy's fit at its settings as `helpers.FITS_BY_HYPER` made it,
+    and refuses where that fit refused, with the same exit code and
+    ``error:`` line (an lsa rank above the numerical rank among them).
+    numpy writes every zip entry with the same fixed date, so equal
+    models give equal bytes.
+
+    Two lsa fits of one corpus may differ within one process, which
+    these fits share:
+    - when ARPACK's Krylov space turns invariant early (tied singular
+      values, as on three one-word documents), it asks for a restart
+      vector that scipy draws from fresh OS entropy (from ARPACK's own
+      saved seed before scipy 1.16).  So `lsa.truncated_svd` is memoized
+      on its whole input: both fits take one factorization of equal
+      matrices, and a different matrix still gets its own;
+    - the projected training documents, ``doc_coords``, of two fits of
+      one corpus with one factorization may still round apart in the
+      last place (up to 1.1e-16 on these corpora).  So that entry is
+      compared to 1e-12 of its largest magnitude, and every other
+      entry, with its dtype and shape, bitwise."""
+    factorizations = {}
+    truncated_svd = lsa.truncated_svd
+
+    def memoized(X, k):
+        dense = X.toarray() if sp.issparse(X) else np.asarray(X)
+        key = (sp.issparse(X), dense.shape, dense.tobytes(), k)
+        if key not in factorizations:
+            factorizations[key] = truncated_svd(X, k)
+        return factorizations[key]
+
+    monkeypatch.setattr(lsa, "truncated_svd", memoized)
+    refusals = []
+
+    @FUZZ
+    @given(train_runs(strategy))
+    def check(run):
+        flags, feature, normalize, table, text = run
+        with tempfile.TemporaryDirectory() as root:
+            corpus_path, vecs_path = os.path.join(root, "c.txt"), os.path.join(root, "v.txt")
+            got_path, want_path = os.path.join(root, "got.npz"), os.path.join(root, "want.npz")
+            with open(corpus_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            save_text(table, vecs_path)
+            got = _train_outcome(["train", "--strategy", strategy, "--corpus", corpus_path,
+                                  "--embeddings", vecs_path, "--out", got_path, *flags])
+            args = cli.build_parser().parse_args(
+                ["train", "--strategy", strategy, "--corpus", corpus_path, "--out", "-", *flags])
+            hyper = {name: hp.default if getattr(args, name) is None else getattr(args, name)
+                     for name, hp in HYPERPARAMETERS.items()}
+            hyper["seed"] = DEFAULT_SEED if args.seed is None else args.seed
+            try:
+                model = FITS_BY_HYPER[strategy](
+                    parse_corpus(corpus_path), load_text(vecs_path) if feature == "w2v" else None,
+                    feature, normalize, hyper)
+                save_model(model, want_path)
+                want = 0, ""
+            except WordspaceError as err:
+                want = next(c for t, c in EXIT_CODES if isinstance(err, t)), f"error: {err}\n"
+            assert got == want
+            if want[0]:
+                refusals.append(want[1])
+                assert not os.path.exists(got_path)
+            elif strategy == "lsa":
+                with np.load(got_path) as got_entries, np.load(want_path) as want_entries:
+                    assert got_entries.files == want_entries.files
+                    for name in got_entries.files:
+                        a, b = got_entries[name], want_entries[name]
+                        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+                        if name == "doc_coords":
+                            np.testing.assert_allclose(a, b, rtol=0,
+                                                       atol=1e-12 * np.abs(b).max(initial=1.0))
+                        else:
+                            assert a.tobytes() == b.tobytes()
+            else:
+                with open(got_path, "rb") as a, open(want_path, "rb") as b:
+                    assert a.read() == b.read()
+
+    check()
+    if strategy == "lsa":
+        assert any("exceeds the rank cap" in err for err in refusals)
 
 
 class RecordingNamespace(argparse.Namespace):
