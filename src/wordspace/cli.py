@@ -83,15 +83,18 @@ def cmd_train(args) -> int:
         if value is not None and name not in strategy.settings:
             raise ConfigError(f"strategy {strategy.name!r} does not read "
                               f"--{name.replace('_', '-')}")
-    hyper = {name: hp.default if given[name] is None else given[name]
-             for name, hp in HYPERPARAMETERS.items()}
-    for name, value in hyper.items():
+    settings = {name: hp.default if given[name] is None else given[name]
+                for name, hp in HYPERPARAMETERS.items()}
+    for name, value in settings.items():
         check_positive(name, value)
-    hyper["seed"] = seed
     corpus = parse_corpus(args.corpus)
     feature = strategy.resolve_feature(args.feature)
     table = _load_embeddings(args) if feature == "w2v" else None
-    model = strategy.fit(corpus, table, feature, args.normalize_vectors == "on", hyper)
+    # the strategy's fit of a one-point grid, as an eval fold fits its grid
+    point = {axis: settings[axis] for axis in strategy.grid}
+    model = strategy.at(strategy.fit(corpus, table, feature, args.normalize_vectors == "on",
+                                     {axis: (value,) for axis, value in point.items()},
+                                     {"epochs": settings["epochs"], "seed": seed}), point)
 
     model_io.save_model(model, args.out)
     print(f"strategy={strategy.name} classes={len(corpus.classes)} "

@@ -7,9 +7,10 @@ model (mvb, mnb, lsa and svm with one product, the others per document)
 and aggregates mean/std accuracy.  Documents that cannot be classified
 (empty or fully out-of-vocabulary) count as errors, reported separately.
 
-`STRATEGIES` is the one table of what each strategy name means: how to
-fit it, how to select its hyperparameters on a fold, its default grid,
-which features it accepts, and which model class reads its container.
+`STRATEGIES` is the one table of what each strategy name means: its one
+fit for a whole grid, how a fold counts its validation hits on that fit,
+how to take the model at one grid point, its default grid, which
+features it accepts, and which model class reads its container.
 `HYPERPARAMETERS` beside it types the settings those fits and grids
 take; the CLI declares its ``train`` and ``eval --grid-*`` flags from it.
 """
@@ -29,7 +30,6 @@ from .errors import (
     DataError,
     DegenerateQueryError,
     DegenerateTestError,
-    NumericalError,
     WordspaceError,
 )
 from .features import fit_feature_spec, feature_matrix
@@ -76,7 +76,7 @@ def make_folds(corpus: Corpus, seed: int) -> FoldPlan:
 
 
 # ---------------------------------------------------------------------------
-# Per-strategy drivers: hyperparameter selection + final model for one fold.
+# Per-strategy fits, validation hits and grid points.
 # ---------------------------------------------------------------------------
 
 def check_positive(name, value):
@@ -122,19 +122,10 @@ def _fit_queries(corpus, table, strategy, normalize, max_dim):
     return queries
 
 
-def _fixed_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
-                normalize, seed):
-    """A strategy without a grid: the fold's model is its plain fit."""
-    return (np.zeros((), dtype=np.int64),
-            lambda params: strategy.fit(train_c, table, feature, normalize, params), [])
-
-
-def _subspace_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
-                   normalize, seed):
+def _subspace_hits(full, grid, val_docs, val_queries, table):
+    """Validation hits at every (class dim, query dim) point of an msm or
+    tfmsm fit at the grid's largest class dim."""
     class_dims, query_dims = grid["class_dim"], grid["query_dim"]
-    full = strategy.fit(train_c, table, feature, normalize,
-                        {"class_dim": max(class_dims)})
-
     classes = np.asarray(full.classes, dtype=object)
     # capped first, as int64 cannot hold every grid value: a class has at most
     # max(class_dims) directions and a query at most embed_dim
@@ -148,13 +139,14 @@ def _subspace_fold(strategy, train_c, val_docs, val_queries, table, grid, featur
         scores = grid_mean_sq_cosines(full.basis_products(query), full.class_dims,
                                       mc_arr, mq_arr)
         correct += classes[np.argmax(scores, axis=0)] == doc.label
+    return correct, []
 
-    def build(params):
-        subspaces = {label: sub.truncated(min(params["class_dim"], sub.dimension))
-                     for label, sub in full.subspaces.items()}
-        return classifiers.SubspaceModel(strategy.name, full.classes, subspaces, **params,
-                                         normalize=normalize, embed_dim=full.embed_dim)
-    return correct, build, []
+
+def _subspace_at(full, params):
+    subspaces = {label: sub.truncated(min(params["class_dim"], sub.dimension))
+                 for label, sub in full.subspaces.items()}
+    return classifiers.SubspaceModel(full.strategy, full.classes, subspaces, **params,
+                                     normalize=full.normalize, embed_dim=full.embed_dim)
 
 
 def _row_labels(model, feats):
@@ -176,79 +168,75 @@ def _hits(models, feats, docs):
     return np.array([np.count_nonzero(_row_labels(m, feats) == labels) for m in models])
 
 
-def _lsa_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
-              normalize, seed):
-    spec = fit_feature_spec(feature, train_c, table, normalize)
+def _lsa_hits(full, grid, val_docs, val_queries, table):
+    """Validation hits at every grid rank of one factorization, -1 above
+    its numerical rank, where lower ranks are its prefixes."""
     ranks = grid["rank"]
-    # one factorization, capped at the numerical rank; lower ranks are its prefixes
-    full = lsa.train_lsa(train_c, spec, max(ranks), table)
     feasible = [k for k in ranks if k <= full.rank]
     notes = [f"rank={k} infeasible (numerical rank {full.rank})"
              for k in ranks if k > full.rank]
     if not feasible:
         raise DataError(f"every grid rank exceeds the numerical rank {full.rank}")
-
     hits = np.full(len(ranks), -1, dtype=np.int64)
     hits[[k <= full.rank for k in ranks]] = _hits(
-        [full.truncated(k) for k in feasible], feature_matrix(spec, val_docs, table), val_docs)
-    return hits, lambda params: full.truncated(params["rank"]), notes
+        [full.truncated(k) for k in feasible], feature_matrix(full.spec, val_docs, table),
+        val_docs)
+    return hits, notes
 
 
-def _svm_fold(strategy, train_c, val_docs, val_queries, table, grid, feature,
-              normalize, seed):
-    spec = fit_feature_spec(feature, train_c, table, normalize)
-    regs = grid["reg"]
-    docs = list(train_c)
-    # one pass trains every reg: they share the seed, so the visiting order
-    models = svm.fit_linear_svm(feature_matrix(spec, docs, table), [d.label for d in docs],
-                                train_c.classes, spec, regs=regs, seed=seed)
-    hits = _hits(models, feature_matrix(spec, val_docs, table), val_docs)
-    return hits, lambda params: models[regs.index(params["reg"])], []
+def _svm_hits(models, grid, val_docs, val_queries, table):
+    return _hits(models, feature_matrix(models[0].spec, val_docs, table), val_docs), []
 
 
-# Fits at given hyperparameters: ``fit(corpus, table, feature, normalize,
-# hyper)``, where ``hyper`` holds the ``wordspace train`` settings
-# (class_dim, query_dim, rank, reg, epochs, seed) or, inside a fold, only
-# what the fold sets.  Modules are looked up at call time so that a caller
-# that rebinds their functions (a tracer) sees every call.
-
-def _fit_msm(corpus, table, feature, normalize, hyper):
-    model = classifiers.train_msm(corpus, table, hyper.get("class_dim"), normalize)
-    model.query_dim = hyper.get("query_dim")
-    return model
+def _no_hits(fitted, grid, val_docs, val_queries, table):
+    """A strategy without a grid: nothing to count."""
+    return np.zeros((), dtype=np.int64), []
 
 
-def _fit_tfmsm(corpus, table, feature, normalize, hyper):
-    model = classifiers.train_tfmsm(corpus, table, hyper.get("class_dim"), normalize)
-    model.query_dim = hyper.get("query_dim")
-    return model
+# Each strategy's one fit: ``fit(corpus, table, feature, normalize, grid,
+# hyper)`` fits what every point of ``grid`` (axis -> values, see `_grid`)
+# is cut from, where ``hyper`` holds svm's epochs and seed, and
+# ``at(fitted, params)`` is the model at one point.  Modules are looked up
+# at call time so that a caller that rebinds their functions (a tracer)
+# sees every call.
+
+def _fit_msm(corpus, table, feature, normalize, grid, hyper):
+    return classifiers.train_msm(corpus, table, max(grid["class_dim"]), normalize)
 
 
-def _fit_sa(corpus, table, feature, normalize, hyper):
+def _fit_tfmsm(corpus, table, feature, normalize, grid, hyper):
+    return classifiers.train_tfmsm(corpus, table, max(grid["class_dim"]), normalize)
+
+
+def _fit_sa(corpus, table, feature, normalize, grid, hyper):
     return classifiers.train_sa(corpus, table, normalize)
 
 
-def _fit_mvb(corpus, table, feature, normalize, hyper):
+def _fit_mvb(corpus, table, feature, normalize, grid, hyper):
     return bayes.train_mvb(corpus)
 
 
-def _fit_mnb(corpus, table, feature, normalize, hyper):
+def _fit_mnb(corpus, table, feature, normalize, grid, hyper):
     return bayes.train_mnb(corpus)
 
 
-def _fit_lsa(corpus, table, feature, normalize, hyper):
+def _fit_lsa(corpus, table, feature, normalize, grid, hyper):
+    # one factorization, capped at the numerical rank
     spec = fit_feature_spec(feature, corpus, table, normalize)
-    model = lsa.train_lsa(corpus, spec, hyper["rank"], table)
-    if model.rank < hyper["rank"]:
-        raise NumericalError(f"requested subspace dimension {hyper['rank']} "
-                             f"exceeds the rank cap {model.rank}")
-    return model
+    return lsa.train_lsa(corpus, spec, max(grid["rank"]), table)
 
 
-def _fit_svm(corpus, table, feature, normalize, hyper):
+def _fit_svm(corpus, table, feature, normalize, grid, hyper):
     spec = fit_feature_spec(feature, corpus, table, normalize)
-    return svm.train_svm(corpus, spec, table, reg=hyper["reg"],
-                         epochs=hyper["epochs"], seed=hyper["seed"])
+    docs = list(corpus)
+    # one pass trains every reg: they share the seed, so the visiting order
+    return svm.fit_linear_svm(feature_matrix(spec, docs, table), [d.label for d in docs],
+                              corpus.classes, spec, regs=grid["reg"],
+                              epochs=hyper["epochs"], seed=hyper["seed"])
+
+
+def _the_fit(fitted, params):
+    return fitted
 
 
 def _document_count(model, corpus, label):
@@ -267,10 +255,11 @@ class Strategy:
     name: str
     any_feature: bool   # accepts features other than its default
     grid: dict          # validation grid: axis -> default values
-    fit: Callable       # fit at given hyperparameters (see above)
-    select: Callable    # one fold: (hits, build, notes), see `_fit_fold`
+    fit: Callable       # the one fit of a whole grid (see above)
     model: type         # class that reads the strategy's model container
-    settings: tuple = ()  # the `HYPERPARAMETERS` (and "seed") its ``fit`` reads
+    select: Callable = _no_hits  # a fold's validation (hits, notes), see `_fit_fold`
+    at: Callable = _the_fit      # the model at one grid point
+    settings: tuple = ()  # the `HYPERPARAMETERS` (and "seed") that set its model
     summary: Callable = _document_count  # per-class line of ``wordspace train``
 
     @property
@@ -299,7 +288,7 @@ class Hyperparameter:
     grid_help: str | None = None  # ``eval --grid-<name>`` help; None: no grid axis
 
 
-# The settings `fit` reads from ``hyper`` besides the seed, in flag order
+# The settings of a ``wordspace train`` model besides the seed, in flag order
 HYPERPARAMETERS = {
     "class_dim": Hyperparameter(int, 150, "class subspace dimension cap (msm/tfmsm)",
                                 "comma-separated class-dimension grid"),
@@ -322,21 +311,21 @@ _SUBSPACE_SETTINGS = ("class_dim", "query_dim")
 
 STRATEGIES = {s.name: s for s in (
     Strategy("msm", any_feature=False, grid=_SUBSPACE_GRID, fit=_fit_msm,
-             select=_subspace_fold, model=classifiers.SubspaceModel,
+             model=classifiers.SubspaceModel, select=_subspace_hits, at=_subspace_at,
              settings=_SUBSPACE_SETTINGS, summary=_subspace_size),
     Strategy("tfmsm", any_feature=False, grid=_SUBSPACE_GRID, fit=_fit_tfmsm,
-             select=_subspace_fold, model=classifiers.SubspaceModel,
+             model=classifiers.SubspaceModel, select=_subspace_hits, at=_subspace_at,
              settings=_SUBSPACE_SETTINGS, summary=_subspace_size),
-    Strategy("sa", any_feature=False, grid={}, fit=_fit_sa, select=_fixed_fold,
+    Strategy("sa", any_feature=False, grid={}, fit=_fit_sa,
              model=classifiers.SimilarityAverageModel),
-    Strategy("mvb", any_feature=False, grid={}, fit=_fit_mvb, select=_fixed_fold,
-             model=bayes.NaiveBayesModel),
-    Strategy("mnb", any_feature=False, grid={}, fit=_fit_mnb, select=_fixed_fold,
-             model=bayes.NaiveBayesModel),
+    Strategy("mvb", any_feature=False, grid={}, fit=_fit_mvb, model=bayes.NaiveBayesModel),
+    Strategy("mnb", any_feature=False, grid={}, fit=_fit_mnb, model=bayes.NaiveBayesModel),
     Strategy("lsa", any_feature=True, grid={"rank": (10, 30, 50, 90, 130, 200)},
-             fit=_fit_lsa, select=_lsa_fold, model=lsa.LsaModel, settings=("rank",)),
+             fit=_fit_lsa, model=lsa.LsaModel, select=_lsa_hits,
+             at=lambda full, params: full.truncated(params["rank"]), settings=("rank",)),
     Strategy("svm", any_feature=True, grid={"reg": (1e-2, 1e-3, 1e-4, 1e-5)},
-             fit=_fit_svm, select=_svm_fold, model=svm.LinearSvmModel,
+             fit=_fit_svm, model=svm.LinearSvmModel, select=_svm_hits,
+             at=lambda models, params: next(m for m in models if m.reg == params["reg"]),
              settings=("reg", "epochs", "seed")),
 )}
 
@@ -346,21 +335,23 @@ def _fit_fold(strategy, corpus, fold, grid, queries, *, table, feature, normaliz
     maximizing validation accuracy for one fold.
 
     ``queries`` is the run's `_fit_queries` list for a strategy with a
-    ``query_dim`` axis, None otherwise.  The selector returns ``(hits,
-    build, notes)``: the validation hits, one axis per grid axis (0-d and
-    not counted without a grid, -1 at an infeasible point), the fold's
-    model at given ``params``, and notes naming the infeasible points.
-    The first best point in grid order wins: ties go to the smallest
-    class dim, then query dim, to the smallest rank and the first reg.
+    ``query_dim`` axis, None otherwise.  The strategy fits the fold's
+    training split once for the whole grid, and its selector counts
+    ``(hits, notes)`` on that fit: the validation hits, one axis per grid
+    axis (0-d and not counted without a grid, -1 at an infeasible point),
+    and notes naming the infeasible points.  The first best point in grid
+    order wins: ties go to the smallest class dim, then query dim, to the
+    smallest rank and the first reg.  The fold's model is the fit at it.
     """
     train_c = corpus.subset(fold.train)
     val_docs = [corpus.documents[i] for i in fold.validation]
     val_queries = None if queries is None else [queries[i] for i in fold.validation]
-    hits, build, notes = strategy.select(strategy, train_c, val_docs, val_queries, table,
-                                         grid, feature, normalize, seed)
+    fitted = strategy.fit(train_c, table, feature, normalize, grid,
+                          {"epochs": HYPERPARAMETERS["epochs"].default, "seed": seed})
+    hits, notes = strategy.select(fitted, grid, val_docs, val_queries, table)
     point = np.unravel_index(np.argmax(hits), hits.shape)
     params = {axis: values[i] for (axis, values), i in zip(grid.items(), point)}
-    return build(params), params, notes
+    return strategy.at(fitted, params), params, notes
 
 
 # ---------------------------------------------------------------------------

@@ -137,8 +137,12 @@ class LsaModel:
         return model
 
     def truncated(self, k: int) -> "LsaModel":
-        """The rank-``k`` model (k <= rank): the leading ``k`` columns of
-        this factorization, as `train_lsa` at rank ``k`` would give."""
+        """The rank-``k`` model: the leading ``k`` columns of this
+        factorization, as `train_lsa` at rank ``k`` would give.  A ``k``
+        above the rank is a `NumericalError`, as a subspace refuses it."""
+        if k > self.rank:
+            raise NumericalError(f"requested subspace dimension {k} "
+                                 f"exceeds the rank cap {self.rank}")
         return LsaModel(self.classes, self.labels, self.basis[:, :k], self.sigma[:k],
                         self.doc_coords[:, :k], self.spec)
 

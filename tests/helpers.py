@@ -693,8 +693,8 @@ def subspace_fold_by_class_loop(strategy, train_c, val_docs, val_queries, table,
     dim) point, with its own argmax."""
     class_dims = tuple(sorted(set(grid["class_dim"])))
     query_dims = tuple(sorted(set(grid["query_dim"])))
-    full = strategy.fit(train_c, table, feature, normalize,
-                        {"class_dim": max(class_dims)})
+    train = {"msm": classifiers.train_msm, "tfmsm": classifiers.train_tfmsm}[strategy.name]
+    full = train(train_c, table, max(class_dims), normalize)
 
     classes = np.asarray(full.classes, dtype=object)
     mc_arr = np.asarray([min(d, int(full.class_dims.max())) for d in class_dims],

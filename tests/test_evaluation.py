@@ -164,13 +164,16 @@ def _choose(name, hits, grids=None):
     """The ``params`` `_fit_fold` keeps when strategy ``name``'s selector
     counts ``hits`` on the grid `_grid` resolves from ``grids``."""
     hits = np.asarray(hits, dtype=np.int64)
+    fitted = object()
     entry = dataclasses.replace(
-        STRATEGIES[name], select=lambda *args: (hits, lambda params: params, []))
+        STRATEGIES[name], fit=lambda *args: fitted,
+        select=lambda fit, *args: (hits, []) if fit is fitted else None,
+        at=lambda fit, params: (fit, params))
     corpus = Corpus([Document(f"c{i % 2}", ("w",)) for i in range(10)])
-    model, params, _ = _fit_fold(entry, corpus, make_folds(corpus, seed=1).folds[0],
-                                 _grid(entry, grids), None, table=None,
-                                 feature=entry.feature, normalize=True, seed=DEFAULT_SEED)
-    assert model is params  # the selector builds the kept point
+    (fit, at_params), params, _ = _fit_fold(
+        entry, corpus, make_folds(corpus, seed=1).folds[0], _grid(entry, grids), None,
+        table=None, feature=entry.feature, normalize=True, seed=DEFAULT_SEED)
+    assert fit is fitted and at_params is params  # the model is the fit at the kept point
     return params
 
 
@@ -440,9 +443,8 @@ class TestSelectionParity:
         for name, array in arrays.items():
             assert np.asarray(array).tobytes() == np.asarray(want_arrays[name]).tobytes()
         if strategy in ("msm", "tfmsm"):
-            hits, _, _ = entry.select(entry, corpus.subset(fold.train), val_docs,
-                                      val_queries, table, grid, feature, normalize,
-                                      DEFAULT_SEED)
+            full = entry.fit(corpus.subset(fold.train), table, feature, normalize, grid, {})
+            hits, _ = entry.select(full, grid, val_docs, val_queries, table)
             want_hits = want[3]
             assert (hits.dtype, hits.shape) == (want_hits.dtype, want_hits.shape)
             assert hits.tobytes() == want_hits.tobytes()
@@ -799,16 +801,12 @@ class TestBaselineTestSplitIsOneProduct:
         doctor, message = DOCTORED[strategy]
         entry = STRATEGIES[strategy]
 
-        def select(*args):
-            hits, build, notes = entry.select(*args)
+        def at(fitted, params):
+            model = entry.at(fitted, params)
+            doctor(model)
+            return model
 
-            def doctored(params):
-                model = build(params)
-                doctor(model)
-                return model
-            return hits, doctored, notes
-
-        monkeypatch.setitem(STRATEGIES, strategy, dataclasses.replace(entry, select=select))
+        monkeypatch.setitem(STRATEGIES, strategy, dataclasses.replace(entry, at=at))
         path = tmp_path / "docs.txt"
         path.write_text("".join(f"{line}\n" for line in DOCS_TXT + ["earn"]))
         grid = ["--grid-rank", "1,2"] if strategy == "lsa" else []

@@ -499,10 +499,11 @@ def test_baseline_rows_equal_one_row_matrix(baselines):
 
 
 def test_lsa_fold_projects_as_predict(baselines, monkeypatch):
-    """A validation row of `_lsa_fold`'s one CSR product, which the fold
-    scores as one matrix, is bitwise the projection `predict` takes from
-    `row_product` and scores as a one-row matrix."""
+    """A validation row of the lsa selector's one CSR product, which the
+    fold scores as one matrix, is bitwise the projection `predict` takes
+    from `row_product` and scores as a one-row matrix."""
     _, specs, corpus = baselines
+    entry = evaluation.STRATEGIES["lsa"]
     words = list(specs[0].terms) + ["oov"]
     seen = []
     real = LsaModel.class_scores_from_projection
@@ -519,10 +520,9 @@ def test_lsa_fold_projects_as_predict(baselines, monkeypatch):
         val_docs = [Document("c0", tuple(tokens)) for tokens in documents]
         for spec in specs:
             seen.clear()
-            _, build, _ = evaluation._lsa_fold(
-                evaluation.STRATEGIES["lsa"], corpus, val_docs, None, None,
-                {"rank": (8,)}, spec.name, True, 0)
-            model = build({"rank": 8})
+            full = entry.fit(corpus, None, spec.name, True, {"rank": (8,)}, {})
+            entry.select(full, {"rank": (8,)}, val_docs, None, None)
+            model = entry.at(full, {"rank": 8})
             # one grid rank and a few documents: one matrix for the fold
             [matrix] = seen
             seen.clear()
