@@ -153,6 +153,10 @@ class SubspaceModel:
             raise FormatError(f"angle_count must be null, found {hyper['angle_count']!r}")
         caps = {name: _positive_int(hyper, name, nullable=True)
                 for name in ("class_dim", "query_dim")}
+        widest = max(sub.dimension for sub in subspaces.values())
+        if caps["class_dim"] is not None and widest > caps["class_dim"]:
+            raise FormatError(f"class_dim must be null or at least the widest class basis "
+                              f"({widest}), found {caps['class_dim']!r}")
         return cls(arrays["strategy"], classes, subspaces, **caps,
                    normalize=normalize, embed_dim=embed_dim)
 

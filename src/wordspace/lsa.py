@@ -123,6 +123,8 @@ class LsaModel:
         spec = FeatureSpec.from_container(arrays)
         basis = container_array(arrays, "basis", spec.width, None)
         rank = basis.shape[1]
+        if not (type(hyper["rank"]) is int and hyper["rank"] == rank):
+            raise FormatError(f"rank must be the basis width {rank}, found {hyper['rank']!r}")
         labels = container_text(arrays, "labels")
         if set(labels) != set(arrays["classes"]):
             raise FormatError("lsa labels must name every class and only those")

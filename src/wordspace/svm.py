@@ -14,10 +14,12 @@ vals)`` row through `kernels.row_product`, with no sparse matrix per
 query, and a w2v query from its dense row.
 """
 
+import math
+
 import numpy as np
 
-from .classifiers import Prediction, make_prediction
-from .errors import DataError, NumericalError
+from .classifiers import Prediction, _positive_int, make_prediction
+from .errors import DataError, FormatError, NumericalError
 from .features import FeatureSpec, bow_row, dense_row, feature_matrix
 from .kernels import hinge_sgd, row_product
 from .utils import container_array
@@ -50,9 +52,15 @@ class LinearSvmModel:
     @classmethod
     def from_container(cls, hyper, arrays):
         classes, spec = arrays["classes"], FeatureSpec.from_container(arrays)
+        reg, seed = hyper["reg"], hyper["seed"]
+        if not (type(reg) in (int, float) and math.isfinite(reg) and reg > 0):
+            raise FormatError(f"reg must be a finite number > 0, found {reg!r}")
+        epochs = _positive_int(hyper, "epochs")
+        if not (type(seed) is int and seed >= 0):
+            raise FormatError(f"seed must be an integer >= 0, found {seed!r}")
         return cls(classes, container_array(arrays, "weights", len(classes), spec.width),
                    container_array(arrays, "offsets", len(classes)), spec,
-                   reg=hyper["reg"], epochs=hyper["epochs"], seed=hyper["seed"])
+                   reg=reg, epochs=epochs, seed=seed)
 
     def decision_matrix(self, feats) -> np.ndarray:
         """Scores ``w_c . x - b_c`` for every (row, class) pair."""

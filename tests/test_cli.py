@@ -659,6 +659,27 @@ BAD_INPUTS = {
     "mnb-log-prob-not-terms-by-classes": _classify_doctored("mnb", _cut("log_prob", np.s_[1:])),
     "lsa-sigma-not-rank": _classify_doctored("lsa", _cut("sigma", np.s_[1:]),
                                              flags=("--rank", "3")),
+    # settings that disagree with the arrays they describe, or that no
+    # train run writes
+    "lsa-rank-not-an-int": _classify_doctored("lsa", _hyper(rank="x"), flags=("--rank", "3")),
+    "lsa-rank-not-basis-width": _classify_doctored("lsa", _hyper(rank=2),
+                                                   flags=("--rank", "3")),
+    "lsa-rank-true": _classify_doctored("lsa", _hyper(rank=True), flags=("--rank", "1")),
+    "msm-class-dim-below-basis-width": _classify_doctored("msm", _hyper(class_dim=1)),
+    "tfmsm-class-dim-below-basis-width": _classify_doctored("tfmsm", _hyper(class_dim=3)),
+    "svm-reg-negative-epochs-not-an-int": _classify_doctored(
+        "svm", _hyper(reg=-1, epochs="many")),
+    "svm-reg-zero": _classify_doctored("svm", _hyper(reg=0.0)),
+    "svm-reg-nan": _classify_doctored("svm", _hyper(reg=float("nan"))),
+    "svm-reg-infinite": _classify_doctored("svm", _hyper(reg=float("inf"))),
+    "svm-reg-not-a-number": _classify_doctored("svm", _hyper(reg="1e-4")),
+    "svm-reg-true": _classify_doctored("svm", _hyper(reg=True)),
+    "svm-epochs-not-an-int": _classify_doctored("svm", _hyper(epochs="many")),
+    "svm-epochs-zero": _classify_doctored("svm", _hyper(epochs=0)),
+    "svm-epochs-true": _classify_doctored("svm", _hyper(epochs=True)),
+    "svm-seed-negative": _classify_doctored("svm", _hyper(seed=-1)),
+    "svm-seed-not-an-int": _classify_doctored("svm", _hyper(seed=1.5)),
+    "svm-seed-false": _classify_doctored("svm", _hyper(seed=False)),
     "lsa-labels-not-text": _classify_doctored("lsa", _set("labels", np.array(5)),
                                               flags=("--rank", "3")),
     "svm-spec-name-not-text": _classify_doctored("svm", _set("spec_name", np.zeros(2))),
@@ -812,6 +833,25 @@ def test_loaded_basis_refusal_names_its_entry(case, entry, workspace, tmp_path, 
     ("msm-class-dim-not-an-int", "class_dim must be a positive integer or null, found 'x'"),
     ("msm-normalize-not-a-bool", "normalize must be a boolean, found 'off'"),
     ("sa-normalize-not-a-bool", "normalize must be a boolean, found 'off'"),
+    ("lsa-rank-not-an-int", "rank must be the basis width 3, found 'x'"),
+    ("lsa-rank-not-basis-width", "rank must be the basis width 3, found 2"),
+    ("lsa-rank-true", "rank must be the basis width 1, found True"),
+    ("msm-class-dim-below-basis-width",
+     "class_dim must be null or at least the widest class basis (4), found 1"),
+    ("tfmsm-class-dim-below-basis-width",
+     "class_dim must be null or at least the widest class basis (4), found 3"),
+    ("svm-reg-negative-epochs-not-an-int", "reg must be a finite number > 0, found -1"),
+    ("svm-reg-zero", "reg must be a finite number > 0, found 0.0"),
+    ("svm-reg-nan", "reg must be a finite number > 0, found nan"),
+    ("svm-reg-infinite", "reg must be a finite number > 0, found inf"),
+    ("svm-reg-not-a-number", "reg must be a finite number > 0, found '1e-4'"),
+    ("svm-reg-true", "reg must be a finite number > 0, found True"),
+    ("svm-epochs-not-an-int", "epochs must be a positive integer, found 'many'"),
+    ("svm-epochs-zero", "epochs must be a positive integer, found 0"),
+    ("svm-epochs-true", "epochs must be a positive integer, found True"),
+    ("svm-seed-negative", "seed must be an integer >= 0, found -1"),
+    ("svm-seed-not-an-int", "seed must be an integer >= 0, found 1.5"),
+    ("svm-seed-false", "seed must be an integer >= 0, found False"),
 ])
 def test_container_setting_refusal_names_it(case, message, workspace, tmp_path, capsys):
     make_argv, _ = BAD_INPUTS[case]
