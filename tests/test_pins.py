@@ -19,12 +19,18 @@ Under its ``classify_scores`` key it holds the score column of those
 same runs, parsed as floats, which are compared to within
 `SCORE_ATOL`: a few units in the sixth decimal that ``classify``
 prints, so a BLAS build that rounds differently still passes while a
-change to the scoring arithmetic does not.  A change that moves a pin
-updates the file in the same commit; ``python tests/test_pins.py``
-rewrites it.
+change to the scoring arithmetic does not.  Under its ``model_spectra``
+key it holds the stored spectra of those same models, each class's of
+an msm or tfmsm one and an lsa one's singular values, compared to
+within `SPECTRA_RTOL` of each array's largest entry; under its
+``spectrum`` key, the header and values of the short shape's
+``wordspace spectrum`` CSV, compared to within `SPECTRUM_ATOL`.  A
+change that moves a pin updates the file in the same commit;
+``python tests/test_pins.py`` rewrites it.
 """
 
 import contextlib
+import csv
 import functools
 import hashlib
 import io
@@ -50,6 +56,12 @@ CLASSIFY_CASES = [("short", s) for s in STRATEGIES] + [("long", s) for s in LONG
 CLASSIFIED_DOCS = {"short": 500, "long": 150}
 # printed scores may differ by one unit in the sixth decimal on another BLAS
 SCORE_ATOL = 3e-6
+# a stored eigenvalue or singular value is kept down to RANK_RTOL (1e-10) of
+# the largest, and its roundoff is a few units of the largest's last place:
+# another BLAS moves an entry by far less than 1e-9 of the largest
+SPECTRA_RTOL = 1e-9
+# the spectrum CSV holds normalized eigenvalues and variance fractions in [0, 1]
+SPECTRUM_ATOL = 1e-9
 
 
 def _shapes():
@@ -89,17 +101,33 @@ def _write_files(inputs, shape, root):
 
 def _classify_columns(paths, strategy, root):
     """The label and score columns of ``classify`` with a default ``train``
-    model; an unclassifiable document's score is NaN."""
+    model (an unclassifiable document's score is NaN), and the model's
+    stored spectra: ``{entry: values}`` of its class spectra or lsa
+    singular values, empty for the other strategies."""
     model = os.path.join(root, f"{strategy}.npz")
     table = ["--embeddings", paths["table"]] if STRATEGIES[strategy].feature == "w2v" else []
     with contextlib.redirect_stdout(io.StringIO()):
         assert main(["train", "--strategy", strategy, "--corpus", paths["corpus"],
                      "--out", model, *table]) == 0
+    with np.load(model) as entries:
+        spectra = {name: entries[name].tolist() for name in sorted(entries.files)
+                   if name.endswith("_spectrum") or name == "sigma"}
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         assert main(["classify", "--model", model, "--corpus", paths["stream"], *table]) == 0
     rows = [line.split("\t") for line in out.getvalue().splitlines()]
-    return [row[1] for row in rows], [float(row[2]) for row in rows]
+    return [row[1] for row in rows], [float(row[2]) for row in rows], spectra
+
+
+def _spectrum_csv(paths, root):
+    """The header and the values of ``wordspace spectrum``'s CSV."""
+    out = os.path.join(root, "spectrum.csv")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["spectrum", "--corpus", paths["corpus"], "--embeddings", paths["table"],
+                     "--out", out]) == 0
+    with open(out, encoding="utf-8", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    return {"header": header, "rows": [[float(v) for v in row] for row in rows]}
 
 
 def _label_hash(labels):
@@ -107,11 +135,17 @@ def _label_hash(labels):
 
 
 @pytest.fixture(scope="module")
-def classified(shapes, tmp_path_factory):
-    """``(shape, strategy) -> (labels, scores)``, each case run once."""
+def files(shapes, tmp_path_factory):
+    """``(root, {shape: paths})`` of each shape's files, written once."""
     root = str(tmp_path_factory.mktemp("classify"))
-    files = {shape: _write_files(shapes, shape, root) for shape in CLASSIFIED_DOCS}
-    return functools.cache(lambda shape, strategy: _classify_columns(files[shape], strategy, root))
+    return root, {shape: _write_files(shapes, shape, root) for shape in CLASSIFIED_DOCS}
+
+
+@pytest.fixture(scope="module")
+def classified(files):
+    """``(shape, strategy) -> (labels, scores, spectra)``, each case run once."""
+    root, paths = files
+    return functools.cache(lambda shape, strategy: _classify_columns(paths[shape], strategy, root))
 
 
 @pytest.mark.parametrize("shape,strategy", CASES)
@@ -142,7 +176,7 @@ def test_repeated_unordered_grids_write_the_pinned_reports(strategy, shapes):
 def test_classify_labels_match_their_pins(shape, strategy, classified):
     with open(PINS) as fh:
         pins = json.load(fh)
-    labels, _ = classified(shape, strategy)
+    labels, _, _ = classified(shape, strategy)
     assert _label_hash(labels) == pins["classify"][shape][strategy]
 
 
@@ -150,9 +184,33 @@ def test_classify_labels_match_their_pins(shape, strategy, classified):
 def test_classify_scores_match_their_pins(shape, strategy, classified):
     with open(PINS) as fh:
         pins = json.load(fh)
-    _, scores = classified(shape, strategy)
+    _, scores, _ = classified(shape, strategy)
     np.testing.assert_allclose(scores, pins["classify_scores"][shape][strategy],
                                rtol=0, atol=SCORE_ATOL)
+
+
+@pytest.mark.parametrize("shape,strategy", CLASSIFY_CASES)
+def test_model_spectra_match_their_pins(shape, strategy, classified):
+    with open(PINS) as fh:
+        pins = json.load(fh)
+    _, _, spectra = classified(shape, strategy)
+    want = pins["model_spectra"][shape][strategy]
+    assert spectra.keys() == want.keys()
+    assert bool(spectra) == (strategy in ("msm", "tfmsm", "lsa"))
+    for name, values in want.items():
+        assert len(spectra[name]) == len(values)
+        np.testing.assert_allclose(spectra[name], values, rtol=0,
+                                   atol=SPECTRA_RTOL * max(values), err_msg=name)
+
+
+def test_spectrum_csv_matches_its_pin(files):
+    with open(PINS) as fh:
+        pins = json.load(fh)
+    root, paths = files
+    got, want = _spectrum_csv(paths["short"], root), pins["spectrum"]["short"]
+    assert got["header"] == want["header"]
+    assert [len(row) for row in got["rows"]] == [len(row) for row in want["rows"]]
+    np.testing.assert_allclose(got["rows"], want["rows"], rtol=0, atol=SPECTRUM_ATOL)
 
 
 if __name__ == "__main__":
@@ -163,9 +221,11 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as root:
         files = {shape: _write_files(inputs, shape, root) for shape in CLASSIFIED_DOCS}
         for shape, strategy in CLASSIFY_CASES:
-            labels, scores = _classify_columns(files[shape], strategy, root)
+            labels, scores, spectra = _classify_columns(files[shape], strategy, root)
             pins.setdefault("classify", {}).setdefault(shape, {})[strategy] = _label_hash(labels)
             pins.setdefault("classify_scores", {}).setdefault(shape, {})[strategy] = scores
+            pins.setdefault("model_spectra", {}).setdefault(shape, {})[strategy] = spectra
+        pins["spectrum"] = {"short": _spectrum_csv(files["short"], root)}
     with open(PINS, "w") as fh:
         json.dump(pins, fh, indent=2, sort_keys=True)
         fh.write("\n")
