@@ -83,10 +83,8 @@ def cmd_train(args) -> int:
         if value is not None and name not in strategy.settings:
             raise ConfigError(f"strategy {strategy.name!r} does not read "
                               f"--{name.replace('_', '-')}")
-    settings = {name: hp.default if given[name] is None else given[name]
+    settings = {name: check_positive(name, hp.default if given[name] is None else given[name])
                 for name, hp in HYPERPARAMETERS.items()}
-    for name, value in settings.items():
-        check_positive(name, value)
     corpus = parse_corpus(args.corpus)
     feature = strategy.resolve_feature(args.feature)
     table = _load_embeddings(args) if feature == "w2v" else None

@@ -162,9 +162,10 @@ def _row_labels(model, feats):
     return np.where(zero, None, np.asarray(model.classes, dtype=object)[scores.argmax(axis=1)])
 
 
-def _hits(models, feats, docs):
-    """How many of ``docs`` each of ``models`` labels right from ``feats``."""
-    labels = [doc.label for doc in docs]
+def _hits(models, docs, table):
+    """How many of ``docs`` each of ``models`` (mvb, mnb, lsa or svm, of one
+    feature spec) labels right from one feature matrix."""
+    feats, labels = feature_matrix(models[0].spec, docs, table), [doc.label for doc in docs]
     return np.array([np.count_nonzero(_row_labels(m, feats) == labels) for m in models])
 
 
@@ -178,19 +179,9 @@ def _lsa_hits(full, grid, val_docs, val_queries, table):
     if not feasible:
         raise DataError(f"every grid rank exceeds the numerical rank {full.rank}")
     hits = np.full(len(ranks), -1, dtype=np.int64)
-    hits[[k <= full.rank for k in ranks]] = _hits(
-        [full.truncated(k) for k in feasible], feature_matrix(full.spec, val_docs, table),
-        val_docs)
+    hits[[k <= full.rank for k in ranks]] = _hits([full.truncated(k) for k in feasible],
+                                                  val_docs, table)
     return hits, notes
-
-
-def _svm_hits(models, grid, val_docs, val_queries, table):
-    return _hits(models, feature_matrix(models[0].spec, val_docs, table), val_docs), []
-
-
-def _no_hits(fitted, grid, val_docs, val_queries, table):
-    """A strategy without a grid: nothing to count."""
-    return np.zeros((), dtype=np.int64), []
 
 
 # Each strategy's one fit: ``fit(corpus, table, feature, normalize, grid,
@@ -235,10 +226,6 @@ def _fit_svm(corpus, table, feature, normalize, grid, hyper):
                               epochs=hyper["epochs"], seed=hyper["seed"])
 
 
-def _the_fit(fitted, params):
-    return fitted
-
-
 def _document_count(model, corpus, label):
     return f"documents={len(corpus.indices_of(label))}"
 
@@ -257,8 +244,9 @@ class Strategy:
     grid: dict          # validation grid: axis -> default values
     fit: Callable       # the one fit of a whole grid (see above)
     model: type         # class that reads the strategy's model container
-    select: Callable = _no_hits  # a fold's validation (hits, notes), see `_fit_fold`
-    at: Callable = _the_fit      # the model at one grid point
+    # a fold's validation (hits, notes), see `_fit_fold`; without a grid, none
+    select: Callable = lambda *args: (np.zeros((), dtype=np.int64), [])
+    at: Callable = lambda fitted, params: fitted  # the model at one grid point
     settings: tuple = ()  # the `HYPERPARAMETERS` (and "seed") that set its model
     summary: Callable = _document_count  # per-class line of ``wordspace train``
 
@@ -324,7 +312,8 @@ STRATEGIES = {s.name: s for s in (
              fit=_fit_lsa, model=lsa.LsaModel, select=_lsa_hits,
              at=lambda full, params: full.truncated(params["rank"]), settings=("rank",)),
     Strategy("svm", any_feature=True, grid={"reg": (1e-2, 1e-3, 1e-4, 1e-5)},
-             fit=_fit_svm, model=svm.LinearSvmModel, select=_svm_hits,
+             fit=_fit_svm, model=svm.LinearSvmModel,
+             select=lambda models, grid, docs, queries, table: (_hits(models, docs, table), []),
              at=lambda models, params: next(m for m in models if m.reg == params["reg"]),
              settings=("reg", "epochs", "seed")),
 )}

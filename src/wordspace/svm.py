@@ -14,8 +14,6 @@ vals)`` row through `kernels.row_product`, with no sparse matrix per
 query, and a w2v query from its dense row.
 """
 
-import math
-
 import numpy as np
 
 from .classifiers import Prediction, _positive_int, make_prediction
@@ -53,7 +51,7 @@ class LinearSvmModel:
     def from_container(cls, hyper, arrays):
         classes, spec = arrays["classes"], FeatureSpec.from_container(arrays)
         reg, seed = hyper["reg"], hyper["seed"]
-        if not (type(reg) in (int, float) and math.isfinite(reg) and reg > 0):
+        if not (type(reg) in (int, float) and np.isfinite(reg) and reg > 0):
             raise FormatError(f"reg must be a finite number > 0, found {reg!r}")
         epochs = _positive_int(hyper, "epochs")
         if not (type(seed) is int and seed >= 0):
