@@ -207,7 +207,7 @@ TRAIN_FEATURES = {"lsa": ("binbow", "tfbow", "tfidfbow", "w2v"),
 TRAIN_SETTINGS = {
     "class_dim": st.integers(1, 8),
     "query_dim": st.integers(1, 8),
-    "rank": st.integers(1, 12),
+    "rank": st.integers(1, 10),
     "reg": st.sampled_from((1.0, 1e-1, 1e-2, 1e-4, 1e-310)),
     "epochs": st.integers(1, 4),
     "seed": st.integers(0, 2**32 - 1),
@@ -231,7 +231,7 @@ def train_runs(draw, strategy):
     feature = draw(st.sampled_from(TRAIN_FEATURES.get(strategy, (STRATEGIES[strategy].feature,))))
     flags = ["--feature", feature]
     for name in STRATEGIES[strategy].settings:
-        if draw(st.integers(0, 3)):  # one run in four leaves the flag out
+        if draw(st.integers(0, 3)) < 3:  # about one run in four leaves the flag out
             flags += [f"--{name.replace('_', '-')}", repr(draw(TRAIN_SETTINGS[name]))]
     normalize = draw(st.booleans())
     flags += ["--normalize-vectors", "on" if normalize else "off"]
@@ -259,8 +259,8 @@ def test_train_writes_the_fit_of_its_settings(strategy, monkeypatch):
     these fits share:
     - when ARPACK's Krylov space turns invariant early (tied singular
       values, as on three one-word documents), it asks for a restart
-      vector that scipy draws from fresh OS entropy (from ARPACK's own
-      saved seed before scipy 1.16).  So `lsa.truncated_svd` is memoized
+      vector that scipy draws from fresh OS entropy (older releases, from
+      ARPACK's own saved seed).  So `lsa.truncated_svd` is memoized
       on its whole input: both fits take one factorization of equal
       matrices, and a different matrix still gets its own;
     - the projected training documents, ``doc_coords``, of two fits of
